@@ -184,9 +184,6 @@ class Coefficient:
         hs = [(k >> 32) - _HOFF for k in self.terms]
         return (min(hs), max(hs)) if hs else (0, 0)
 
-    def is_rational(self) -> bool:
-        return not self.terms or set(self.terms) == {_KEY1}
-
     def as_rational(self):
         if not self.terms:
             return QQ0
@@ -223,19 +220,9 @@ class Coefficient:
         return out
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (h, n, j), q in sorted(self.items_hnj()):
-            s = rat_str(q)
-            for name, e in (("h", h), ("N", n), ("j", j)):
-                if e:
-                    s += f"*{name}" + (f"^{e}" if e != 1 else "")
-            bits.append(s)
-        return "+".join(bits).replace("+-", "-")
+        return join_terms([_atom_text(q, h, n, j) for (h, n, j), q in sorted(self.items_hnj())])
 
 
-COEFF_ZERO = Coefficient.zero()
 COEFF_ONE = Coefficient.one()
 
 
@@ -271,12 +258,6 @@ class TimeMonomial:
         for k, e in other.exps:
             d[k] = d.get(k, 0) + e
         return TimeMonomial(tuple(sorted(d.items())))
-
-    def exponent(self, k: int) -> int:
-        for kk, e in self.exps:
-            if kk == k:
-                return e
-        return 0
 
     def __eq__(self, other):
         return isinstance(other, TimeMonomial) and self.exps == other.exps
@@ -381,22 +362,30 @@ class TimePolynomial:
     def times_h(self, k: int) -> "TimePolynomial":
         return TimePolynomial({m: c.times_h(k) for m, c in self.terms.items()})
 
-    def derivative(self, k: int, order: int = 1) -> "TimePolynomial":
-        """order-th partial derivative by t_k."""
+    def derivative(self, d) -> "TimePolynomial":
+        """Partial derivative by a derivative monomial d: the product of
+        (d/dt_k)^order over its (k, order) pairs; an int k means d/dt_k."""
+        if isinstance(d, int):
+            d = TimeMonomial.var(d)
         out = TimePolynomial({})
+        if not d.exps:
+            out.terms.update(self.terms)
+            return out
         for m, c in self.terms.items():
-            e = m.exponent(k)
-            if e < order:
-                continue
+            exps = dict(m.exps)  # stays sorted: entries are only lowered or deleted
             fac = 1
-            for i in range(order):
-                fac *= e - i
-            d = dict(m.exps)
-            if e == order:
-                del d[k]
+            for k, order in d.exps:
+                e = exps.get(k, 0)
+                if e < order:
+                    break
+                for i in range(order):
+                    fac *= e - i
+                if e == order:
+                    del exps[k]
+                else:
+                    exps[k] = e - order
             else:
-                d[k] = e - order
-            out.add_term(TimeMonomial(tuple(sorted(d.items()))), c.scale(fac))
+                out.add_term(TimeMonomial(tuple(exps.items())), c if fac == 1 else c.scale(fac))
         return out
 
     def h_coefficient(self, p: int) -> "TimePolynomial":
@@ -421,9 +410,6 @@ class TimePolynomial:
         for m in self.terms:
             out.update(k for k, _ in m.exps)
         return out
-
-    def max_degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
 
     def substitute(self, n=None, j=None, h=None) -> "TimePolynomial":
         out = TimePolynomial({})
@@ -451,10 +437,6 @@ class TimePolynomial:
 # spec-level operations
 
 
-def poly_mul(a: TimePolynomial, b: TimePolynomial) -> TimePolynomial:
-    return a * b
-
-
 def weighted_degree(p: TimePolynomial):
     """Common weighted degree of all terms (deg t_k = k), the string
     "inhomogeneous" if terms disagree; the zero polynomial has no degree."""
@@ -478,27 +460,54 @@ def _atoms(p: TimePolynomial):
             yield (h, m.degree, m.exps, -n, -j), (h, n, j, m, q)
 
 
-def canonical_text(p: TimePolynomial) -> str:
-    """Deterministic serialization; parses back to an equal polynomial.
+def term_texts(p: TimePolynomial) -> list[str]:
+    """The signed term strings of p in canonical order, one per atom.
 
     Atom order: h-exponent asc, weighted degree asc, lexicographic on the
     (variable, exponent) pairs, then N- and j-exponent descending.
     """
-    atoms = sorted(_atoms(p), key=lambda kv: kv[0])
-    if not atoms:
-        return "0"
-    bits = []
-    for _, (h, n, j, m, q) in atoms:
-        s = rat_str(q)
-        for name, e in (("h", h), ("N", n), ("j", j)):
-            if e:
-                s += f"*{name}" + (f"^{e}" if e != 1 else "")
-        for k, e in m.exps:
-            s += f"*t{k}" + (f"^{e}" if e != 1 else "")
-        if bits and not s.startswith("-"):
-            bits.append("+")
-        bits.append(s)
-    return "".join(bits)
+    return [_atom_text(q, h, n, j, m.exps)
+            for _, (h, n, j, m, q) in sorted(_atoms(p), key=lambda kv: kv[0])]
+
+
+def _atom_text(q, h: int, n: int, j: int, exps=()) -> str:
+    """One signed term: the rational, then its h, N, j and t factors."""
+    s = rat_str(q)
+    for name, e in (("h", h), ("N", n), ("j", j)):
+        if e:
+            s += f"*{name}" + (f"^{e}" if e != 1 else "")
+    for k, e in exps:
+        s += f"*t{k}" + (f"^{e}" if e != 1 else "")
+    return s
+
+
+def join_terms(bits: list[str]) -> str:
+    """Join signed term strings into one text; no terms gives "0"."""
+    out = []
+    for b in bits:
+        if out and not b.startswith("-"):
+            out.append("+")
+        out.append(b)
+    return "".join(out) or "0"
+
+
+def split_terms(s: str) -> list[str]:
+    """Split whitespace-free text into signed terms (inverse of join_terms);
+    a '-' directly after '^' is an exponent sign, not a term boundary."""
+    pieces, cur = [], ""
+    for ch in s:
+        if ch in "+-" and cur and not cur.endswith("^"):
+            pieces.append(cur)
+            cur = ch if ch == "-" else ""
+        else:
+            cur += ch
+    pieces.append(cur)
+    return pieces
+
+
+def canonical_text(p: TimePolynomial) -> str:
+    """Deterministic serialization; parses back to an equal polynomial."""
+    return join_terms(term_texts(p))
 
 
 _TERM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)((?:\*(?:t\d+|[hNj])(?:\^-?\d+)?)*)$")
@@ -512,17 +521,8 @@ def parse_polynomial(text: str) -> TimePolynomial:
         raise ValueError("empty polynomial text")
     if s == "0":
         return TimePolynomial.zero()
-    # split into signed terms; a '-' directly after '^' is an exponent sign
-    pieces, cur = [], ""
-    for i, ch in enumerate(s):
-        if ch in "+-" and cur and not cur.endswith("^"):
-            pieces.append(cur)
-            cur = ch if ch == "-" else ""
-        else:
-            cur += ch
-    pieces.append(cur)
     out = TimePolynomial.zero()
-    for piece in pieces:
+    for piece in split_terms(s):
         mt = _TERM_RE.match(piece)
         if not mt:
             raise ValueError(f"bad term {piece!r}")

@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import ENGINE_VERSION
@@ -43,6 +44,30 @@ def parse_n(text: str):
         raise argparse.ArgumentTypeError(f"bad N value {text!r}") from exc
 
 
+def int_at_least(lo: int):
+    """argparse type: an integer >= lo."""
+
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {v}")
+        return v
+
+    return parse
+
+
+def parse_j(text: str):
+    if text == "symbolic":
+        return text
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f'bad j value {text!r}: an integer or "symbolic"') from exc
+
+
 def n_text(N) -> str:
     return N if N == "symbolic" else rat_str(QQ(N))
 
@@ -60,34 +85,48 @@ def cache_dir(override: str | None = None) -> Path:
     return Path.home() / ".cache" / "bgwtau"
 
 
-def _cache_key(m: int, N, K: int) -> str:
-    header = f"tau m={m} N={n_text(N)} K={K} engine={ENGINE_VERSION}"
-    return header
+def _cache_header(m: int, N, K: int) -> str:
+    return f"tau m={m} N={n_text(N)} K={K} engine={ENGINE_VERSION}"
 
 
 def _cache_path(directory: Path, header: str) -> Path:
     return directory / (hashlib.sha256(header.encode()).hexdigest()[:24] + ".tau")
 
 
+def _read_lines(path: Path) -> list[str] | None:
+    """Lines of a cache file; None if it is not UTF-8 text."""
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        return None
+
+
 def cache_store(T: TauExpansion, directory: Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
-    header = _cache_key(T.m, T.N, T.order)
+    header = _cache_header(T.m, T.N, T.order)
     body = "\n".join(canonical_text(c) for c in T.coeffs)
     digest = hashlib.sha256((header + "\n" + body).encode()).hexdigest()
     path = _cache_path(directory, header)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(f"{header}\n{body}\nchecksum={digest}\n")
-    tmp.rename(path)
+    # a private temporary name per writer, so concurrent stores of one key
+    # never interleave; os.replace publishes the finished file atomically
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.stem + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write(f"{header}\n{body}\nchecksum={digest}\n")
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
     return path
 
 
 def cache_load(m: int, N, K: int, directory: Path) -> TauExpansion | None:
-    header = _cache_key(m, N, K)
+    header = _cache_header(m, N, K)
     path = _cache_path(directory, header)
     if not path.exists():
         return None
-    lines = path.read_text().splitlines()
-    if len(lines) != K + 3 or lines[0] != header or not lines[-1].startswith("checksum="):
+    lines = _read_lines(path)
+    if lines is None or len(lines) != K + 3 or lines[0] != header \
+            or not lines[-1].startswith("checksum="):
         return None
     digest = hashlib.sha256("\n".join(lines[:-1]).encode()).hexdigest()
     if lines[-1] != f"checksum={digest}":
@@ -133,42 +172,31 @@ class SystemExit2(Exception):
 # subcommands
 
 
-def _emit_expansion(T: TauExpansion, fmt: str, label: str) -> None:
+def _emit(T: TauExpansion, fmt: str, key: str, label: str, polys, start: int) -> None:
+    """Print polys as label[start], label[start+1], ... or as one JSON
+    document holding them under key."""
     if fmt == "json":
-        doc = {
-            "m": T.m,
-            "N": n_text(T.N),
-            "K": T.order,
-            "coeffs": [canonical_text(c) for c in T.coeffs],
-        }
+        doc = {"m": T.m, "N": n_text(T.N), "K": T.order, key: [canonical_text(p) for p in polys]}
         print(json.dumps(doc, sort_keys=True))
     else:
-        for k, c in enumerate(T.coeffs):
-            print(f"{label}[{k}] = {canonical_text(c)}")
+        for k, p in enumerate(polys, start=start):
+            print(f"{label}[{k}] = {canonical_text(p)}")
+
+
+def _cached_expansion(args) -> TauExpansion:
+    return _expansion(args.m, args.N, args.order, args.oracle, not args.no_cache,
+                      cache_dir(args.cache_dir))
 
 
 def cmd_expand(args) -> int:
-    K = args.order if args.order is not None else args.degree // args.m
-    T = _expansion(args.m, args.N, K, args.oracle, not args.no_cache, cache_dir(args.cache_dir))
-    _emit_expansion(T, args.format, "tau")
+    T = _cached_expansion(args)
+    _emit(T, args.format, "coeffs", "tau", T.coeffs, 0)
     return 0
 
 
 def cmd_free_energy(args) -> int:
-    T = _expansion(args.m, args.N, args.order, args.oracle, not args.no_cache,
-                   cache_dir(args.cache_dir))
-    F = free_energy(T)
-    if args.format == "json":
-        doc = {
-            "m": T.m,
-            "N": n_text(T.N),
-            "K": T.order,
-            "free_energy": [canonical_text(f) for f in F],
-        }
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        for k, f in enumerate(F, start=1):
-            print(f"F[{k}] = {canonical_text(f)}")
+    T = _cached_expansion(args)
+    _emit(T, args.format, "free_energy", "F", free_energy(T), 1)
     return 0
 
 
@@ -183,12 +211,11 @@ def cmd_phi(args) -> int:
             for k, s in rows:
                 print(f"phi[m={args.m},k={k}] = {s}   # * h^{k} z^-{args.m * k}")
         return 0
-    j = int(args.j)
-    series = phi_series_gen(args.m, args.N, j, args.depth)
+    series = phi_series_gen(args.m, args.N, args.j, args.depth)
     items = sorted(series.coeffs.items(), reverse=True)
     if args.format == "json":
         print(json.dumps(
-            {"m": args.m, "N": n_text(args.N), "j": j,
+            {"m": args.m, "N": n_text(args.N), "j": args.j,
              "series": {f"z^{n}": canonical_text(TimePolynomial.constant(c)) for n, c in items},
              "floor": series.floor},
             sort_keys=True))
@@ -240,7 +267,8 @@ def cmd_cache(args) -> int:
     elif args.action == "list":
         if cdir.exists():
             for p in sorted(cdir.glob("*.tau")):
-                print(f"{p.name}: {p.read_text().splitlines()[0]}")
+                lines = _read_lines(p)
+                print(f"{p.name}: {lines[0] if lines else '(no header)'}")
     elif args.action == "clear":
         if cdir.exists():
             for p in cdir.glob("*.tau"):
@@ -257,36 +285,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, order=True):
-        p.add_argument("--m", type=int, default=2, help="branching index m >= 1")
+        p.add_argument("--m", type=int_at_least(1), default=2, help="branching index m >= 1")
         p.add_argument("--N", type=parse_n, default=QQ(0),
                        help='deformation parameter: rational like 1/2, or "symbolic"')
         if order:
-            p.add_argument("--order", type=int, default=None, help="expansion order K")
+            p.add_argument("--order", type=int_at_least(0), default=None,
+                           help="expansion order K (default 6, or degree // m with --degree)")
         p.add_argument("--format", choices=("text", "json"), default="text")
+
+    def cached(p):
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--no-cache", action="store_true")
 
     p = sub.add_parser("expand", help="topological expansion tau_0..tau_K")
     common(p)
-    p.add_argument("--degree", type=int, default=None, help="weighted-degree bound (with --oracle)")
+    cached(p)
+    p.add_argument("--degree", type=int_at_least(0), default=None,
+                   help="weighted-degree bound (with --oracle)")
     p.add_argument("--oracle", action="store_true", help="use the determinant oracle (any m)")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("free-energy", help="log tau coefficients F^1..F^K")
     common(p)
+    cached(p)
     p.add_argument("--oracle", action="store_true")
     p.set_defaults(func=cmd_free_energy)
 
     p = sub.add_parser("phi", help="basis-vector series coefficients")
     common(p, order=False)
-    p.add_argument("--j", default="symbolic", help='basis index (integer) or "symbolic"')
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--j", type=parse_j, default="symbolic", help='basis index (integer) or "symbolic"')
+    p.add_argument("--depth", type=int_at_least(0), default=4)
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("schur", help="Schur-expansion coefficients C_mu")
     common(p, order=False)
-    p.add_argument("--degree", type=int, default=6)
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--degree", type=int_at_least(0), default=6)
+    p.add_argument("--points", type=int_at_least(0), default=None,
+                   help="Miwa points, at least --degree (default: --degree)")
     p.set_defaults(func=cmd_schur)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -294,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    help="comma list: checksums, golden-A/B/C/inline, constraints,"
                         " hirota, crosscheck, ks, invariants, all")
-    p.add_argument("--depth", type=int, default=20)
+    p.add_argument("--depth", type=int_at_least(0), default=20)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cache", help="expansion cache maintenance")
@@ -307,8 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "order", None) is None and hasattr(args, "order"):
-        args.order = (args.degree // args.m) if getattr(args, "degree", None) else 6
+    if "order" in args and args.order is None:
+        degree = getattr(args, "degree", None)
+        args.order = degree // args.m if degree is not None else 6
+    if getattr(args, "points", None) is not None and args.points < args.degree:
+        ap.error("--points must be at least --degree")
     try:
         return args.func(args)
     except SystemExit2 as exc:

@@ -14,8 +14,7 @@ polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import re
 
 from .algebra import (
     COEFF_ONE,
@@ -23,6 +22,10 @@ from .algebra import (
     MONO_ONE,
     TimeMonomial,
     TimePolynomial,
+    join_terms,
+    parse_polynomial,
+    split_terms,
+    term_texts,
 )
 from .rational import QQ
 
@@ -55,15 +58,6 @@ class DiffOperator:
         c = coeff if coeff is not None else COEFF_ONE
         c = c if isinstance(c, Coefficient) else Coefficient.rational(c)
         return cls({(MONO_ONE, MONO_ONE): c} if c else {})
-
-    @classmethod
-    def from_terms(cls, items) -> "DiffOperator":
-        """items: iterable of (coeff, tpart, dpart); merges duplicates."""
-        op = cls({})
-        for c, tm, dm in items:
-            c = c if isinstance(c, Coefficient) else Coefficient.rational(c)
-            op.add_term(c, tm, dm)
-        return op
 
     def add_term(self, coeff: Coefficient, tpart: TimeMonomial, dpart: TimeMonomial) -> None:
         key = (tpart, dpart)
@@ -104,29 +98,17 @@ class DiffOperator:
         return isinstance(other, DiffOperator) and self.terms == other.terms
 
     def apply(self, p: TimePolynomial) -> TimePolynomial:
-        """Exact Leibniz application; linear in p."""
-        out = TimePolynomial({})
+        """Exact application; linear in p.  p is differentiated once per
+        distinct derivative part, then multiplied by that part's t-parts."""
+        by_dpart: dict[TimeMonomial, list] = {}
         for (tm, dm), c in self.terms.items():
-            for pm, pc in p.terms.items():
-                fac = 1
-                reduced = None
-                for k, order in dm.exps:
-                    e = pm.exponent(k)
-                    if e < order:
-                        fac = 0
-                        break
-                    for i in range(order):
-                        fac *= e - i
-                    if reduced is None:
-                        reduced = dict(pm.exps)
-                    if e == order:
-                        del reduced[k]
-                    else:
-                        reduced[k] = e - order
-                if fac == 0:
-                    continue
-                mono = pm if reduced is None else TimeMonomial(tuple(sorted(reduced.items())))
-                out.add_term(tm * mono, c * pc if fac == 1 else (c * pc).scale(fac))
+            by_dpart.setdefault(dm, []).append((tm, c))
+        out = TimePolynomial({})
+        for dm, tparts in by_dpart.items():
+            dp = p.derivative(dm).terms.items()
+            for tm, c in tparts:
+                for pm, pc in dp:
+                    out.add_term(tm * pm, c * pc)
         return out
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
@@ -169,23 +151,8 @@ class DiffOperator:
                     out.add_term(c0.scale(fac), tpart, dpart)
         return out
 
-    def max_creation_shift(self) -> int:
-        return max((tm.degree - dm.degree for tm, dm in self.terms), default=0)
-
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (tm, dm), c in sorted(
-            self.terms.items(), key=lambda kv: (kv[0][1].exps, kv[0][0].exps)
-        ):
-            s = f"({c!r})"
-            if tm.exps:
-                s += f"*{tm!r}"
-            for k, e in dm.exps:
-                s += f"*d{k}" + (f"^{e}" if e > 1 else "")
-            bits.append(s)
-        return " + ".join(bits)
+        return operator_text(self)
 
 
 def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
@@ -194,86 +161,41 @@ def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     return a.compose(b) - b.compose(a)
 
 
-def _reattach(body: str, dsuffix: str) -> list[str]:
-    # a multi-atom coefficient (several h/N/j monomials) shares one dpart;
-    # append the d-factors to each serialized atom
-    pieces, cur = [], ""
-    for ch in body:
-        if ch in "+-" and cur and not cur.endswith("^"):
-            pieces.append(cur)
-            cur = ch if ch == "-" else ""
-        else:
-            cur += ch
-    pieces.append(cur)
-    return [p + dsuffix for p in pieces]
-
-
 def operator_text(op: DiffOperator) -> str:
     """Serialize in the polynomial text grammar extended with d<k> factors
     for d/dt_k (normal-ordered: all d-factors after the t- and scalar
     factors).  Deterministic: terms sorted by (dpart, tpart, coefficient
     key)."""
-    from .algebra import canonical_text
-
     bits = []
     for (tm, dm), c in sorted(
         op.terms.items(), key=lambda kv: (kv[0][1].exps, kv[0][0].exps)
     ):
-        body = canonical_text(TimePolynomial({tm: c}))
         dsuffix = "".join(f"*d{k}" + (f"^{e}" if e > 1 else "") for k, e in dm.exps)
-        if "+" in body[1:] or "-" in body[1:]:
-            bits.extend(_reattach(body, dsuffix))
-        else:
-            bits.append(body + dsuffix)
-    out = ""
-    for b in bits:
-        if out and not b.startswith("-"):
-            out += "+"
-        out += b
-    return out or "0"
+        bits.extend(atom + dsuffix for atom in term_texts(TimePolynomial({tm: c})))
+    return join_terms(bits)
+
+
+_DPART_RE = re.compile(r"^(.*?)((?:\*d\d+(?:\^\d+)?)*)$")
+_DFACTOR_RE = re.compile(r"\*d(\d+)(?:\^(\d+))?")
 
 
 def parse_operator(text: str) -> DiffOperator:
     """Parse the operator text grammar (inverse of operator_text)."""
-    import re
-
-    from .algebra import parse_polynomial
-
     s = "".join(text.split())
     if s == "0":
         return DiffOperator.zero()
-    pieces, cur = [], ""
-    for ch in s:
-        if ch in "+-" and cur and not cur.endswith("^"):
-            pieces.append(cur)
-            cur = ch if ch == "-" else ""
-        else:
-            cur += ch
-    pieces.append(cur)
     op = DiffOperator({})
-    for piece in pieces:
-        mt = re.match(r"^(.*?)((?:\*d\d+(?:\^\d+)?)*)$", piece)
+    for piece in split_terms(s):
+        mt = _DPART_RE.match(piece)
         poly = parse_polynomial(mt.group(1))
         dvars: dict[int, int] = {}
-        for fm in re.finditer(r"\*d(\d+)(?:\^(\d+))?", mt.group(2)):
+        for fm in _DFACTOR_RE.finditer(mt.group(2)):
             k = int(fm.group(1))
             dvars[k] = dvars.get(k, 0) + int(fm.group(2) or 1)
         dm = TimeMonomial.from_dict(dvars)
         for tm, c in poly.terms.items():
             op.add_term(c, tm, dm)
     return op
-
-
-@dataclass(frozen=True)
-class OperatorFamily:
-    """Indexed family materialized on demand; shift is the weighted-degree
-    shift of every member's action."""
-
-    rule: Callable[[int, int], DiffOperator]
-    shift: int
-
-    def materialize(self, k: int, bound: int) -> DiffOperator:
-        return self.rule(k, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +283,6 @@ def cubic(k: int, bound: int) -> DiffOperator:
 def euler(bound: int) -> DiffOperator:
     """The grading operator sum k t_k d/dt_k (equals L_0)."""
     return virasoro(0, bound)
-
-
-CURRENTS = OperatorFamily(lambda k, d: current(k), 0)
-VIRASORO = OperatorFamily(virasoro, 0)
-CUBIC = OperatorFamily(cubic, 0)
 
 
 # ---------------------------------------------------------------------------

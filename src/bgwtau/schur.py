@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .algebra import Coefficient, TimeMonomial, TimePolynomial
+from .algebra import Coefficient, TimePolynomial
 from .cutjoin import SCHUR_ORACLE, TauExpansion
 from .operators import n_coeff
 from .rational import QQ
-from .zcalculus import phi_coefficients
+from .zcalculus import phi_terms
 
 Partition = tuple[int, ...]
 
@@ -37,13 +37,6 @@ def partitions(n: int, max_part: int | None = None):
     for p in range(top, 0, -1):
         for rest in partitions(n - p, p):
             yield (p,) + rest
-
-
-def partition_monomial(mu: Partition) -> TimeMonomial:
-    d: dict[int, int] = {}
-    for p in mu:
-        d[p] = d.get(p, 0) + 1
-    return TimeMonomial.from_dict(d)
 
 
 @lru_cache(maxsize=None)
@@ -99,17 +92,6 @@ class PlueckerTable:
         return self.table.get(tuple(mu), Coefficient.zero())
 
 
-def _phi_column_coeffs(m: int, N, j: int, K: int) -> list[Coefficient]:
-    """c_{j, m*k} = phi[m,k](j-N), the x^(mk) coefficients of f_j (h-powers
-    included)."""
-    nc = n_coeff(N)
-    jbind = Coefficient.rational(j) - nc
-    out = []
-    for k, c in enumerate(phi_coefficients(m, K)):
-        out.append(c.substitute(j=jbind).times_h(k))
-    return out
-
-
 def plucker_expansion(m: int, N, degree: int, points: int | None = None) -> PlueckerTable:
     """Expand the Miwa determinant ratio into C_mu for |mu| <= degree, using
     M >= degree Miwa points (columns)."""
@@ -117,7 +99,9 @@ def plucker_expansion(m: int, N, degree: int, points: int | None = None) -> Plue
     if M < degree:
         raise ValueError("insufficient Miwa points for requested degree")
     K = degree // m
-    cols = [_phi_column_coeffs(m, N, j, K) for j in range(1, M + 1)]
+    nc = n_coeff(N)
+    # column j: c_{j, m*k} = phi[m,k](j-N) h^k, the x^(mk) coefficients of f_j
+    cols = [phi_terms(m, K, Coefficient.rational(j) - nc) for j in range(1, M + 1)]
     table: dict[Partition, Coefficient] = {}
 
     used: list[int] = []

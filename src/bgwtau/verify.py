@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
-from .algebra import TimePolynomial, parse_polynomial
+from .algebra import TimeMonomial, TimePolynomial, parse_polynomial
 from .cutjoin import TauExpansion, check_expansion_invariants, free_energy, tau_expand
 from .operators import constraint, constraint_index_bound
 from .report import Report
@@ -174,19 +175,12 @@ def hirota_suite(T: TauExpansion, orders: int | None = None) -> Report:
     cs = T.coeffs
     K = T.order
 
-    def dd(p: TimePolynomial, *vars_) -> TimePolynomial:
-        for v in vars_:
-            p = p.derivative(v)
-        return p
+    def dd(*exps) -> list[TimePolynomial]:
+        dm = TimeMonomial(exps)
+        return [c.derivative(dm) for c in cs]
 
-    d1 = [dd(c, 1) for c in cs]
-    d11 = [dd(c, 1, 1) for c in cs]
-    d111 = [dd(c, 1, 1, 1) for c in cs]
-    d1111 = [dd(c, 1, 1, 1, 1) for c in cs]
-    d2 = [dd(c, 2) for c in cs]
-    d22 = [dd(c, 2, 2) for c in cs]
-    d3 = [dd(c, 3) for c in cs]
-    d13 = [dd(c, 1, 3) for c in cs]
+    d1, d11, d111, d1111 = dd((1, 1)), dd((1, 2)), dd((1, 3)), dd((1, 4))
+    d2, d22, d3, d13 = dd((2, 1)), dd((2, 2)), dd((3, 1)), dd((1, 1), (3, 1))
     for p in range(0, min(p_max, K) + 1):
         acc = TimePolynomial.zero()
         for a in range(0, p + 1):
@@ -209,13 +203,17 @@ def hirota_suite(T: TauExpansion, orders: int | None = None) -> Report:
 def crosscheck_suite(m: int, N, degree: int) -> Report:
     """Oracle vs recursion equality through the given weighted degree for
     m in {1,2}; oracle-only invariant checks for m >= 3."""
+    O = tau_from_schur(plucker_expansion(m, N, degree))
+    return _crosscheck(O, tau_expand(m, N, degree // m) if m in (1, 2) else None, degree)
+
+
+def _crosscheck(O: TauExpansion, R: TauExpansion | None, degree: int) -> Report:
+    """The crosscheck cases for oracle O and (m in {1,2}) recursion R."""
     rep = Report()
+    m, N = O.m, O.N
     suite = f"crosscheck[m={m},N={N},D={degree}]"
-    table = plucker_expansion(m, N, degree)
-    O = tau_from_schur(table)
     rep.extend(check_expansion_invariants(O))
-    if m in (1, 2):
-        R = tau_expand(m, N, degree // m)
+    if R is not None:
         for k in range(0, degree // m + 1):
             diff = _first_diff(O.coeffs[k], R.coeffs[k])
             rep.add(suite, f"tau[{k}] oracle==recursion", not diff, diff)
@@ -224,46 +222,65 @@ def crosscheck_suite(m: int, N, degree: int) -> Report:
     return rep
 
 
-SUITES = {
-    "golden-A": lambda: golden_suite("AppendixA"),
-    "golden-B": lambda: golden_suite("AppendixB"),
-    "golden-C": lambda: golden_suite("AppendixC"),
-    "golden-inline": lambda: golden_suite("Inline"),
-    "checksums": verify_checksums,
+def _ks_suite(m: int, N, depth: int) -> Report:
+    """Kac-Schwarz ladder actions, commutation relations, spectral curve and
+    (m >= 2) canonical pair."""
+    rep = Report()
+    rep.extend(check_ks_actions(m, N, 4, depth))
+    rep.extend(check_commutation(m, N, depth))
+    rep.extend(check_spectral_curve(m, N, 4, depth))
+    if m >= 2:
+        rep.extend(check_canonical_pair(m, N, depth))
+    return rep
+
+
+@dataclass
+class SuiteArgs:
+    """Arguments of one run_suites call; each expansion is built at most once."""
+
+    m: int
+    N: object
+    order: int
+    depth: int
+
+    @cached_property
+    def recursion(self) -> TauExpansion:
+        return tau_expand(self.m, self.N, self.order)
+
+    @cached_property
+    def oracle(self) -> TauExpansion:
+        return tau_from_schur(plucker_expansion(self.m, self.N, self.m * self.order))
+
+    @property
+    def source(self) -> TauExpansion:
+        """The expansion the constraint and invariant suites check."""
+        return self.recursion if self.m <= 2 else self.oracle
+
+
+SUITE_RUNNERS = {
+    "checksums": lambda a: verify_checksums(),
+    "constraints": lambda a: constraint_suite(a.m, a.N, a.source),
+    "crosscheck": lambda a: _crosscheck(
+        a.oracle, a.recursion if a.m <= 2 else None, a.m * a.order),
+    "golden-A": lambda a: golden_suite("AppendixA"),
+    "golden-B": lambda a: golden_suite("AppendixB"),
+    "golden-C": lambda a: golden_suite("AppendixC"),
+    "golden-inline": lambda a: golden_suite("Inline"),
+    "hirota": lambda a: hirota_suite(a.recursion),
+    "invariants": lambda a: check_expansion_invariants(a.source),
+    "ks": lambda a: _ks_suite(a.m, a.N, a.depth),
 }
 
 
 def run_suites(names, m: int = 2, N=0, order: int = 6, depth: int = 20) -> Report:
-    """CLI entry point: run the named suites (or "all") and merge reports."""
-    rep = Report()
-    known = {
-        "checksums", "golden-A", "golden-B", "golden-C", "golden-inline",
-        "constraints", "hirota", "crosscheck", "ks", "invariants", "all",
-    }
+    """CLI entry point: run the named suites (or "all") in name order and
+    merge their reports."""
     for name in names:
-        if name not in known:
+        if name not in SUITE_RUNNERS and name != "all":
             raise ValueError(f"unknown suite {name!r}")
-    todo = set(names)
-    if "all" in todo:
-        todo = known - {"all"}
+    todo = SUITE_RUNNERS if "all" in names else set(names)
+    args = SuiteArgs(m, N, order, depth)
+    rep = Report()
     for name in sorted(todo):
-        if name in SUITES:
-            rep.extend(SUITES[name]())
-        elif name == "constraints":
-            rep.extend(constraint_suite(m, N, tau_expand(m, N, order) if m <= 2
-                                        else tau_from_schur(plucker_expansion(m, N, m * order))))
-        elif name == "hirota":
-            rep.extend(hirota_suite(tau_expand(m, N, order)))
-        elif name == "crosscheck":
-            rep.extend(crosscheck_suite(m, N, m * order))
-        elif name == "invariants":
-            src = tau_expand(m, N, order) if m <= 2 else tau_from_schur(
-                plucker_expansion(m, N, m * order))
-            rep.extend(check_expansion_invariants(src))
-        elif name == "ks":
-            rep.extend(check_ks_actions(m, N, 4, depth))
-            rep.extend(check_commutation(m, N, depth))
-            rep.extend(check_spectral_curve(m, N, 4, depth))
-            if m >= 2:
-                rep.extend(check_canonical_pair(m, N, depth))
+        rep.extend(SUITE_RUNNERS[name](args))
     return rep

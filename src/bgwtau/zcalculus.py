@@ -49,12 +49,13 @@ class InsufficientPrecision(Exception):
 # Laurent series
 
 
-def _floor_max(f1, f2):
-    if f1 is None:
-        return f2
-    if f2 is None:
-        return f1
-    return max(f1, f2)
+def _max_known(a, b):
+    """max of two optional bounds; None (no bound) loses to any int."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return max(a, b)
 
 
 class LaurentSeries:
@@ -99,7 +100,7 @@ class LaurentSeries:
                 del self.coeffs[n]
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        out = LaurentSeries(dict(self.coeffs), _floor_max(self.floor, other.floor))
+        out = LaurentSeries(dict(self.coeffs), _max_known(self.floor, other.floor))
         for n, c in other.coeffs.items():
             out.add_term(n, c)
         return out
@@ -144,7 +145,7 @@ class LaurentSeries:
             # junk reach through the other side's floor
             a = f1 + e2 if e2 is not None else None
             b = f2 + e1 if e1 is not None else None
-            fl = _floor_max(a, b)
+            fl = _max_known(a, b)
             if fl is None:
                 fl = f1 + f2 - 1
         out = LaurentSeries({}, fl)
@@ -156,7 +157,7 @@ class LaurentSeries:
     def truncate(self, floor: int) -> "LaurentSeries":
         return LaurentSeries(
             {n: c for n, c in self.coeffs.items() if n >= floor},
-            _floor_max(self.floor, floor),
+            _max_known(self.floor, floor),
         )
 
     def is_zero(self) -> bool:
@@ -189,14 +190,6 @@ class LaurentSeries:
 
 # ---------------------------------------------------------------------------
 # differential operators in z
-
-
-def _shift_max(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
 
 
 class ZOperator:
@@ -239,20 +232,20 @@ class ZOperator:
         for i, s in self.terms.items():
             t = s.top()
             if s.floor is not None:
-                t = _shift_max(t, s.floor - 1)
+                t = _max_known(t, s.floor - 1)
             if t is not None:
-                out = _shift_max(out, t - i)
+                out = _max_known(out, t - i)
         return out
 
     def __add__(self, other: "ZOperator") -> "ZOperator":
         out = dict(self.terms)
         for o, s in other.terms.items():
             out[o] = out[o] + s if o in out else s
-        tail = _shift_max(self.tail_shift, other.tail_shift)
+        tail = _max_known(self.tail_shift, other.tail_shift)
         if tail is not None:
             # one side's tail may cancel the other side's stored content:
             # nothing at order o is assertable at or below exponent o + tail
-            out = {o: s.truncate(_floor_max(s.floor, o + tail + 1)) for o, s in out.items()}
+            out = {o: s.truncate(o + tail + 1) for o, s in out.items()}
         return ZOperator(out, tail)
 
     def __neg__(self) -> "ZOperator":
@@ -281,11 +274,9 @@ class ZOperator:
         if self.tail_shift is not None:
             t = s.top()
             if s.floor is not None:
-                t = _shift_max(t, s.floor - 1)
+                t = _max_known(t, s.floor - 1)
             if t is not None:
-                out = out.truncate(
-                    _floor_max(out.floor, t + self.tail_shift + 1)
-                )
+                out = out.truncate(t + self.tail_shift + 1)
         return out
 
     def compose(self, other: "ZOperator") -> "ZOperator":
@@ -308,16 +299,16 @@ class ZOperator:
         if self.tail_shift is not None:
             ms = other.max_shift()
             if ms is not None:
-                tail = _shift_max(tail, self.tail_shift + ms)
+                tail = _max_known(tail, self.tail_shift + ms)
             if other.tail_shift is not None:
-                tail = _shift_max(tail, self.tail_shift + other.tail_shift)
+                tail = _max_known(tail, self.tail_shift + other.tail_shift)
         if other.tail_shift is not None:
             ms = self.max_shift()
             if ms is not None:
-                tail = _shift_max(tail, ms + other.tail_shift)
+                tail = _max_known(tail, ms + other.tail_shift)
         if tail is not None:
             out = ZOperator(
-                {o: s.truncate(_floor_max(s.floor, o + tail + 1)) for o, s in out.terms.items()},
+                {o: s.truncate(o + tail + 1) for o, s in out.terms.items()},
                 tail,
             )
         return out
@@ -346,12 +337,6 @@ class ZOperator:
 
 def z_commutator(a: ZOperator, b: ZOperator) -> ZOperator:
     return a.compose(b) - b.compose(a)
-
-
-def zop_apply(op: ZOperator, s: LaurentSeries) -> LaurentSeries:
-    """Apply a differential operator to a truncated series (exact above the
-    propagated floor)."""
-    return op.apply(s)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +473,18 @@ def _phi_coefficients(m: int, K: int) -> tuple:
     return tuple(elem.finalize(K))
 
 
+def phi_terms(m: int, K: int, j) -> list[Coefficient]:
+    """[phi[m,k](j) h^k for k = 0..K], the h^k z^(-mk) coefficients of the
+    normalized basis vector.  j=None keeps j symbolic; otherwise j binds to
+    a rational or to a Coefficient (j - N for the generalized vectors)."""
+    out = []
+    for k, c in enumerate(phi_coefficients(m, K)):
+        if j is not None:
+            c = c.substitute(j=j)
+        out.append(c.times_h(k))
+    return out
+
+
 @lru_cache(maxsize=4096)
 def phi_series(m: int, j, K: int) -> LaurentSeries:
     """Basis vector Phi_j^(m) to depth K (exact down to z^(j-1-mK)).
@@ -495,15 +492,9 @@ def phi_series(m: int, j, K: int) -> LaurentSeries:
     Integer j gives the true series z^(j-1)(1 + ...); j=None keeps j symbolic
     and returns the normalized series with leading exponent 0 and coefficients
     in QQ[j]."""
-    coeffs = phi_coefficients(m, K)
     lead = 0 if j is None else j - 1
-    out: dict[int, Coefficient] = {}
-    for k, c in enumerate(coeffs):
-        if j is not None:
-            c = c.substitute(j=QQ(j))
-        if c:
-            out[lead - m * k] = c.times_h(k)
-    return LaurentSeries(out, lead - m * K)
+    terms = phi_terms(m, K, None if j is None else QQ(j))
+    return LaurentSeries({lead - m * k: c for k, c in enumerate(terms) if c}, lead - m * K)
 
 
 @lru_cache(maxsize=4096)
@@ -513,14 +504,8 @@ def phi_series_gen(m: int, N, j: int, K: int) -> LaurentSeries:
     nc = n_coeff(N)
     if nc.is_zero():
         return phi_series(m, j, K)
-    jbind = Coefficient.rational(j) - nc
-    coeffs = phi_coefficients(m, K)
-    out: dict[int, Coefficient] = {}
-    for k, c in enumerate(coeffs):
-        c = c.substitute(j=jbind)
-        if c:
-            out[j - 1 - m * k] = c.times_h(k)
-    return LaurentSeries(out, j - 1 - m * K)
+    terms = phi_terms(m, K, Coefficient.rational(j) - nc)
+    return LaurentSeries({j - 1 - m * k: c for k, c in enumerate(terms) if c}, j - 1 - m * K)
 
 
 # ---------------------------------------------------------------------------

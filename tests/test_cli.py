@@ -1,6 +1,12 @@
 """Command line front end: output determinism, exit codes, cache behavior."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from bgwtau.cli import cache_load, cache_store, main
 from bgwtau.cutjoin import tau_expand
@@ -50,6 +56,30 @@ def test_expand_m3_without_oracle_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "oracle" in err
+
+
+def test_expand_degree_zero(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "expand", "--m", "3", "--oracle", "--degree", "0",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out == "tau[0] = 1/1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--order", "-1"),
+    ("expand", "--m", "-1", "--oracle"),
+    ("phi", "--m", "0"),
+    ("schur", "--degree", "6", "--points", "3"),
+])
+def test_out_of_range_arguments_are_usage_errors(tmp_path, argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, BGWTAU_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "bgwtau.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert any("error:" in line for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
 
 
 def test_free_energy(tmp_path, capsys):
@@ -126,6 +156,31 @@ def test_cache_rejects_invariant_violation(tmp_path):
     lines[-1] = f"checksum={digest}"
     path.write_text("\n".join(lines) + "\n")
     assert cache_load(2, 0, 3, tmp_path) is None
+
+
+def test_cache_recomputes_non_utf8_file(tmp_path):
+    path = cache_store(tau_expand(2, 0, 3), tmp_path)
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    assert cache_load(2, 0, 3, tmp_path) is None
+
+
+def test_cache_store_uses_a_private_temporary_file(tmp_path):
+    """A second writer's fixed-name temporary file (here a directory in its
+    way) must not disturb a store; nothing is left behind."""
+    T = tau_expand(2, 0, 3)
+    path = cache_store(T, tmp_path)
+    path.unlink()
+    path.with_suffix(".tmp").mkdir()
+    assert cache_store(T, tmp_path) == path
+    assert cache_load(2, 0, 3, tmp_path).coeffs == T.coeffs
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, path.stem + ".tmp"])
+
+
+def test_cache_list_survives_empty_file(tmp_path, capsys):
+    (tmp_path / "0123.tau").write_bytes(b"")
+    code, out, _ = run_cli(capsys, "cache", "list", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out.startswith("0123.tau: ")
 
 
 def test_cache_subcommand(tmp_path, capsys):

@@ -12,7 +12,6 @@ from bgwtau.algebra import (
 )
 from bgwtau.operators import (
     DiffOperator,
-    OperatorFamily,
     commutator,
     constraint,
     cubic,
@@ -22,6 +21,7 @@ from bgwtau.operators import (
     parse_operator,
     virasoro,
 )
+from bgwtau.cutjoin import w1_w2, w_bgw, w_gen
 from bgwtau.rational import QQ
 
 P = parse_polynomial
@@ -33,6 +33,41 @@ def test_apply_basics():
     assert ddt1.apply(P("1/1*t1^2")) == P("2/1*t1")
     tau23 = P("-13/36*t1^4*t2+91/162*t2^3-4/3*t1^2*t4")
     assert euler(8).apply(tau23) == tau23.scale(6)
+
+
+def leibniz_apply(op: DiffOperator, p: TimePolynomial) -> TimePolynomial:
+    """Reference application, one (operator term, polynomial term) pair at a
+    time; independent of TimePolynomial.derivative."""
+    out = TimePolynomial({})
+    for (tm, dm), c in op.terms.items():
+        for pm, pc in p.terms.items():
+            fac = 1
+            reduced = dict(pm.exps)
+            for k, order in dm.exps:
+                e = reduced.get(k, 0)
+                if e < order:
+                    fac = 0
+                    break
+                for i in range(order):
+                    fac *= e - i
+                if e == order:
+                    del reduced[k]
+                else:
+                    reduced[k] = e - order
+            if fac == 0:
+                continue
+            mono = TimeMonomial(tuple(sorted(reduced.items())))
+            out.add_term(tm * mono, (c * pc).scale(fac))
+    return out
+
+
+def test_apply_matches_leibniz_reference():
+    ops = [virasoro(k, 10) for k in range(-4, 5)] + [cubic(k, 10) for k in range(-4, 5)]
+    for kind, k_lo in (("J", 1), ("L", 0), ("M", -1)):
+        ops += [constraint(2, "symbolic", kind, k, 10) for k in range(k_lo, 4)]
+    ops += [w_bgw(9), w_gen("symbolic", 9), *w1_w2("symbolic", 10)]
+    for op in ops:
+        assert op.apply(PROBE8) == leibniz_apply(op, PROBE8), operator_text(op)[:80]
 
 
 def test_currents():
@@ -142,15 +177,13 @@ def test_w3_commutation_relations():
 
 
 def test_family_materialization_stability():
-    fam = OperatorFamily(virasoro, 0)
     probe = marker_poly(monomials_up_to(6))
     for k in (-4, -1, 0, 2, 5):
-        small = fam.materialize(k, 6)
-        large = fam.materialize(k, 14)
+        small = virasoro(k, 6)
+        large = virasoro(k, 14)
         assert small.apply(probe) == large.apply(probe)
-    camf = OperatorFamily(cubic, 0)
     for k in (-3, 1, 4):
-        assert camf.materialize(k, 6).apply(probe) == camf.materialize(k, 12).apply(probe)
+        assert cubic(k, 6).apply(probe) == cubic(k, 12).apply(probe)
 
 
 def test_constraint_l0():
