@@ -342,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.command == "expand" and args.degree is not None and not args.oracle:
+        ap.error("--degree needs --oracle (the recursion takes --order)")
     if "order" in args and args.order is None:
         degree = getattr(args, "degree", None)
         args.order = degree // args.m if degree is not None else 6

@@ -16,10 +16,12 @@ Tuples with colliding exponents contribute zero.  Only l_j in m*Z appear
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import factorial, prod
 
-from .algebra import Coefficient, TimePolynomial
+from .algebra import Coefficient, TimeMonomial, TimePolynomial
 from .cutjoin import SCHUR_ORACLE, TauExpansion
 from .operators import n_coeff
 from .rational import QQ
@@ -40,43 +42,40 @@ def partitions(n: int, max_part: int | None = None):
 
 
 @lru_cache(maxsize=None)
-def complete_homogeneous(n: int) -> TimePolynomial:
-    """Elementary Schur function p_n: exp(sum t_k z^k) = sum p_n z^n, via
-    n p_n = sum_{k=1..n} k t_k p_{n-k}."""
-    if n < 0:
-        return TimePolynomial.zero()
-    if n == 0:
-        return TimePolynomial.one()
-    acc = TimePolynomial.zero()
-    for k in range(1, n + 1):
-        acc = acc + TimePolynomial.var(k).scale(QQ(k, n)) * complete_homogeneous(n - k)
-    return acc
+def character(mu: Partition, lam: Partition) -> int:
+    """Irreducible character chi^mu at cycle type lam (|mu| = |lam|) by
+    Murnaghan-Nakayama: remove a rim hook of length lam[0] from mu in every
+    way, with sign (-1)^height, and recurse on lam[1:].  On the beta-set
+    {mu_i + r - i} a rim hook of length k is a bead moved from b down to an
+    empty place b - k; its height is the number of beads it passes."""
+    if not lam:
+        return 1
+    k, r = lam[0], len(mu)
+    beta = [p + r - 1 - i for i, p in enumerate(mu)]
+    total = 0
+    for b in beta:
+        if b < k or b - k in beta:
+            continue
+        moved = sorted([x for x in beta if x != b] + [b - k], reverse=True)
+        nu = tuple(p for p in (x - r + 1 + i for i, x in enumerate(moved)) if p)
+        chi = character(nu, lam[1:])
+        total += -chi if sum(b - k < x < b for x in beta) % 2 else chi
+    return total
 
 
 @lru_cache(maxsize=None)
 def schur_in_times(mu: Partition) -> TimePolynomial:
-    """Jacobi-Trudi determinant det( p_{mu_i - i + j} ), homogeneous of
-    weighted degree |mu|."""
-    r = len(mu)
-    if r == 0:
-        return TimePolynomial.one()
-    rows = [[complete_homogeneous(mu[i] - i + j) for j in range(r)] for i in range(r)]
-
-    @lru_cache(maxsize=None)
-    def minor(cols: frozenset) -> TimePolynomial:
-        i = r - len(cols)
-        if not cols:
-            return TimePolynomial.one()
-        acc = TimePolynomial.zero()
-        for sgn, j in zip((1, -1) * r, sorted(cols)):
-            entry = rows[i][j]
-            if entry.is_zero():
-                continue
-            sub = minor(cols - {j})
-            acc = acc + (entry * sub).scale(sgn)
-        return acc
-
-    return minor(frozenset(range(r)))
+    """s_mu with p_k = k t_k: the coefficient of t^lam is
+    chi^mu(lam) prod(lam_i) / z_lam = chi^mu(lam) / prod_k m_k(lam)!,
+    m_k(lam) the multiplicity of k in lam.  Homogeneous of weighted degree |mu|."""
+    out = TimePolynomial.zero()
+    for lam in partitions(sum(mu)):
+        chi = character.__wrapped__(mu, lam)  # asked once per (mu, lam): memoise only below
+        if chi:
+            mult = sorted(Counter(lam).items())
+            z = prod(factorial(e) for _, e in mult)
+            out.terms[TimeMonomial(tuple(mult))] = Coefficient.rational(QQ(chi, z))
+    return out
 
 
 @dataclass
@@ -105,10 +104,10 @@ def plucker_expansion(m: int, N, degree: int, points: int | None = None) -> Plue
     table: dict[Partition, Coefficient] = {}
 
     used: list[int] = []
-    factors: list[Coefficient] = []
 
-    def descend(j: int, budget: int) -> None:
-        # column j contributes exponent b_j = M - j + l_j, l_j in {0, m, 2m, ...}
+    def descend(j: int, budget: int, coeff: Coefficient) -> None:
+        # column j contributes exponent b_j = M - j + l_j, l_j in {0, m, 2m, ...};
+        # coeff is the product of the chosen c_{i, l_i}, i < j
         if j == M:
             exps = used
             order = sorted(range(M), key=lambda i: -exps[i])
@@ -120,9 +119,6 @@ def plucker_expansion(m: int, N, degree: int, points: int | None = None) -> Plue
                 if part:
                     mu.append(part)
             key = tuple(mu)
-            coeff = Coefficient.one()
-            for f in factors:
-                coeff = coeff * f
             coeff = coeff.scale(sign)
             cur = table.get(key)
             table[key] = coeff if cur is None else cur + coeff
@@ -136,12 +132,10 @@ def plucker_expansion(m: int, N, degree: int, points: int | None = None) -> Plue
             if not c:
                 continue
             used.append(e)
-            factors.append(c)
-            descend(j + 1, budget - l)
+            descend(j + 1, budget - l, coeff * c)
             used.pop()
-            factors.pop()
 
-    descend(0, degree)
+    descend(0, degree, Coefficient.one())
     table = {mu: c for mu, c in table.items() if c}
     return PlueckerTable(m, N, degree, table)
 

@@ -10,7 +10,7 @@ suite:case) plus a machine-readable summary.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -201,24 +201,23 @@ def hirota_suite(T: TauExpansion, orders: int | None = None) -> Report:
 
 
 def crosscheck_suite(m: int, N, degree: int) -> Report:
-    """Oracle vs recursion equality through the given weighted degree for
-    m in {1,2}; oracle-only invariant checks for m >= 3."""
-    O = tau_from_schur(plucker_expansion(m, N, degree))
-    return _crosscheck(O, tau_expand(m, N, degree // m) if m in (1, 2) else None, degree)
+    """Oracle vs recursion equality through weighted degree m * (degree // m)
+    for m in {1,2}; the oracle's invariant and constraint checks for m >= 3."""
+    return _crosscheck(SuiteArgs(m, N, degree // m, 0))
 
 
-def _crosscheck(O: TauExpansion, R: TauExpansion | None, degree: int) -> Report:
-    """The crosscheck cases for oracle O and (m in {1,2}) recursion R."""
-    rep = Report()
-    m, N = O.m, O.N
-    suite = f"crosscheck[m={m},N={N},D={degree}]"
-    rep.extend(check_expansion_invariants(O))
-    if R is not None:
-        for k in range(0, degree // m + 1):
-            diff = _first_diff(O.coeffs[k], R.coeffs[k])
-            rep.add(suite, f"tau[{k}] oracle==recursion", not diff, diff)
-    else:
-        rep.extend(constraint_suite(m, N, O))
+def _crosscheck(a: SuiteArgs) -> Report:
+    """The crosscheck cases; without a recursion (m >= 3) they are the
+    oracle's invariant and constraint checks, run at most once per SuiteArgs."""
+    if a.m >= 3:
+        rep = SUITE_RUNNERS["invariants"](a)
+        rep.extend(SUITE_RUNNERS["constraints"](a))
+        return rep
+    rep = check_expansion_invariants(a.oracle)
+    suite = f"crosscheck[m={a.m},N={a.N},D={a.m * a.order}]"
+    for k in range(0, a.order + 1):
+        diff = _first_diff(a.oracle.coeffs[k], a.recursion.coeffs[k])
+        rep.add(suite, f"tau[{k}] oracle==recursion", not diff, diff)
     return rep
 
 
@@ -236,12 +235,21 @@ def _ks_suite(m: int, N, depth: int) -> Report:
 
 @dataclass
 class SuiteArgs:
-    """Arguments of one run_suites call; each expansion is built at most once."""
+    """Arguments of one run_suites call; each expansion is built and each
+    check on it is run at most once."""
 
     m: int
     N: object
     order: int
     depth: int
+    done: set[str] = field(default_factory=set)
+
+    def once(self, check: str, build) -> Report:
+        """build() the first time check is asked for, an empty Report after."""
+        if check in self.done:
+            return Report()
+        self.done.add(check)
+        return build()
 
     @cached_property
     def recursion(self) -> TauExpansion:
@@ -253,21 +261,20 @@ class SuiteArgs:
 
     @property
     def source(self) -> TauExpansion:
-        """The expansion the constraint and invariant suites check."""
+        """The expansion the constraint, Hirota and invariant suites check."""
         return self.recursion if self.m <= 2 else self.oracle
 
 
 SUITE_RUNNERS = {
     "checksums": lambda a: verify_checksums(),
-    "constraints": lambda a: constraint_suite(a.m, a.N, a.source),
-    "crosscheck": lambda a: _crosscheck(
-        a.oracle, a.recursion if a.m <= 2 else None, a.m * a.order),
+    "constraints": lambda a: a.once("constraints", lambda: constraint_suite(a.m, a.N, a.source)),
+    "crosscheck": _crosscheck,
     "golden-A": lambda a: golden_suite("AppendixA"),
     "golden-B": lambda a: golden_suite("AppendixB"),
     "golden-C": lambda a: golden_suite("AppendixC"),
     "golden-inline": lambda a: golden_suite("Inline"),
-    "hirota": lambda a: hirota_suite(a.recursion),
-    "invariants": lambda a: check_expansion_invariants(a.source),
+    "hirota": lambda a: hirota_suite(a.source),
+    "invariants": lambda a: a.once("invariants", lambda: check_expansion_invariants(a.source)),
     "ks": lambda a: _ks_suite(a.m, a.N, a.depth),
 }
 

@@ -70,6 +70,7 @@ def test_expand_degree_zero(tmp_path, capsys):
     ("expand", "--m", "-1", "--oracle"),
     ("phi", "--m", "0"),
     ("schur", "--degree", "6", "--points", "3"),
+    ("expand", "--m", "2", "--degree", "5"),
 ])
 def test_out_of_range_arguments_are_usage_errors(tmp_path, argv):
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -124,6 +125,40 @@ def test_verify_exit_codes(capsys):
     assert code == 1  # defective source entries are honestly reported
     summary = json.loads(out.splitlines()[-1])
     assert summary["failed"] == 4
+
+
+@pytest.mark.parametrize("suites", ["constraints,crosscheck", "invariants,crosscheck",
+                                    "crosscheck,invariants,constraints"])
+def test_verify_m3_runs_each_oracle_check_once(capsys, monkeypatch, suites):
+    """Without a recursion, crosscheck is the oracle's invariant and
+    constraint checks: selecting it beside them must not repeat them."""
+    import bgwtau.verify as verify
+
+    calls = []
+    suite = verify.constraint_suite
+    monkeypatch.setattr(verify, "constraint_suite", lambda *a: calls.append(a) or suite(*a))
+    code, out, _ = run_cli(capsys, "verify", "--suite", suites, "--m", "3", "--order", "3")
+    lines = out.splitlines()
+    assert code == 0
+    assert len(lines) == len(set(lines))
+    assert any("constraints[m=3,N=0]" in line for line in lines)
+    assert any("expansion-invariants" in line for line in lines)
+    assert len(calls) == 1
+
+
+def test_verify_all_m3_reports_every_suite(capsys):
+    """At m >= 3 every suite runs (hirota on the oracle) and only the five
+    defective source-table entries fail, as at m = 2."""
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--m", "3", "--order", "3",
+                           "--depth", "6")
+    lines = out.splitlines()
+    assert code == 1
+    assert [line.split()[1] for line in lines if line.startswith("FAIL")] == [
+        "golden-B:tau2[6]", "golden-B:tau2[7]", "golden-B:tau2[8]", "golden-B:tau2[9]",
+        "golden-C:F[6]"]
+    assert any(line.startswith("PASS hirota[m=3,N=0]") for line in lines)
+    assert any(line.startswith("PASS ks-actions[m=3,N=0]") for line in lines)
+    assert len(lines) == len(set(lines))
 
 
 def test_cache_round_trip(tmp_path):

@@ -1,6 +1,8 @@
 """Schur polynomials and the Miwa-determinant oracle."""
 
 import random
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
 
@@ -13,7 +15,7 @@ from bgwtau.algebra import (
 from bgwtau.cutjoin import tau_expand
 from bgwtau.rational import QQ, QQ1
 from bgwtau.schur import (
-    complete_homogeneous,
+    character,
     partitions,
     plucker_expansion,
     schur_in_times,
@@ -22,6 +24,65 @@ from bgwtau.schur import (
 from bgwtau.zcalculus import phi_coefficients
 
 P = parse_polynomial
+
+
+# ---------------------------------------------------------------------------
+# Jacobi-Trudi: the independent reference for schur_in_times
+
+
+@lru_cache(maxsize=None)
+def complete_homogeneous(n: int) -> TimePolynomial:
+    """Elementary Schur function p_n: exp(sum t_k z^k) = sum p_n z^n, via
+    n p_n = sum_{k=1..n} k t_k p_{n-k}."""
+    if n < 0:
+        return TimePolynomial.zero()
+    if n == 0:
+        return TimePolynomial.one()
+    acc = TimePolynomial.zero()
+    for k in range(1, n + 1):
+        acc = acc + TimePolynomial.var(k).scale(QQ(k, n)) * complete_homogeneous(n - k)
+    return acc
+
+
+def jacobi_trudi(mu) -> TimePolynomial:
+    """det( p_{mu_i - i + j} ) by Laplace expansion along the rows."""
+    r = len(mu)
+    rows = [[complete_homogeneous(mu[i] - i + j) for j in range(r)] for i in range(r)]
+
+    @lru_cache(maxsize=None)
+    def minor(cols: frozenset) -> TimePolynomial:
+        i = r - len(cols)
+        if not cols:
+            return TimePolynomial.one()
+        acc = TimePolynomial.zero()
+        for sgn, j in zip((1, -1) * r, sorted(cols)):
+            entry = rows[i][j]
+            if entry.is_zero():
+                continue
+            acc = acc + (entry * minor(cols - {j})).scale(sgn)
+        return acc
+
+    return minor(frozenset(range(r)))
+
+
+def test_schur_in_times_matches_jacobi_trudi():
+    for n in range(11):
+        for mu in partitions(n):
+            assert schur_in_times(mu) == jacobi_trudi(mu), f"s_{mu}"
+
+
+def test_character_table_s4():
+    """chi^mu(lam) for S_4, rows mu = (4), (3,1), (2,2), (2,1,1), (1,1,1,1)
+    over lam = (4), (3,1), (2,2), (2,1,1), (1,1,1,1)."""
+    lams = list(partitions(4))
+    table = [[character(mu, lam) for lam in lams] for mu in partitions(4)]
+    assert table == [
+        [1, 1, 1, 1, 1],
+        [-1, 0, -1, 1, 3],
+        [0, -1, 2, 0, 2],
+        [1, 0, -1, -1, 3],
+        [-1, 1, 1, -1, 1],
+    ]
 
 
 def test_complete_homogeneous_basics():
@@ -198,3 +259,55 @@ def test_miwa_point_consistency():
 def test_plucker_rejects_insufficient_points():
     with pytest.raises(ValueError, match="insufficient Miwa points"):
         plucker_expansion(2, 0, 6, points=4)
+
+
+def _frobenius(mu):
+    """Frobenius coordinates (alpha | beta) of mu: alpha_i = mu_i - i,
+    beta_i = mu'_i - i over the diagonal (0-based i, so hooks are (a|b))."""
+    conj = [sum(1 for p in mu if p > i) for i in range(mu[0] if mu else 0)]
+    d = sum(1 for i, p in enumerate(mu) if p > i)
+    return [mu[i] - i - 1 for i in range(d)], [conj[i] - i - 1 for i in range(d)]
+
+
+def _det(rows) -> Coefficient:
+    """Leibniz determinant over Coefficient entries."""
+    total = Coefficient.zero()
+    for perm in permutations(range(len(rows))):
+        inv = sum(perm[i] > perm[k] for i in range(len(perm)) for k in range(i + 1, len(perm)))
+        term = Coefficient.one()
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + (-term if inv % 2 else term)
+    return total
+
+
+def giambelli_failures(table) -> list:
+    """Every mu, |mu| <= degree, with at least two Frobenius hooks where
+    C_(alpha|beta) != det[C_(alpha_i|beta_j)], hook (a|b) = (a+1, 1^b)."""
+    bad = []
+    for n in range(table.degree + 1):
+        for mu in partitions(n):
+            alpha, beta = _frobenius(mu)
+            if len(alpha) < 2:
+                continue
+            rows = [[table.coefficient((a + 1,) + (1,) * b) for b in beta] for a in alpha]
+            if _det(rows) != table.coefficient(mu):
+                bad.append(mu)
+    return bad
+
+
+@pytest.mark.parametrize("m,N,degree", [(2, 0, 10), (3, 0, 12), (2, "symbolic", 8),
+                                         (1, QQ(1, 2), 8)])
+def test_oracle_tables_satisfy_giambelli(m, N, degree):
+    """A KP tau-function with C_() = 1 is a point of the big cell of the
+    Sato Grassmannian, so its Schur coefficients are the determinants of its
+    hook coefficients (all Pluecker relations at once)."""
+    table = plucker_expansion(m, N, degree)
+    assert table.coefficient(()) == Coefficient.one()
+    assert giambelli_failures(table) == []
+
+
+def test_giambelli_detects_a_corrupted_hook():
+    table = plucker_expansion(2, 0, 8)
+    table.table[(2,)] = table.coefficient((2,)) + Coefficient.monomial(1, h=1)
+    assert (2, 2) in giambelli_failures(table)
