@@ -51,6 +51,44 @@ def _cunpack(key: int) -> tuple[int, int, int]:
 _KEY1 = _ckey(0, 0, 0)
 
 
+# The sparse-sum kernel.  Every exact linear combination in the engine is a
+# dict key -> nonzero value; these two functions keep it canonical: a zero is
+# never stored and a key whose sum cancels is deleted.
+
+
+def add_into(terms: dict, key, value) -> None:
+    """terms[key] += value in place, keeping terms canonical."""
+    cur = terms.get(key)
+    if cur is None:
+        if value:
+            terms[key] = value
+    else:
+        s = cur + value
+        if s:
+            terms[key] = s
+        else:
+            del terms[key]
+
+
+def merged(a: dict, b: dict) -> dict:
+    """The canonical sum of two canonical sparse sums, as a new dict; a and b
+    are not modified.  The add_into loop is inlined: this is the hot path of
+    Coefficient.__add__."""
+    out = dict(a)
+    get = out.get
+    for k, v in b.items():
+        s = get(k)
+        if s is None:
+            out[k] = v
+        else:
+            s = s + v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
 class Coefficient:
     """Element of QQ[N,j][h,h^-1]; terms maps packed exponent keys to
     nonzero rationals (see _ckey)."""
@@ -103,19 +141,7 @@ class Coefficient:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "Coefficient") -> "Coefficient":
-        out = dict(self.terms)
-        get = out.get
-        for k, q in other.terms.items():
-            s = get(k)
-            if s is None:
-                out[k] = q
-            else:
-                s = s + q
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return Coefficient(out)
+        return Coefficient(merged(self.terms, other.terms))
 
     def __neg__(self) -> "Coefficient":
         return Coefficient({k: -q for k, q in self.terms.items()})
@@ -195,9 +221,10 @@ class Coefficient:
         """Bind N, j, h.  n and h bind to rationals; j to a rational or a
         Coefficient (polynomial in N).  h=0 with a stored negative h-power
         raises (pole at h=0)."""
-        out = Coefficient.zero()
-        jpoly = j if isinstance(j, Coefficient) else None
-        jpowers = [COEFF_ONE] if jpoly is not None else None
+        out: dict[int, object] = {}
+        if j is not None and not isinstance(j, Coefficient):
+            j = Coefficient.rational(j)
+        jpowers = [COEFF_ONE]
         for (he, ne, je), q in self.items_hnj():
             if h is not None:
                 hq = QQ(h)
@@ -208,16 +235,15 @@ class Coefficient:
             if n is not None:
                 q = q * QQ(n) ** ne
                 ne = 0
-            if j is not None and jpoly is None:
-                q = q * QQ(j) ** je
-                je = 0
-            term = Coefficient({_ckey(he, ne, je): q} if q else {})
-            if jpoly is not None and je:
-                while len(jpowers) <= je:
-                    jpowers.append(jpowers[-1] * jpoly)
-                term = Coefficient({_ckey(he, ne, 0): q} if q else {}) * jpowers[je]
-            out = out + term
-        return out
+            if j is None or not je:
+                add_into(out, _ckey(he, ne, je), q)
+                continue
+            while len(jpowers) <= je:
+                jpowers.append(jpowers[-1] * j)
+            off = _ckey(he, ne, 0) - _HBASE
+            for k, v in jpowers[je].terms.items():
+                add_into(out, k + off, q * v)
+        return Coefficient(out)
 
     def __repr__(self):
         return join_terms([_atom_text(q, h, n, j) for (h, n, j), q in sorted(self.items_hnj())])
@@ -319,23 +345,10 @@ class TimePolynomial:
         return hash(frozenset((m, frozenset(c.terms.items())) for m, c in self.terms.items()))
 
     def add_term(self, mono: TimeMonomial, coeff: Coefficient) -> None:
-        # in-place accumulation used by the hot loops; keeps canonical form
-        cur = self.terms.get(mono)
-        if cur is None:
-            if coeff:
-                self.terms[mono] = coeff
-        else:
-            s = cur + coeff
-            if s:
-                self.terms[mono] = s
-            else:
-                del self.terms[mono]
+        add_into(self.terms, mono, coeff)
 
     def __add__(self, other: "TimePolynomial") -> "TimePolynomial":
-        out = TimePolynomial(dict(self.terms))
-        for m, c in other.terms.items():
-            out.add_term(m, c)
-        return out
+        return TimePolynomial(merged(self.terms, other.terms))
 
     def __neg__(self) -> "TimePolynomial":
         return TimePolynomial({m: -c for m, c in self.terms.items()})
@@ -344,20 +357,19 @@ class TimePolynomial:
         return self + (-other)
 
     def __mul__(self, other: "TimePolynomial") -> "TimePolynomial":
-        out = TimePolynomial({})
+        out: dict[TimeMonomial, Coefficient] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                out.add_term(m1 * m2, c1 * c2)
-        return out
+                add_into(out, m1 * m2, c1 * c2)
+        return TimePolynomial(out)
 
     def scale(self, c) -> "TimePolynomial":
+        """Multiply by a coefficient; a nonzero c cannot cancel a term
+        (QQ[N,j][h,1/h] has no zero divisors)."""
         c = c if isinstance(c, Coefficient) else Coefficient.rational(c)
         if not c:
             return TimePolynomial({})
-        out = TimePolynomial({})
-        for m, c0 in self.terms.items():
-            out.add_term(m, c0 * c)
-        return out
+        return TimePolynomial({m: c0 * c for m, c0 in self.terms.items()})
 
     def times_h(self, k: int) -> "TimePolynomial":
         return TimePolynomial({m: c.times_h(k) for m, c in self.terms.items()})
@@ -367,10 +379,9 @@ class TimePolynomial:
         (d/dt_k)^order over its (k, order) pairs; an int k means d/dt_k."""
         if isinstance(d, int):
             d = TimeMonomial.var(d)
-        out = TimePolynomial({})
         if not d.exps:
-            out.terms.update(self.terms)
-            return out
+            return TimePolynomial(dict(self.terms))
+        out: dict[TimeMonomial, Coefficient] = {}
         for m, c in self.terms.items():
             exps = dict(m.exps)  # stays sorted: entries are only lowered or deleted
             fac = 1
@@ -385,17 +396,15 @@ class TimePolynomial:
                 else:
                     exps[k] = e - order
             else:
-                out.add_term(TimeMonomial(tuple(exps.items())), c if fac == 1 else c.scale(fac))
-        return out
+                add_into(out, TimeMonomial(tuple(exps.items())), c if fac == 1 else c.scale(fac))
+        return TimePolynomial(out)
 
     def h_coefficient(self, p: int) -> "TimePolynomial":
         """Polynomial multiplying h^p, with the h-power stripped."""
-        out = TimePolynomial({})
+        out: dict[TimeMonomial, Coefficient] = {}
         for m, c in self.terms.items():
-            sel = c.h_part(p)
-            if sel:
-                out.add_term(m, sel)
-        return out
+            add_into(out, m, c.h_part(p))
+        return TimePolynomial(out)
 
     def h_range(self) -> tuple[int, int]:
         lo, hi = None, None
@@ -412,10 +421,10 @@ class TimePolynomial:
         return out
 
     def substitute(self, n=None, j=None, h=None) -> "TimePolynomial":
-        out = TimePolynomial({})
+        out: dict[TimeMonomial, Coefficient] = {}
         for m, c in self.terms.items():
-            out.add_term(m, c.substitute(n=n, j=j, h=h))
-        return out
+            add_into(out, m, c.substitute(n=n, j=j, h=h))
+        return TimePolynomial(out)
 
     def eval_times(self, values: dict[int, object]) -> Coefficient:
         """Evaluate at rational time values (all variables must be bound)."""

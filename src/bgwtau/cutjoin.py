@@ -47,10 +47,9 @@ class TauExpansion:
 
 
 def _premul(mono: TimeMonomial, op: DiffOperator) -> DiffOperator:
-    out = DiffOperator({})
-    for (tm, dm), c in op.terms.items():
-        out.add_term(c, mono * tm, dm)
-    return out
+    """mono * op; multiplying by a fixed monomial is injective, so no term
+    can cancel."""
+    return DiffOperator({(mono * tm, dm): c for (tm, dm), c in op.terms.items()})
 
 
 def w_bgw(bound: int) -> DiffOperator:

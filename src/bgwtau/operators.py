@@ -22,7 +22,9 @@ from .algebra import (
     MONO_ONE,
     TimeMonomial,
     TimePolynomial,
+    add_into,
     join_terms,
+    merged,
     parse_polynomial,
     split_terms,
     term_texts,
@@ -60,23 +62,10 @@ class DiffOperator:
         return cls({(MONO_ONE, MONO_ONE): c} if c else {})
 
     def add_term(self, coeff: Coefficient, tpart: TimeMonomial, dpart: TimeMonomial) -> None:
-        key = (tpart, dpart)
-        cur = self.terms.get(key)
-        if cur is None:
-            if coeff:
-                self.terms[key] = coeff
-        else:
-            s = cur + coeff
-            if s:
-                self.terms[key] = s
-            else:
-                del self.terms[key]
+        add_into(self.terms, (tpart, dpart), coeff)
 
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        out = DiffOperator(dict(self.terms))
-        for (tm, dm), c in other.terms.items():
-            out.add_term(c, tm, dm)
-        return out
+        return DiffOperator(merged(self.terms, other.terms))
 
     def __neg__(self) -> "DiffOperator":
         return DiffOperator({k: -c for k, c in self.terms.items()})
@@ -85,11 +74,9 @@ class DiffOperator:
         return self + (-other)
 
     def scale(self, c) -> "DiffOperator":
+        """Multiply by a coefficient; a nonzero c cannot cancel a term."""
         c = c if isinstance(c, Coefficient) else Coefficient.rational(c)
-        out = DiffOperator({})
-        for (tm, dm), c0 in self.terms.items():
-            out.add_term(c0 * c, tm, dm)
-        return out
+        return DiffOperator({k: c0 * c for k, c0 in self.terms.items()} if c else {})
 
     def __bool__(self):
         return bool(self.terms)
@@ -103,18 +90,18 @@ class DiffOperator:
         by_dpart: dict[TimeMonomial, list] = {}
         for (tm, dm), c in self.terms.items():
             by_dpart.setdefault(dm, []).append((tm, c))
-        out = TimePolynomial({})
+        out: dict[TimeMonomial, Coefficient] = {}
         for dm, tparts in by_dpart.items():
             dp = p.derivative(dm).terms.items()
             for tm, c in tparts:
                 for pm, pc in dp:
-                    out.add_term(tm * pm, c * pc)
-        return out
+                    add_into(out, tm * pm, c * pc)
+        return TimePolynomial(out)
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
         """self after other, normal-ordered (self's derivatives Leibniz across
         other's t-part)."""
-        out = DiffOperator({})
+        out: dict[tuple[TimeMonomial, TimeMonomial], Coefficient] = {}
         for (tA, dA), cA in self.terms.items():
             for (tB, dB), cB in other.terms.items():
                 c0 = cA * cB
@@ -148,8 +135,8 @@ class DiffOperator:
                     for k, o in dpass.items():
                         dd[k] = dd.get(k, 0) + o
                     dpart = TimeMonomial(tuple(sorted(dd.items())))
-                    out.add_term(c0.scale(fac), tpart, dpart)
-        return out
+                    add_into(out, (tpart, dpart), c0.scale(fac))
+        return DiffOperator(out)
 
     def __repr__(self):
         return operator_text(self)

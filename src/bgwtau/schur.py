@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, prod
 
-from .algebra import Coefficient, TimeMonomial, TimePolynomial
+from .algebra import Coefficient, TimeMonomial, TimePolynomial, add_into
 from .cutjoin import SCHUR_ORACLE, TauExpansion
 from .operators import n_coeff
 from .rational import QQ
@@ -102,26 +102,15 @@ def plucker_expansion(m: int, N, degree: int, points: int | None = None) -> Plue
     # column j: c_{j, m*k} = phi[m,k](j-N) h^k, the x^(mk) coefficients of f_j
     cols = [phi_terms(m, K, Coefficient.rational(j) - nc) for j in range(1, M + 1)]
     table: dict[Partition, Coefficient] = {}
+    used: list[int] = []  # exponents b_i chosen for the columns i < len(used)
 
-    used: list[int] = []
-
-    def descend(j: int, budget: int, coeff: Coefficient) -> None:
+    def children(j: int, budget: int, coeff: Coefficient):
         # column j contributes exponent b_j = M - j + l_j, l_j in {0, m, 2m, ...};
         # coeff is the product of the chosen c_{i, l_i}, i < j
         if j == M:
-            exps = used
-            order = sorted(range(M), key=lambda i: -exps[i])
-            b = [exps[i] for i in order]
-            sign = _inversion_sign(order)
-            mu = []
-            for pos in range(M):
-                part = b[pos] - (M - 1 - pos)
-                if part:
-                    mu.append(part)
-            key = tuple(mu)
-            coeff = coeff.scale(sign)
-            cur = table.get(key)
-            table[key] = coeff if cur is None else cur + coeff
+            order = sorted(range(M), key=lambda i: -used[i])
+            mu = tuple(p for p in (used[i] - (M - 1 - pos) for pos, i in enumerate(order)) if p)
+            add_into(table, mu, coeff.scale(_inversion_sign(order)))
             return
         base = M - 1 - j
         for l in range(0, budget + 1, m):
@@ -129,14 +118,22 @@ def plucker_expansion(m: int, N, degree: int, points: int | None = None) -> Plue
             if e in used:
                 continue  # colliding exponents: alternating determinant
             c = cols[j][l // m]
-            if not c:
-                continue
-            used.append(e)
-            descend(j + 1, budget - l, coeff * c)
-            used.pop()
+            if c:
+                yield e, budget - l, coeff * c
 
-    descend(0, degree, Coefficient.one())
-    table = {mu: c for mu, c in table.items() if c}
+    # depth-first over the columns with an explicit stack: M may exceed the
+    # interpreter's recursion limit
+    stack = [children(0, degree, Coefficient.one())]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if used:
+                used.pop()
+        else:
+            e, budget, coeff = step
+            used.append(e)
+            stack.append(children(len(used), budget, coeff))
     return PlueckerTable(m, N, degree, table)
 
 
@@ -164,6 +161,7 @@ def tau_from_schur(table: PlueckerTable) -> TauExpansion:
         stripped = c.h_part(k)
         if c != stripped.times_h(k):
             raise ValueError(f"h-grading violation at mu={mu}")
-        coeffs[k] = coeffs[k] + schur_in_times(mu).scale(stripped)
+        for mono, c0 in schur_in_times(mu).terms.items():
+            add_into(coeffs[k].terms, mono, c0 * stripped)
     out = TauExpansion(m, table.N, coeffs, SCHUR_ORACLE)
     return out

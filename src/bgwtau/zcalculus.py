@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import COEFF_ONE, Coefficient
+from .algebra import COEFF_ONE, Coefficient, add_into, merged
 from .operators import n_coeff
 from .rational import QQ, QQ1
 from .report import Report
@@ -85,25 +85,8 @@ class LaurentSeries:
         """Highest exponent with a nonzero coefficient; None for (known) zero."""
         return max((n for n, c in self.coeffs.items() if c), default=None)
 
-    def add_term(self, n: int, c: Coefficient) -> None:
-        if self.floor is not None and n < self.floor:
-            return
-        cur = self.coeffs.get(n)
-        if cur is None:
-            if c:
-                self.coeffs[n] = c
-        else:
-            s = cur + c
-            if s:
-                self.coeffs[n] = s
-            else:
-                del self.coeffs[n]
-
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        out = LaurentSeries(dict(self.coeffs), _max_known(self.floor, other.floor))
-        for n, c in other.coeffs.items():
-            out.add_term(n, c)
-        return out
+        return LaurentSeries(merged(self.coeffs, other.coeffs), _max_known(self.floor, other.floor))
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries({n: -c for n, c in self.coeffs.items()}, self.floor)
@@ -148,11 +131,12 @@ class LaurentSeries:
             fl = _max_known(a, b)
             if fl is None:
                 fl = f1 + f2 - 1
-        out = LaurentSeries({}, fl)
+        out: dict[int, Coefficient] = {}
         for n1, c1 in self.coeffs.items():
             for n2, c2 in other.coeffs.items():
-                out.add_term(n1 + n2, c1 * c2)
-        return out
+                if fl is None or n1 + n2 >= fl:
+                    add_into(out, n1 + n2, c1 * c2)
+        return LaurentSeries(out, fl)
 
     def truncate(self, floor: int) -> "LaurentSeries":
         return LaurentSeries(
@@ -193,7 +177,9 @@ class LaurentSeries:
 
 
 class ZOperator:
-    """terms: dict d/dz-order -> LaurentSeries coefficient.
+    """terms: dict d/dz-order -> LaurentSeries coefficient.  LaurentSeries
+    has no __bool__, so the sparse-sum kernel keeps a sum that comes out
+    empty: its floor still bounds what is unknown at that order.
 
     tail_shift expresses truncation in the action filtration: the operator
     may be missing content (at any d-order) whose action on z^n only reaches
@@ -238,9 +224,7 @@ class ZOperator:
         return out
 
     def __add__(self, other: "ZOperator") -> "ZOperator":
-        out = dict(self.terms)
-        for o, s in other.terms.items():
-            out[o] = out[o] + s if o in out else s
+        out = merged(self.terms, other.terms)
         tail = _max_known(self.tail_shift, other.tail_shift)
         if tail is not None:
             # one side's tail may cancel the other side's stored content:
@@ -292,8 +276,7 @@ class ZOperator:
                         binom = binom * (i - s + 1) // s
                         ds = ds.dz()
                     piece = ci * ds if binom == 1 else ci.scale(binom) * ds
-                    o = i + l - s
-                    out.terms[o] = out.terms[o] + piece if o in out.terms else piece
+                    add_into(out.terms, i + l - s, piece)
         # fold truncation tails: missing factors only act with small shifts
         tail = None
         if self.tail_shift is not None:
@@ -382,16 +365,7 @@ def _exp_table(m: int, K: int) -> tuple:
                 pp = p + s * (l - 2)
                 if pp > cap:
                     break
-                key = (pp, q + s * l)
-                w = v * powers[s]
-                if key in new:
-                    w = new[key] + w
-                    if w:
-                        new[key] = w
-                    else:
-                        del new[key]
-                else:
-                    new[key] = w
+                add_into(new, (pp, q + s * l), v * powers[s])
         table = new
     return tuple(table.items())
 
@@ -405,17 +379,7 @@ class PhiRingElement:
         self.terms: dict[tuple[int, int], Coefficient] = {}
 
     def add(self, i4: int, u: int, c: Coefficient) -> None:
-        key = (i4 & 3, u)
-        cur = self.terms.get(key)
-        if cur is None:
-            if c:
-                self.terms[key] = c
-        else:
-            s = cur + c
-            if s:
-                self.terms[key] = s
-            else:
-                del self.terms[key]
+        add_into(self.terms, (i4 & 3, u), c)
 
     def finalize(self, K: int) -> list[Coefficient]:
         """Collapse i^2 -> -1 and map u^(2k) to slot k; odd u-powers or a
@@ -667,9 +631,12 @@ def check_commutation(m: int, N, depth: int) -> Report:
 
 
 def _shape_case(rep: Report, suite: str, name: str, op: ZOperator, lead_order: int, lead: LaurentSeries):
-    """op must equal lead at d^lead_order plus strictly negative z-orders."""
+    """op must equal lead at d^lead_order plus strictly negative z-orders;
+    the lead order is checked even where op stores nothing."""
     ok, why = True, ""
-    for order, s in op.drop_zero().terms.items():
+    terms = op.drop_zero().terms
+    terms.setdefault(lead_order, LaurentSeries.zero())
+    for order, s in terms.items():
         probe = s - lead if order == lead_order else s
         t = probe.top()
         if t is not None and t >= 0:

@@ -1,4 +1,7 @@
-"""Exact polynomial ring: arithmetic, grading, substitution, serialization."""
+"""Exact polynomial ring: arithmetic, grading, substitution, serialization,
+and the sparse-sum kernel (add_into, merged)."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +11,15 @@ from bgwtau.algebra import (
     INHOMOGENEOUS,
     TimeMonomial,
     TimePolynomial,
+    add_into,
     canonical_text,
+    merged,
     parse_polynomial,
     substitute,
     weighted_degree,
 )
 from bgwtau.rational import QQ
+from bgwtau.zcalculus import LaurentSeries
 
 P = parse_polynomial
 
@@ -162,3 +168,76 @@ def test_mul_matches_convolution_oracle_random():
                 TimeMonomial.from_dict({rng.randint(1, 5): rng.randint(1, 2)}),
             )
         assert a * b == convolution_oracle(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the sparse-sum kernel
+
+
+def test_add_into_deletes_a_cancelled_key_and_never_stores_zero():
+    terms = {}
+    add_into(terms, "a", QQ(0))
+    add_into(terms, "b", Coefficient.zero())
+    assert terms == {}
+    add_into(terms, "a", QQ(1, 2))
+    add_into(terms, "a", QQ(-1, 2))
+    assert terms == {}
+    c = Coefficient.monomial(3, h=-1, n=2)
+    add_into(terms, "c", c)
+    add_into(terms, "c", c)
+    assert terms == {"c": c.scale(2)}
+    add_into(terms, "c", c.scale(-2))
+    assert terms == {}
+
+
+def test_merged_leaves_its_inputs_unmodified():
+    a = {1: QQ(1, 2), 2: QQ(1)}
+    b = {1: QQ(-1, 2), 3: QQ(2)}
+    a0, b0 = dict(a), dict(b)
+    out = merged(a, b)
+    assert out == {2: QQ(1), 3: QQ(2)}
+    assert a == a0 and b == b0
+    assert out is not a and out is not b
+
+
+nonzero_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+sparse_sums = st.dictionaries(st.integers(0, 6), nonzero_fractions, max_size=6)
+
+
+def dense(*sums):
+    """Dense Fraction reference: one slot per key 0..6, summed."""
+    out = [Fraction(0)] * 7
+    for terms in sums:
+        for k, v in terms:
+            out[k] += v
+    return {k: v for k, v in enumerate(out) if v}
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_sums, sparse_sums,
+       st.lists(st.tuples(st.integers(0, 6), st.fractions(-3, 3, max_denominator=4)),
+                max_size=12))
+def test_kernel_matches_dense_reference(a, b, updates):
+    assert merged(a, b) == dense(a.items(), b.items())
+    terms = dict(a)
+    for k, v in updates:
+        add_into(terms, k, v)
+        assert all(terms.values())
+    assert terms == dense(a.items(), updates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(-6, 3), coeff_strategy, max_size=5),
+       st.dictionaries(st.integers(-6, 3), coeff_strategy, max_size=5),
+       st.none() | st.integers(-8, 0), st.none() | st.integers(-8, 0))
+def test_laurent_product_stores_nothing_below_its_floor(ca, cb, fa, fb):
+    a = LaurentSeries({n: c for n, c in ca.items() if c}, fa)
+    b = LaurentSeries({n: c for n, c in cb.items() if c}, fb)
+    prod = a * b
+    reference = [Coefficient.zero()] * 19  # exponents -12..6
+    for n1, c1 in a.coeffs.items():
+        for n2, c2 in b.coeffs.items():
+            reference[n1 + n2 + 12] = reference[n1 + n2 + 12] + c1 * c2
+    assert all(c and (prod.floor is None or n >= prod.floor) for n, c in prod.coeffs.items())
+    for n in range(-12 if prod.floor is None else max(prod.floor, -12), 7):
+        assert prod.coeffs.get(n, Coefficient.zero()) == reference[n + 12]

@@ -115,6 +115,14 @@ def test_schur_lines(capsys):
     assert "C[2] = 1/6*h" in lines
 
 
+def test_schur_many_points_matches_few_points(capsys):
+    # 1100 columns: deeper than the interpreter's recursion limit
+    args = ("schur", "--m", "2", "--N", "0", "--degree", "4", "--points")
+    code, many, _ = run_cli(capsys, *args, "1100")
+    assert code == 0
+    assert many == run_cli(capsys, *args, "4")[1]
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "golden-inline")
     assert code == 0

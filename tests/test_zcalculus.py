@@ -2,6 +2,7 @@
 
 import pytest
 
+from bgwtau import zcalculus
 from bgwtau.algebra import Coefficient, TimePolynomial, canonical_text, parse_polynomial
 from bgwtau.rational import QQ
 from bgwtau.zcalculus import (
@@ -175,6 +176,17 @@ def test_ab_commutator_explicit():
 def test_canonical_pair_reports():
     assert check_canonical_pair(2, 0, 14).ok
     assert check_canonical_pair(3, "symbolic", 12).ok
+
+
+def test_shape_cases_fail_on_the_zero_operator(monkeypatch):
+    # a missing lead must fail the shape check, not pass it vacuously
+    def zero_pair(m, N, depth):
+        return ZOperator.zero(), ZOperator.zero(), ks_operators(m, N, depth)
+
+    monkeypatch.setattr(zcalculus, "canonical_pair", zero_pair)
+    lines = check_canonical_pair(2, 0, 6).lines()
+    assert "FAIL canonical-pair[m=2,N=0]:P in ddz + D_-  [order d^1 has z^0 term]" in lines
+    assert "FAIL canonical-pair[m=2,N=0]:Q in z + D_-  [order d^0 has z^1 term]" in lines
 
 
 def test_spectral_curve_reports():

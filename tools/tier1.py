@@ -1,0 +1,75 @@
+"""Tier-1 gate: run the whole test battery and accept exactly the known
+failures.
+
+    python tools/tier1.py
+
+runs the tier-1 command of ROADMAP.md from the root of the checkout
+(`python -m pytest -q --continue-on-collection-errors` with `src` on
+PYTHONPATH) and exits 0 only when the failed test ids are exactly
+acceptance criteria 1 and 2, which fail on five defective entries of the
+bundled reference tables (see README.md).  Any other failure, a collection
+error, or criterion 1 or 2 passing (or not running) exits 1 and prints the
+difference.  No test is changed or deselected.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+EXPECTED_FAILURES = frozenset({
+    "tests.test_acceptance::test_criterion_1_appendix_b_reproduction",
+    "tests.test_acceptance::test_criterion_2_appendix_c_reproduction",
+})
+
+
+def outcomes(junit_xml: Path) -> tuple[set[str], set[str]]:
+    """(ids that ran, ids that failed or errored) from a pytest JUnit report;
+    a collection error counts as a failed id."""
+    ran, failed = set(), set()
+    for case in ET.parse(junit_xml).iter("testcase"):
+        cls, name = case.get("classname", ""), case.get("name", "")
+        tid = f"{cls}::{name}" if cls else name
+        ran.add(tid)
+        if case.find("failure") is not None or case.find("error") is not None:
+            failed.add(tid)
+    return ran, failed
+
+
+def verdict(code: int, failed: set[str]) -> list[str]:
+    """Problems with a run; an empty list means the gate passes."""
+    problems = [f"unexpected failure: {t}" for t in sorted(failed - EXPECTED_FAILURES)]
+    problems += [f"expected failure did not fail: {t}"
+                 for t in sorted(EXPECTED_FAILURES - failed)]
+    if code not in (0, 1):
+        problems.append(f"pytest exited with code {code}")
+    return problems
+
+
+def main() -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "tier1.xml"
+        code = subprocess.call(
+            [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+             f"--junitxml={report}"], cwd=ROOT, env=env)
+        if not report.is_file():
+            print(f"tier-1: FAIL (pytest exited with code {code} and wrote no report)")
+            return 1
+        ran, failed = outcomes(report)
+    problems = verdict(code, failed)
+    for p in problems:
+        print(f"tier-1: {p}")
+    status = "FAIL" if problems else "OK"
+    print(f"tier-1: {status} ({len(ran)} tests ran, {len(failed)} failed)")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
