@@ -2,9 +2,14 @@
 
 Representation:
 
-  Coefficient     dict (h_exp, N_exp, j_exp) -> rational, no zero entries.
+  Coefficient     integer numerators over one common denominator: terms,
+                  a dict packed (h_exp, N_exp, j_exp) -> nonzero int, and
+                  den > 0 with gcd(den, *numerators) == 1; zero is {} over
+                  1.  The form is canonical, so == and hash are structural.
                   h_exp may be negative (constraint operators carry 1/h and
-                  1/h^2); N_exp and j_exp are >= 0.
+                  1/h^2); N_exp and j_exp are >= 0.  Arithmetic is plain
+                  int arithmetic; rational.QQ appears only at the
+                  boundaries (see Coefficient).
   TimeMonomial    sorted tuple ((k, e), ...) for t_k^e with k >= 1, e >= 1;
                   the empty tuple is the unit monomial.  weighted degree is
                   sum k*e.
@@ -24,8 +29,9 @@ negative exponents allowed for h ("h^-2").  The zero polynomial prints "0".
 from __future__ import annotations
 
 import re
+from math import gcd
 
-from .rational import QQ, QQ0, QQ1, rat_str
+from .rational import QQ, QQ0, QQ1
 
 INHOMOGENEOUS = "inhomogeneous"
 
@@ -90,26 +96,32 @@ def merged(a: dict, b: dict) -> dict:
 
 
 class Coefficient:
-    """Element of QQ[N,j][h,h^-1]; terms maps packed exponent keys to
-    nonzero rationals (see _ckey)."""
+    """Element of QQ[N,j][h,h^-1]: integer numerators over one common
+    denominator, the value sum(terms[key] * h^a N^b j^c) / den with
+    key = _ckey(a, b, c).
 
-    __slots__ = ("terms",)
+    Canonical form, so == and hash are structural: no zero numerator,
+    den > 0, gcd(den, *numerators) == 1, and zero is {} over 1.  Every
+    operation below returns a canonical Coefficient; rationals (rational.QQ)
+    appear only at the boundaries: the rational/monomial/scale arguments,
+    items_hnj and as_rational."""
 
-    def __init__(self, terms=None):
-        # terms must already be canonical (no zero rationals)
-        self.terms: dict[int, object] = terms if terms is not None else {}
+    __slots__ = ("terms", "den")
+
+    def __init__(self, terms=None, den: int = 1):
+        # terms/den must already be canonical; _canonical() makes them so
+        self.terms: dict[int, int] = terms if terms is not None else {}
+        self.den = den
 
     @classmethod
     def rational(cls, q) -> "Coefficient":
-        q = QQ(q)
-        return cls({_KEY1: q} if q else {})
+        return _atom(*_ratio(q), _KEY1)
 
     @classmethod
     def monomial(cls, q, h: int = 0, n: int = 0, j: int = 0) -> "Coefficient":
         if n < 0 or j < 0:
             raise ValueError("N and j exponents must be nonnegative")
-        q = QQ(q)
-        return cls({_ckey(h, n, j): q} if q else {})
+        return _atom(*_ratio(q), _ckey(h, n, j))
 
     @classmethod
     def zero(cls) -> "Coefficient":
@@ -117,12 +129,12 @@ class Coefficient:
 
     @classmethod
     def one(cls) -> "Coefficient":
-        return cls({_KEY1: QQ1})
+        return cls({_KEY1: 1})
 
     def items_hnj(self):
         """Iterate ((h_exp, N_exp, j_exp), rational) pairs."""
-        for k, q in self.terms.items():
-            yield _cunpack(k), q
+        for k, v in self.terms.items():
+            yield _cunpack(k), QQ(v, self.den)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -131,20 +143,29 @@ class Coefficient:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Coefficient):
-            return self.terms == other.terms
-        if isinstance(other, (int, str)) or hasattr(other, "denominator"):
-            return self.terms == Coefficient.rational(other).terms
-        return NotImplemented
+        if not isinstance(other, Coefficient):
+            if not isinstance(other, (int, str)) and not hasattr(other, "denominator"):
+                return NotImplemented
+            other = Coefficient.rational(other)
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.terms.items())))
 
     def __add__(self, other: "Coefficient") -> "Coefficient":
-        return Coefficient(merged(self.terms, other.terms))
+        da, db = self.den, other.den
+        if da == db:
+            return _canonical(merged(self.terms, other.terms), da)
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        # a prime of the new denominator that is not in g divides da or db
+        # only, and every numerator of that operand is prime to it: only g
+        # can cancel
+        return _canonical(merged({k: v * ma for k, v in self.terms.items()},
+                                 {k: v * mb for k, v in other.terms.items()}), da * ma, g)
 
     def __neg__(self) -> "Coefficient":
-        return Coefficient({k: -q for k, q in self.terms.items()})
+        return Coefficient({k: -v for k, v in self.terms.items()}, self.den)
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
         return self + (-other)
@@ -152,35 +173,32 @@ class Coefficient:
     def __mul__(self, other) -> "Coefficient":
         if not isinstance(other, Coefficient):
             return self.scale(other)
-        a, b = self.terms, other.terms
-        if not a or not b:
+        a, b = self, other
+        if not a.terms or not b.terms:
             return Coefficient({})
-        if len(b) < len(a):
+        if len(b.terms) < len(a.terms):
             a, b = b, a
-        if len(a) == 1:
-            (ka, qa), = a.items()
-            if ka == _KEY1:
-                return Coefficient({k: v * qa for k, v in b.items()})
-            off = ka - _HBASE
-            return Coefficient({k + off: qa * q for k, q in b.items()})
-        out: dict[int, object] = {}
+        if len(a.terms) == 1:
+            (ka, va), = a.terms.items()
+            return _scaled(b.terms, b.den, va, a.den, ka - _HBASE)
+        out: dict[int, int] = {}
         get = out.get
-        bitems = list(b.items())
-        for k1, q1 in a.items():
+        bitems = list(b.terms.items())
+        for k1, v1 in a.terms.items():
             off = k1 - _HBASE
-            for k2, q2 in bitems:
+            for k2, v2 in bitems:
                 k = k2 + off
                 s = get(k)
-                out[k] = q1 * q2 if s is None else s + q1 * q2
-        return Coefficient({k: v for k, v in out.items() if v})
+                out[k] = v1 * v2 if s is None else s + v1 * v2
+        return _canonical({k: v for k, v in out.items() if v}, a.den * b.den)
 
     __rmul__ = __mul__
 
     def scale(self, q) -> "Coefficient":
-        q = QQ(q)
-        if not q:
+        p, r = _ratio(q)
+        if not p or not self.terms:
             return Coefficient({})
-        return Coefficient({k: v * q for k, v in self.terms.items()})
+        return _scaled(self.terms, self.den, p, r, 0)
 
     def __pow__(self, e: int) -> "Coefficient":
         if e < 0:
@@ -197,13 +215,13 @@ class Coefficient:
     def times_h(self, k: int) -> "Coefficient":
         """Multiply by h^k (k may be negative)."""
         off = k << 32
-        return Coefficient({key + off: q for key, q in self.terms.items()})
+        return Coefficient({key + off: v for key, v in self.terms.items()}, self.den)
 
     def h_part(self, p: int) -> "Coefficient":
         """Terms multiplying h^p, with the h-power stripped."""
         off = p << 32
-        return Coefficient(
-            {k - off: q for k, q in self.terms.items() if (k >> 32) - _HOFF == p}
+        return _canonical(
+            {k - off: v for k, v in self.terms.items() if (k >> 32) - _HOFF == p}, self.den
         )
 
     def h_range(self) -> tuple[int, int]:
@@ -215,38 +233,111 @@ class Coefficient:
             return QQ0
         if set(self.terms) != {_KEY1}:
             raise ValueError("coefficient is not a plain rational: %r" % self)
-        return self.terms[_KEY1]
+        return QQ(self.terms[_KEY1], self.den)
 
     def substitute(self, n=None, j=None, h=None) -> "Coefficient":
         """Bind N, j, h.  n and h bind to rationals; j to a rational or a
         Coefficient (polynomial in N).  h=0 with a stored negative h-power
-        raises (pole at h=0)."""
-        out: dict[int, object] = {}
-        if j is not None and not isinstance(j, Coefficient):
-            j = Coefficient.rational(j)
-        jpowers = [COEFF_ONE]
-        for (he, ne, je), q in self.items_hnj():
+        raises (pole at h=0).
+
+        Every atom's numerator is brought over one denominator: h^e and N^e
+        are numerators over a shared power of the bound value's denominator
+        (_powers), j^e over jden^jmax."""
+        atoms = [(_cunpack(k), v) for k, v in self.terms.items()]
+        hs, ns, js = zip((0, 0, 0), *(e for e, _ in atoms))  # exponent ranges, 0 included
+        den = self.den
+        if h is not None:
+            lo = min(hs)
+            hnum, hden = _powers(h, lo, max(hs))
+            den *= hden
+        if n is not None:
+            nnum, nden = _powers(n, 0, max(ns))
+            den *= nden
+        if j is not None:
+            if not isinstance(j, Coefficient):
+                j = Coefficient.rational(j)
+            jpowers = [COEFF_ONE]
+            for _ in range(max(js)):
+                jpowers.append(jpowers[-1] * j)
+            jden = j.den ** max(js)
+            den *= jden
+        out: dict[int, int] = {}
+        for (he, ne, je), v in atoms:
             if h is not None:
-                hq = QQ(h)
-                if not hq and he < 0:
-                    raise ValueError("pole at h=0")
-                q = q * hq ** he if he >= 0 else q / hq ** (-he)
+                v *= hnum[he - lo]
                 he = 0
             if n is not None:
-                q = q * QQ(n) ** ne
+                v *= nnum[ne]
                 ne = 0
-            if j is None or not je:
-                add_into(out, _ckey(he, ne, je), q)
+            if j is None:
+                add_into(out, _ckey(he, ne, je), v)
                 continue
-            while len(jpowers) <= je:
-                jpowers.append(jpowers[-1] * j)
+            jp = jpowers[je]
+            v *= jden // jp.den
             off = _ckey(he, ne, 0) - _HBASE
-            for k, v in jpowers[je].terms.items():
-                add_into(out, k + off, q * v)
-        return Coefficient(out)
+            for k, w in jp.terms.items():
+                add_into(out, k + off, v * w)
+        return _canonical(out, den)
 
     def __repr__(self):
-        return join_terms([_atom_text(q, h, n, j) for (h, n, j), q in sorted(self.items_hnj())])
+        return join_terms([_atom_text(v, self.den, *_cunpack(k))
+                           for k, v in sorted(self.terms.items())])
+
+
+def _ratio(q) -> tuple[int, int]:
+    """(p, r), q = p/r in lowest terms with r > 0, for an int, a QQ, or
+    anything QQ() accepts; int() lets a gmpy2 mpq through as well."""
+    if not hasattr(q, "denominator"):
+        q = QQ(q)
+    return int(q.numerator), int(q.denominator)
+
+
+def _atom(p: int, r: int, key: int) -> Coefficient:
+    """The one-term Coefficient (p/r) * key, r > 0."""
+    return _canonical({key: p} if p else {}, r)
+
+
+def _canonical(terms: dict, den: int, common: int | None = None) -> Coefficient:
+    """The Coefficient terms/den in lowest terms; terms holds no zero and
+    den > 0.  Only a factor of common (default den) may divide den and
+    every numerator."""
+    if not terms:
+        return Coefficient({})
+    if common is None:
+        common = den
+    if common != 1:
+        g = gcd(common, *terms.values())
+        if g != 1:
+            return Coefficient({k: v // g for k, v in terms.items()}, den // g)
+    return Coefficient(terms, den)
+
+
+def _scaled(terms: dict, den: int, p: int, r: int, off: int) -> Coefficient:
+    """(p/r) * (terms/den) with every key shifted by off; terms/den is
+    canonical and nonzero, p != 0, r > 0, gcd(p, r) == 1.  The common
+    factors cancel crosswise before multiplying, as in Fraction.__mul__:
+    p against den and r against the numerators' content."""
+    g = gcd(p, den)
+    if g != 1:
+        p //= g
+        den //= g
+    if r != 1:
+        g = gcd(r, *terms.values())
+        if g != 1:
+            r //= g
+            return Coefficient({k + off: v // g * p for k, v in terms.items()}, den * r)
+    return Coefficient({k + off: v * p for k, v in terms.items()}, den * r)
+
+
+def _powers(q, lo: int, hi: int) -> tuple[list[int], int]:
+    """Numerators of q^e for e = lo..hi (lo <= 0 <= hi) over one common
+    denominator d > 0: with q = p/r, q^e = s p^(e-lo) r^(hi-e) / d where
+    d = s r^hi p^-lo and the sign s makes d positive."""
+    p, r = _ratio(q)
+    if not p and lo < 0:
+        raise ValueError("pole at h=0")
+    s = -1 if p < 0 and lo % 2 else 1
+    return [s * p ** (e - lo) * r ** (hi - e) for e in range(lo, hi + 1)], s * r ** hi * p ** -lo
 
 
 COEFF_ONE = Coefficient.one()
@@ -342,7 +433,7 @@ class TimePolynomial:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset((m, frozenset(c.terms.items())) for m, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def add_term(self, mono: TimeMonomial, coeff: Coefficient) -> None:
         add_into(self.terms, mono, coeff)
@@ -465,8 +556,9 @@ def substitute(p: TimePolynomial, bindings: dict) -> TimePolynomial:
 
 def _atoms(p: TimePolynomial):
     for m, c in p.terms.items():
-        for (h, n, j), q in c.items_hnj():
-            yield (h, m.degree, m.exps, -n, -j), (h, n, j, m, q)
+        for k, v in c.terms.items():
+            h, n, j = _cunpack(k)
+            yield (h, m.degree, m.exps, -n, -j), (h, n, j, m, v, c.den)
 
 
 def term_texts(p: TimePolynomial) -> list[str]:
@@ -475,13 +567,15 @@ def term_texts(p: TimePolynomial) -> list[str]:
     Atom order: h-exponent asc, weighted degree asc, lexicographic on the
     (variable, exponent) pairs, then N- and j-exponent descending.
     """
-    return [_atom_text(q, h, n, j, m.exps)
-            for _, (h, n, j, m, q) in sorted(_atoms(p), key=lambda kv: kv[0])]
+    return [_atom_text(v, den, h, n, j, m.exps)
+            for _, (h, n, j, m, v, den) in sorted(_atoms(p), key=lambda kv: kv[0])]
 
 
-def _atom_text(q, h: int, n: int, j: int, exps=()) -> str:
-    """One signed term: the rational, then its h, N, j and t factors."""
-    s = rat_str(q)
+def _atom_text(v: int, den: int, h: int, n: int, j: int, exps=()) -> str:
+    """One signed term: the rational v/den in lowest terms ("p/q"), then its
+    h, N, j and t factors."""
+    g = gcd(v, den)
+    s = f"{v // g}/{den // g}"
     for name, e in (("h", h), ("N", n), ("j", j)):
         if e:
             s += f"*{name}" + (f"^{e}" if e != 1 else "")
@@ -535,7 +629,10 @@ def parse_polynomial(text: str) -> TimePolynomial:
         mt = _TERM_RE.match(piece)
         if not mt:
             raise ValueError(f"bad term {piece!r}")
-        q = QQ(mt.group(1))
+        num, _, den = mt.group(1).partition("/")
+        p, r = int(num), int(den or 1)
+        if not r:
+            raise ZeroDivisionError(f"zero denominator in {piece!r}")
         h = n = j = 0
         tvars: dict[int, int] = {}
         for fm in _FACTOR_RE.finditer(mt.group(2)):
@@ -556,5 +653,5 @@ def parse_polynomial(text: str) -> TimePolynomial:
                 if e < 0:
                     raise ValueError("negative j exponent")
                 j += e
-        out.add_term(TimeMonomial.from_dict(tvars), Coefficient.monomial(q, h=h, n=n, j=j))
+        out.add_term(TimeMonomial.from_dict(tvars), _atom(p, r, _ckey(h, n, j)))
     return out

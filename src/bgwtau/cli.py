@@ -8,7 +8,9 @@ failure, 2 usage error.
 The expansion cache stores one content-addressed file per
 (m, N, K, engine-version) with a header line, canonical-text body and a
 trailing checksum; loads re-verify the checksum and the expansion
-invariants before trusting a file, and silently recompute otherwise.
+invariants before trusting a file, and silently recompute otherwise.  An
+unusable cache directory (an OSError) is a miss and a skipped store, never
+an error: the result is computed and printed all the same.
 """
 
 from __future__ import annotations
@@ -94,37 +96,42 @@ def _cache_path(directory: Path, header: str) -> Path:
 
 
 def _read_lines(path: Path) -> list[str] | None:
-    """Lines of a cache file; None if it is not UTF-8 text."""
+    """Lines of a cache file; None if it cannot be read or is not UTF-8 text."""
     try:
         return path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError:
+    except (OSError, UnicodeDecodeError):
         return None
 
 
-def cache_store(T: TauExpansion, directory: Path) -> Path:
-    directory.mkdir(parents=True, exist_ok=True)
+def cache_store(T: TauExpansion, directory: Path) -> Path | None:
+    """Write T to the cache; None (nothing stored) if the directory cannot
+    be created or written."""
     header = _cache_header(T.m, T.N, T.order)
     body = "\n".join(canonical_text(c) for c in T.coeffs)
     digest = hashlib.sha256((header + "\n" + body).encode()).hexdigest()
     path = _cache_path(directory, header)
-    # a private temporary name per writer, so concurrent stores of one key
-    # never interleave; os.replace publishes the finished file atomically
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.stem + ".", suffix=".tmp")
+    tmp = None
     try:
+        directory.mkdir(parents=True, exist_ok=True)
+        # a private temporary name per writer, so concurrent stores of one key
+        # never interleave; os.replace publishes the finished file atomically
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.stem + ".", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(f"{header}\n{body}\nchecksum={digest}\n")
         os.replace(tmp, path)
+    except OSError:
+        return None
     finally:
-        Path(tmp).unlink(missing_ok=True)
+        if tmp is not None:
+            Path(tmp).unlink(missing_ok=True)
     return path
 
 
 def cache_load(m: int, N, K: int, directory: Path) -> TauExpansion | None:
+    """The cached expansion, or None (a miss) if there is none, it fails its
+    checks, or it cannot be read."""
     header = _cache_header(m, N, K)
-    path = _cache_path(directory, header)
-    if not path.exists():
-        return None
-    lines = _read_lines(path)
+    lines = _read_lines(_cache_path(directory, header))
     if lines is None or len(lines) != K + 3 or lines[0] != header \
             or not lines[-1].startswith("checksum="):
         return None
@@ -264,6 +271,8 @@ def cmd_cache(args) -> int:
     cdir = cache_dir(args.cache_dir)
     if args.action == "dir":
         print(cdir)
+    elif cdir.exists() and not cdir.is_dir():
+        raise SystemExit2(f"cache directory {str(cdir)!r} is not a directory")
     elif args.action == "list":
         if cdir.exists():
             for p in sorted(cdir.glob("*.tau")):
@@ -272,7 +281,10 @@ def cmd_cache(args) -> int:
     elif args.action == "clear":
         if cdir.exists():
             for p in cdir.glob("*.tau"):
-                p.unlink()
+                try:
+                    p.unlink()
+                except OSError as exc:
+                    raise SystemExit2(f"cannot remove {str(p)!r}: {exc.strerror}") from exc
         print("cache cleared")
     return 0
 

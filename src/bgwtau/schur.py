@@ -110,7 +110,8 @@ def plucker_expansion(m: int, N, degree: int, points: int | None = None) -> Plue
         if j == M:
             order = sorted(range(M), key=lambda i: -used[i])
             mu = tuple(p for p in (used[i] - (M - 1 - pos) for pos, i in enumerate(order)) if p)
-            add_into(table, mu, coeff.scale(_inversion_sign(order)))
+            moved = [(i, e) for i, e in enumerate(used) if e != M - 1 - i]
+            add_into(table, mu, coeff.scale(_inversion_sign(M, moved)))
             return
         base = M - 1 - j
         for l in range(0, budget + 1, m):
@@ -137,12 +138,21 @@ def plucker_expansion(m: int, N, degree: int, points: int | None = None) -> Plue
     return PlueckerTable(m, N, degree, table)
 
 
-def _inversion_sign(perm: list[int]) -> int:
+def _inversion_sign(M: int, moved: list[tuple[int, int]]) -> int:
+    """Sign of the permutation that sorts the distinct exponents
+    b_i = M - 1 - i + l_i (i < M, l_i >= 0) into descending order, from the
+    moved columns alone: moved lists (i, b_i) for the l_i > 0, by i.
+
+    With every l_i = 0 the b_i already descend, so an inversion needs a
+    moved column k: an unmoved i < k with b_i = M - 1 - i < b_k, i.e.
+    i >= M - b_k, or a moved i < k with b_i < b_k.  An unmoved i > k has
+    b_i < M - 1 - k < b_k and never inverts."""
     inv = 0
-    for i in range(len(perm)):
-        for k in range(i + 1, len(perm)):
-            if perm[i] > perm[k]:
-                inv += 1
+    for a, (k, b) in enumerate(moved):
+        lo = max(0, M - b)
+        inv += k - lo  # every i in [lo, k), moved ones corrected below
+        for i, bi in moved[:a]:
+            inv += (bi < b) - (i >= lo)
     return -1 if inv % 2 else 1
 
 

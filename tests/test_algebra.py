@@ -1,7 +1,9 @@
 """Exact polynomial ring: arithmetic, grading, substitution, serialization,
-and the sparse-sum kernel (add_into, merged)."""
+the sparse-sum kernel (add_into, merged) and the integer-numerator
+Coefficient against a dense Fraction reference."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,3 +243,133 @@ def test_laurent_product_stores_nothing_below_its_floor(ca, cb, fa, fb):
     assert all(c and (prod.floor is None or n >= prod.floor) for n, c in prod.coeffs.items())
     for n in range(-12 if prod.floor is None else max(prod.floor, -12), 7):
         assert prod.coeffs.get(n, Coefficient.zero()) == reference[n + 12]
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator Coefficient against a Fraction-dict reference
+
+EXPS = st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(0, 2))
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+ref_coefficients = st.dictionaries(EXPS, small_fractions.filter(bool), max_size=5)
+
+
+def build(ref: dict) -> Coefficient:
+    """A Coefficient summed from one-term monomials."""
+    out = Coefficient.zero()
+    for (h, n, j), q in ref.items():
+        out = out + Coefficient.monomial(q, h=h, n=n, j=j)
+    return out
+
+
+def ref_of(c: Coefficient) -> dict:
+    return dict(c.items_hnj())
+
+
+def ref_add(*refs) -> dict:
+    out: dict = {}
+    for r in refs:
+        for k, q in r.items():
+            out[k] = out.get(k, Fraction(0)) + q
+    return {k: q for k, q in out.items() if q}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    return ref_add(*({(h1 + h2, n1 + n2, j1 + j2): q1 * q2}
+                     for (h1, n1, j1), q1 in a.items() for (h2, n2, j2), q2 in b.items()))
+
+
+def ref_substitute(a: dict, n=None, j=None, h=None) -> dict:
+    """j binds to a Fraction or to a reference dict."""
+    if j is not None and not isinstance(j, dict):
+        j = {(0, 0, 0): Fraction(j)} if j else {}
+    out = []
+    for (he, ne, je), q in a.items():
+        if h is not None:
+            q, he = q * Fraction(h) ** he, 0
+        if n is not None:
+            q, ne = q * Fraction(n) ** ne, 0
+        term = {(he, ne, je if j is None else 0): q}
+        for _ in range(0 if j is None else je):
+            term = ref_mul(term, j)
+        out.append(term)
+    return ref_add(*out)
+
+
+def assert_canonical(c: Coefficient):
+    assert c.den > 0
+    assert all(type(v) is int and v for v in c.terms.values())
+    if c.terms:
+        assert gcd(c.den, *c.terms.values()) == 1
+    else:
+        assert c.den == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref_coefficients, ref_coefficients, small_fractions, st.integers(-2, 2),
+       st.integers(-4, 4))
+def test_coefficient_ring_matches_fraction_reference(ra, rb, q, k, p):
+    a, b = build(ra), build(rb)
+    results = [
+        (a + b, ref_add(ra, rb)),
+        (a - b, ref_add(ra, {key: -v for key, v in rb.items()})),
+        (-a, {key: -v for key, v in ra.items()}),
+        (a * b, ref_mul(ra, rb)),
+        (a.scale(q), {key: v * q for key, v in ra.items() if q}),
+        (a * q, {key: v * q for key, v in ra.items() if q}),
+        (a.times_h(k), {(h + k, n, j): v for (h, n, j), v in ra.items()}),
+        (a.h_part(p), {(0, n, j): v for (h, n, j), v in ra.items() if h == p}),
+    ]
+    for c, ref in [(a, ra), (b, rb)] + results:
+        assert_canonical(c)
+        assert ref_of(c) == ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(ref_coefficients, small_fractions, small_fractions, small_fractions,
+       st.dictionaries(st.tuples(st.integers(-1, 1), st.integers(0, 2), st.just(0)),
+                       small_fractions.filter(bool), max_size=3))
+def test_coefficient_substitute_matches_fraction_reference(ra, nq, jq, hq, rj):
+    a = build(ra)
+    pole = not hq and any(h < 0 for h, _, _ in ra)
+    cases = [({"n": nq}, {"n": nq}), ({"j": jq}, {"j": jq}), ({"j": build(rj)}, {"j": rj}),
+             ({"n": nq, "j": build(rj), "h": hq}, {"n": nq, "j": rj, "h": hq}),
+             ({"n": nq, "j": jq}, {"n": nq, "j": jq})]
+    if not pole:
+        cases.append(({"h": hq}, {"h": hq}))
+    for kwargs, ref_kwargs in cases:
+        if "h" in kwargs and pole:
+            with pytest.raises(ValueError, match="pole at h=0"):
+                a.substitute(**kwargs)
+            continue
+        c = a.substitute(**kwargs)
+        assert_canonical(c)
+        assert ref_of(c) == ref_substitute(ra, **ref_kwargs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ref_coefficients, ref_coefficients, ref_coefficients)
+def test_equal_coefficients_built_two_ways_compare_and_hash_equal(ra, rb, rc):
+    a, b, c = build(ra), build(rb), build(rc)
+    for x, y in [((a + b) * c, a * c + b * c), (a * b, b * a), ((a - a) + b, b),
+                 (a.scale(Fraction(2, 3)).scale(Fraction(3, 2)), a)]:
+        assert x == y and hash(x) == hash(y)
+        assert TimePolynomial.constant(x) == TimePolynomial.constant(y)
+        assert hash(TimePolynomial.constant(x)) == hash(TimePolynomial.constant(y))
+
+
+def test_zero_and_rationals_are_canonical():
+    assert Coefficient.rational(QQ(2, 4)) == Coefficient.rational(QQ(1, 2))
+    assert Coefficient.rational(QQ(2, 4)).terms == Coefficient.rational(QQ(1, 2)).terms
+    zero = Coefficient.monomial(3, h=1) - Coefficient.monomial(QQ(6, 2), h=1)
+    assert (zero.terms, zero.den) == ({}, 1)
+    assert zero == Coefficient.zero() == 0 and hash(zero) == hash(Coefficient.zero())
+    third = Coefficient.rational(QQ(1, 3))
+    assert third == QQ(1, 3) and third.as_rational() == QQ(1, 3)
+    assert (third.scale(3).terms, third.scale(3).den) == (Coefficient.one().terms, 1)
+
+
+def test_parse_reduces_to_lowest_terms():
+    assert parse_polynomial("2/4*h") == parse_polynomial("1/2*h")
+    assert canonical_text(parse_polynomial("2/4*h-6/3*t1")) == "-2/1*t1+1/2*h"
+    with pytest.raises(ZeroDivisionError):
+        parse_polynomial("1/0*h")

@@ -237,3 +237,53 @@ def test_cache_subcommand(tmp_path, capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "cache", "list", "--cache-dir", str(tmp_path))
     assert out.strip() == ""
+
+
+# an unusable cache directory is a miss and a skipped store; the result
+# still prints with exit 0
+
+
+def _plain_expand(capsys, *argv):
+    return run_cli(capsys, "expand", "--m", "2", "--N", "0", "--order", "3", *argv)
+
+
+def test_expand_with_a_regular_file_as_cache_dir(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    _, want, _ = _plain_expand(capsys, "--no-cache")
+    assert _plain_expand(capsys, "--cache-dir", str(blocker)) == (0, want, "")
+    assert blocker.read_text() == "not a directory"
+
+
+def test_free_energy_with_a_cache_dir_below_a_file(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = ("free-energy", "--m", "1", "--N", "1/3", "--order", "4")
+    _, want, _ = run_cli(capsys, *args, "--no-cache")
+    assert run_cli(capsys, *args, "--cache-dir", str(blocker / "sub")) == (0, want, "")
+
+
+def test_expand_with_a_regular_file_as_cache_dir_from_the_environment(
+        tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    _, want, _ = _plain_expand(capsys, "--no-cache")
+    monkeypatch.setenv("BGWTAU_CACHE_DIR", str(blocker))
+    assert _plain_expand(capsys) == (0, want, "")
+
+
+@pytest.mark.parametrize("action", ["list", "clear"])
+def test_cache_maintenance_on_a_regular_file_exits_2(tmp_path, capsys, action):
+    blocker = tmp_path / "file.tau"
+    blocker.write_text("keep")
+    code, out, err = run_cli(capsys, "cache", action, "--cache-dir", str(blocker))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert blocker.read_text() == "keep"
+
+
+def test_cache_clear_that_cannot_remove_an_entry_exits_2(tmp_path, capsys):
+    (tmp_path / "0123.tau").mkdir()
+    code, out, err = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot remove ") and len(err.splitlines()) == 1

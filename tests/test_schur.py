@@ -15,6 +15,7 @@ from bgwtau.algebra import (
 from bgwtau.cutjoin import tau_expand
 from bgwtau.rational import QQ, QQ1
 from bgwtau.schur import (
+    _inversion_sign,
     character,
     partitions,
     plucker_expansion,
@@ -311,3 +312,21 @@ def test_giambelli_detects_a_corrupted_hook():
     table = plucker_expansion(2, 0, 8)
     table.table[(2,)] = table.coefficient((2,)) + Coefficient.monomial(1, h=1)
     assert (2, 2) in giambelli_failures(table)
+
+
+def test_inversion_sign_from_moved_columns_matches_brute_force():
+    """The leaf sign of the Pluecker descent, read off the moved columns,
+    against a full inversion count of the sorting permutation."""
+    rng = random.Random(11)
+    for _ in range(400):
+        M = rng.randint(1, 30)
+        l = [0] * M
+        for i in rng.sample(range(M), rng.randint(0, min(M, 5))):
+            l[i] = rng.randint(1, 12)
+        b = [M - 1 - i + l[i] for i in range(M)]
+        if len(set(b)) < M:
+            continue  # colliding exponents never reach a leaf
+        order = sorted(range(M), key=lambda i: -b[i])
+        inv = sum(order[x] > order[y] for x in range(M) for y in range(x + 1, M))
+        moved = [(i, e) for i, e in enumerate(b) if l[i]]
+        assert _inversion_sign(M, moved) == (-1) ** inv
