@@ -95,6 +95,25 @@ def merged(a: dict, b: dict) -> dict:
     return out
 
 
+def h_parts(terms: dict, p: int) -> dict:
+    """The h^p part of a sparse sum of Coefficients, h-power stripped: key ->
+    c.h_part(p) for each key whose part is nonzero."""
+    out = {}
+    for k, c in terms.items():
+        part = c.h_part(p)
+        if part:
+            out[k] = part
+    return out
+
+
+def h_span(coeffs) -> tuple[int, int]:
+    """(lowest, highest) h-power over some Coefficients; (0, 0) for none."""
+    spans = [c.h_range() for c in coeffs]
+    if not spans:
+        return (0, 0)
+    return min(lo for lo, _ in spans), max(hi for _, hi in spans)
+
+
 class Coefficient:
     """Element of QQ[N,j][h,h^-1]: integer numerators over one common
     denominator, the value sum(terms[key] * h^a N^b j^c) / den with
@@ -492,18 +511,10 @@ class TimePolynomial:
 
     def h_coefficient(self, p: int) -> "TimePolynomial":
         """Polynomial multiplying h^p, with the h-power stripped."""
-        out: dict[TimeMonomial, Coefficient] = {}
-        for m, c in self.terms.items():
-            add_into(out, m, c.h_part(p))
-        return TimePolynomial(out)
+        return TimePolynomial(h_parts(self.terms, p))
 
     def h_range(self) -> tuple[int, int]:
-        lo, hi = None, None
-        for c in self.terms.values():
-            l, h = c.h_range()
-            lo = l if lo is None else min(lo, l)
-            hi = h if hi is None else max(hi, h)
-        return (0, 0) if lo is None else (lo, hi)
+        return h_span(self.terms.values())
 
     def variables(self) -> set[int]:
         out: set[int] = set()

@@ -38,13 +38,6 @@ class TauExpansion:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def truncated_sum(self) -> TimePolynomial:
-        """sum_k h^k tau_k as a single polynomial with explicit h-grading."""
-        out = TimePolynomial.zero()
-        for k, p in enumerate(self.coeffs):
-            out = out + p.times_h(k)
-        return out
-
 
 def _premul(mono: TimeMonomial, op: DiffOperator) -> DiffOperator:
     """mono * op; multiplying by a fixed monomial is injective, so no term

@@ -23,6 +23,8 @@ from .algebra import (
     TimeMonomial,
     TimePolynomial,
     add_into,
+    h_parts,
+    h_span,
     join_terms,
     merged,
     parse_polynomial,
@@ -83,6 +85,13 @@ class DiffOperator:
 
     def __eq__(self, other):
         return isinstance(other, DiffOperator) and self.terms == other.terms
+
+    def h_coefficient(self, e: int) -> "DiffOperator":
+        """The terms multiplying h^e, with the h-power stripped."""
+        return DiffOperator(h_parts(self.terms, e))
+
+    def h_range(self) -> tuple[int, int]:
+        return h_span(self.terms.values())
 
     def apply(self, p: TimePolynomial) -> TimePolynomial:
         """Exact application; linear in p.  p is differentiated once per

@@ -134,8 +134,16 @@ def golden_suite(source: str, order: int | None = None) -> Report:
 def constraint_suite(m: int, N, T: TauExpansion, k_bound: int | None = None) -> Report:
     """Apply every J/L/M constraint operator that can act nontrivially on the
     truncation and require the h-coefficients of (operator . tau) to vanish
-    for all resolvable orders p <= K-2 (the M operators carry 1/h^2, so a
-    truncation to h^K determines the image only that far)."""
+    for all resolvable orders p <= K-2.
+
+    An operator's h^e part op_e (e = 0, and -1, -2 for the 1/h and 1/h^2
+    pieces of L and M) sends the h^q part tau_q of tau to h^(e+q), so the
+    h^p residual is sum_e op_e . tau_(p-e): op_0 reaches it from tau_p,
+    op_-1 from tau_(p+1), op_-2 from tau_(p+2).  A truncation to h^K thus
+    fixes the image only through p = K-2, and only those products are
+    computed: op_0 never meets tau_(K-1) or tau_K, and no part meets an
+    order it would send above h^(K-2) or below h^0.  The checked orders run
+    up from h^0 and stop at the first nonzero residual."""
     rep = Report()
     K = T.order
     if K < 2:
@@ -143,15 +151,26 @@ def constraint_suite(m: int, N, T: TauExpansion, k_bound: int | None = None) -> 
     suite = f"constraints[m={m},N={N}]"
     maxdeg = m * K
     kb = k_bound if k_bound is not None else constraint_index_bound(m, maxdeg)
-    tau = T.truncated_sum()
+    # tau = sum_k h^k tau_k split by h-power; tau_k itself may carry h
+    tau: dict[int, TimePolynomial] = {}
+    for k, tk in enumerate(T.coeffs):
+        lo, hi = tk.h_range()
+        for s in range(lo, hi + 1):
+            part = tk.h_coefficient(s)
+            if part:
+                tau[k + s] = tau.get(k + s, TimePolynomial.zero()) + part
     p_max = K - 2
     for kind, k_lo in (("J", 1), ("L", 0), ("M", -1)):
         for k in range(k_lo, kb + 1):
             op = constraint(m, N, kind, k, maxdeg)
-            image = op.apply(tau)
+            lo, hi = op.h_range()
+            parts = [(e, op.h_coefficient(e)) for e in range(lo, hi + 1)]
             bad = ""
             for p in range(0, p_max + 1):
-                resid = image.h_coefficient(p)
+                resid = TimePolynomial.zero()
+                for e, op_e in parts:
+                    if op_e and p - e in tau:
+                        resid = resid + op_e.apply(tau[p - e])
                 if not resid.is_zero():
                     mono = sorted(resid.terms, key=lambda mm: (mm.degree, mm.exps))[0]
                     bad = f"h^{p} residual at {mono!r}"

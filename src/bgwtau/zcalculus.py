@@ -30,10 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .algebra import COEFF_ONE, Coefficient, add_into, merged
 from .operators import n_coeff
-from .rational import QQ, QQ1
+from .rational import QQ
 from .report import Report
 
 
@@ -343,31 +344,26 @@ def _exp_table(m: int, K: int) -> tuple:
     the rational part is stored.
     """
     cap = 2 * K
-    table = {(0, 0): QQ1}
+    table, den = {(0, 0): 1}, 1  # integer numerators over one denominator
     for l in range(3, cap + 3):
         # factor exp(tstar_l phi^l): sum_s (c_l phi^l u^(l-2))^s / s!
-        cl = QQ(1)
-        for i in range(m + 2, m + l):
-            cl *= i  # (m+l-1)!/(m+1)!
-        for i in range(2, l + 1):
-            cl /= i  # 1/l!
+        cl = QQ(factorial(m + l - 1), factorial(m + 1) * factorial(l))
+        cn, cd = int(cl.numerator), int(cl.denominator)
         smax = cap // (l - 2)
         if smax == 0:
             break
-        powers = [QQ1]
-        fact = QQ1
-        for s in range(1, smax + 1):
-            fact *= s
-            powers.append(cl ** s / fact)
+        # weights[s] = S c_l^s / s! with S = cd^smax smax!, an integer
+        S = cd ** smax * factorial(smax)
+        weights = [cn ** s * (S // (cd ** s * factorial(s))) for s in range(smax + 1)]
         new = {}
         for (p, q), v in table.items():
             for s in range(0, smax + 1):
                 pp = p + s * (l - 2)
                 if pp > cap:
                     break
-                add_into(new, (pp, q + s * l), v * powers[s])
-        table = new
-    return tuple(table.items())
+                add_into(new, (pp, q + s * l), v * weights[s])
+        table, den = new, den * S
+    return tuple((key, QQ(v, den)) for key, v in table.items())
 
 
 class PhiRingElement:
@@ -698,7 +694,8 @@ def check_spectral_curve(m: int, N, j_max: int, depth: int) -> Report:
     if nc.is_zero() and m >= 2:
         hinv = Coefficient.monomial(1, h=-1)
         curve = dm.scale(Coefficient.monomial(m * (m + 1), h=1)) + b_dm1 - ZOperator.identity()
-        lhs = ks.d.power(m - 1).scale(hinv).compose(curve)
-        rhs = ks.c - ks.d.power(m - 1).scale(hinv)
+        dh = ks.d.power(m - 1).scale(hinv)
+        lhs = dh.compose(curve)
+        rhs = ks.c - dh
         _op_residual_case(rep, suite, "closing identity (j=1)", lhs - rhs)
     return rep

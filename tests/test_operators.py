@@ -14,6 +14,7 @@ from bgwtau.operators import (
     DiffOperator,
     commutator,
     constraint,
+    constraint_index_bound,
     cubic,
     current,
     euler,
@@ -223,6 +224,30 @@ def test_constraint_m2n_literal():
             )
         lit = lit.scale(QQ(1, 3))
         assert constraint(2, "symbolic", "M", k, 12) == lit
+
+
+def test_h_coefficients_rebuild_every_constraint_operator():
+    """sum_e h^e op.h_coefficient(e) is op for every J/L/M operator the
+    constraint suite builds at order 6 (m = 1, 2, 3, symbolic N); each part
+    is h-free, and the lowest h-power is 0 for J, -1 for L and -2 for M
+    (k >= 0; M_-1's 1/h^2 piece d/dt_(m-1) vanishes at m = 1)."""
+    for m in (1, 2, 3):
+        maxdeg = 6 * m
+        for kind, k_lo in (("J", 1), ("L", 0), ("M", -1)):
+            for k in range(k_lo, constraint_index_bound(m, maxdeg) + 1):
+                op = constraint(m, "symbolic", kind, k, maxdeg)
+                lo, hi = op.h_range()
+                assert hi == 0
+                if kind != "M" or k >= 0 or m > 1:
+                    assert lo == {"J": 0, "L": -1, "M": -2}[kind], (m, kind, k)
+                rebuilt = DiffOperator.zero()
+                for e in range(lo - 1, hi + 2):
+                    part = op.h_coefficient(e)
+                    assert part.h_range() == (0, 0)
+                    if e in (lo - 1, lo, hi, hi + 1):
+                        assert bool(part) == (lo <= e <= hi), (m, kind, k, e)
+                    rebuilt = rebuilt + part.scale(Coefficient.monomial(1, h=e))
+                assert rebuilt == op, (m, kind, k)
 
 
 def test_constraint_index_errors():

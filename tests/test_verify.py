@@ -2,6 +2,7 @@
 mutation controls, and the characterization of the defective source-table
 entries (see notes in the README)."""
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -13,12 +14,21 @@ from bgwtau.algebra import (
     parse_polynomial,
     substitute,
 )
-from bgwtau.cutjoin import check_expansion_invariants, free_energy, tau_expand, w1_w2
-from bgwtau.operators import virasoro
+from bgwtau.cutjoin import (
+    TauExpansion,
+    check_expansion_invariants,
+    free_energy,
+    tau_expand,
+    w1_w2,
+)
+from bgwtau import verify, zcalculus
+from bgwtau.operators import constraint, constraint_index_bound, virasoro
 from bgwtau.rational import QQ
+from bgwtau.report import Report
 from bgwtau.schur import plucker_expansion, tau_from_schur
 from bgwtau.verify import (
     SUITE_RUNNERS,
+    SuiteArgs,
     constraint_suite,
     crosscheck_suite,
     golden_suite,
@@ -148,8 +158,6 @@ def test_constraint_suite_requires_depth():
 def test_hirota_small():
     assert hirota_suite(tau_expand(2, 0, 4)).ok
     assert hirota_suite(tau_expand(1, 0, 4)).ok
-    from bgwtau.cutjoin import TauExpansion
-
     const = TauExpansion(2, 0, [TimePolynomial.one(),
                                 TimePolynomial.zero(), TimePolynomial.zero()])
     assert hirota_suite(const).ok
@@ -162,31 +170,148 @@ def test_crosscheck_suite():
 
 
 def _mutate(T, k=2):
-    from bgwtau.cutjoin import TauExpansion
-
     coeffs = [TimePolynomial(dict(c.terms)) for c in T.coeffs]
     mono = sorted(coeffs[k].terms, key=lambda m: m.exps)[0]
     coeffs[k] = coeffs[k] + TimePolynomial.term(QQ(1, 7), mono)
     return TauExpansion(T.m, T.N, coeffs, T.provenance)
 
 
-def test_mutation_controls():
-    """Every suite must fail on a seeded single-coefficient mutation."""
-    T = tau_expand(2, 0, 4)
-    bad = _mutate(T)
-    assert not constraint_suite(2, 0, bad).ok
-    assert not hirota_suite(bad).ok
-    # homogeneity-preserving mutation still breaks constraints and hirota;
-    # invariants fail on a homogeneity-violating one
-    worse = tau_expand(2, 0, 3)
-    worse.coeffs[3] = worse.coeffs[3] + P("1/7*t1")
-    assert not check_expansion_invariants(worse).ok
-    golden = load_golden("AppendixB")
-    mutated_entry = golden.entries["tau2[3]"] + P("1/7*t1^2*t4")
-    from bgwtau.verify import _first_diff
+def _fails(rep: Report) -> bool:
+    return any(line.startswith("FAIL ") for line in rep.lines())
 
-    assert _first_diff(mutated_entry, golden.entries["tau2[3]"])
-    assert not _first_diff(golden.entries["tau2[3]"], golden.entries["tau2[3]"])
+
+def test_mutation_controls():
+    """A seeded corruption makes each expansion suite print a FAIL line: a
+    bumped tau_2 coefficient trips the constraints, Hirota and crosscheck
+    (the m = 2 recursion against the oracle, and the m = 3 oracle's own
+    checks); a term of the wrong degree trips the invariants."""
+    a = SuiteArgs(2, 0, 4, 0)
+    a.recursion = _mutate(a.recursion)
+    for name in ("constraints", "hirota", "crosscheck"):
+        assert _fails(SUITE_RUNNERS[name](a)), name
+    b = SuiteArgs(3, 0, 3, 0)
+    b.oracle = _mutate(b.oracle)
+    assert _fails(SUITE_RUNNERS["crosscheck"](b))
+    c = SuiteArgs(2, 0, 3, 0)
+    c.recursion.coeffs[3] = c.recursion.coeffs[3] + P("1/7*t1")
+    assert _fails(SUITE_RUNNERS["invariants"](c))
+
+
+def test_ks_mutation_control():
+    """Bumping one stored basis-vector coefficient phi[1,2] (as the bench's
+    negative control does) makes the ks suite print a FAIL line; the stored
+    table is restored and the series caches built from it are cleared."""
+    def clear():
+        zcalculus.phi_series.cache_clear()
+        zcalculus.phi_series_gen.cache_clear()
+
+    def run():
+        return SUITE_RUNNERS["ks"](SuiteArgs(1, QQ(7, 11), 2, 3))
+
+    assert run().ok
+    stored = zcalculus._PHI_STORE[1]  # now long enough for every series run() builds
+    bumped = stored[2] + Coefficient.rational(1)
+    zcalculus._PHI_STORE[1] = stored[:2] + (bumped,) + stored[3:]
+    clear()
+    try:
+        rep = run()
+    finally:
+        zcalculus._PHI_STORE[1] = stored
+        clear()
+    assert _fails(rep)
+    assert run().ok
+
+
+@pytest.mark.parametrize("source, entry, order", [
+    ("AppendixA", "Phi2[1]", None),
+    ("AppendixB", "tau2[2]", 3),
+    ("AppendixC", "tauN[1]", 2),
+    ("Inline", "inline[2]", None),
+])
+def test_golden_mutation_controls(tmp_path, monkeypatch, source, entry, order):
+    """On a copied table with one entry corrupted, the golden suite FAILs
+    exactly that entry and the checksum suite FAILs the file."""
+    golden = tmp_path / "golden"
+    shutil.copytree(verify.GOLDEN_DIR, golden)
+    path = golden / verify.GOLDEN_SOURCES[source]
+    lines = path.read_text().splitlines()
+    lines = [line + "+1/7" if line.startswith(f"{entry} = ") else line for line in lines]
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(verify, "GOLDEN_DIR", golden)
+    rep = golden_suite(source, order)
+    assert {c.name for c in rep.failures} == {entry}
+    assert _fails(rep)
+    assert _fails(SUITE_RUNNERS["checksums"](None))
+
+
+def _full_image_constraint_suite(m: int, N, T) -> Report:
+    """Reference for constraint_suite: each operator applied to the whole
+    truncated sum sum_k h^k tau_k, its image read off at h^p for p <= K-2."""
+    tau = TimePolynomial.zero()
+    for k, c in enumerate(T.coeffs):
+        tau = tau + c.times_h(k)
+    rep = Report()
+    K = T.order
+    maxdeg = m * K
+    for kind, k_lo in (("J", 1), ("L", 0), ("M", -1)):
+        for k in range(k_lo, constraint_index_bound(m, maxdeg) + 1):
+            image = constraint(m, N, kind, k, maxdeg).apply(tau)
+            bad = ""
+            for p in range(0, K - 1):
+                resid = image.h_coefficient(p)
+                if not resid.is_zero():
+                    mono = sorted(resid.terms, key=lambda mm: (mm.degree, mm.exps))[0]
+                    bad = f"h^{p} residual at {mono!r}"
+                    break
+            rep.add(f"constraints[m={m},N={N}]", f"{kind}[{k}]", not bad, bad)
+    return rep
+
+
+@pytest.fixture(scope="module")
+def bench_expansions():
+    """The expansions of the verify bench workload (its rational N_s drawn
+    as 7/11) and its m = 3 oracle input."""
+    return [tau_expand(2, 0, 8), tau_expand(2, QQ(7, 11), 7), tau_expand(2, "symbolic", 6),
+            tau_expand(1, "symbolic", 10), tau_from_schur(plucker_expansion(3, 0, 9))]
+
+
+def test_constraint_suite_matches_the_full_image(bench_expansions):
+    """The h-graded suite prints the reference's lines, FAIL details
+    included, on each expansion and on copies corrupted at each order
+    k = 1..K.  Every corrupted copy FAILs but tau_K at m = 1: there the 1/h^2
+    part d/dt_(2k+2) of M_k misses the odd times tau_K is made of."""
+    fails = 0
+    for T in bench_expansions:
+        for bad in [T] + [_mutate(T, k) for k in range(1, T.order + 1)]:
+            want = _full_image_constraint_suite(T.m, T.N, bad).lines()
+            assert constraint_suite(T.m, T.N, bad).lines() == want
+            fails += any(line.startswith("FAIL ") for line in want)
+    assert fails == 33
+
+
+def test_constraint_suite_reads_h_inside_tau_k(bench_expansions):
+    """Moving h^K tau_K into slot K-1 as h * tau_K (tau_K itself set to 0)
+    leaves the truncated sum, and so every line, unchanged."""
+    T = bench_expansions[0]
+    moved = _mutate(T, T.order)
+    coeffs = list(moved.coeffs)
+    coeffs[-2] = coeffs[-2] + coeffs[-1].times_h(1)
+    coeffs[-1] = TimePolynomial.zero()
+    regraded = TauExpansion(T.m, T.N, coeffs, T.provenance)
+    assert constraint_suite(T.m, T.N, regraded).lines() == \
+        constraint_suite(T.m, T.N, moved).lines()
+
+
+def test_constraint_suite_reaches_tau_K_by_the_1_over_h2_part_only(bench_expansions):
+    """A corruption of tau_K alone FAILs at h^(K-2), and only in M
+    operators: their 1/h^2 part is the only one that carries tau_K down to
+    a checked order."""
+    T = bench_expansions[0]
+    K = T.order
+    rep = constraint_suite(T.m, T.N, _mutate(T, K))
+    assert rep.failures
+    for c in rep.failures:
+        assert c.name.startswith("M[") and c.detail.startswith(f"h^{K - 2} residual"), c.line()
 
 
 def test_run_suites_dispatch():

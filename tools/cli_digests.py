@@ -1,0 +1,64 @@
+"""CLI output digests: run a fixed list of fast CLI commands and compare the
+sha256 of each one's stdout and its exit code with tools/cli_digests.json.
+
+    python tools/cli_digests.py            # compare; exit 1 on any difference
+    python tools/cli_digests.py --record   # (re)write tools/cli_digests.json
+
+The commands cover every verify suite at m = 1, 2, 3 and the basis-vector
+table, so a change that must keep the CLI output byte-identical can be
+checked against digests recorded before it.  Each command runs as
+`python -m bgwtau.cli ...` from the root of the checkout with `src` on
+PYTHONPATH; none of them reads or writes the disk cache.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = Path(__file__).resolve().with_suffix(".json")
+COMMANDS = (
+    "verify --suite all --m 2 --order 5 --depth 6",
+    "verify --suite all --m 3 --order 3 --depth 6",
+    "verify --suite constraints --m 2 --N 1/3 --order 7",
+    "verify --suite constraints --m 1 --N symbolic --order 8",
+    "verify --suite ks --m 3 --depth 6",
+    "verify --suite golden-A",
+    "phi --m 2 --depth 4",
+)
+
+
+def run(command: str) -> dict:
+    """{"sha256": digest of stdout, "exit": exit code} of one CLI command."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "bgwtau.cli", *command.split()],
+                          cwd=ROOT, env=env, stdout=subprocess.PIPE)
+    return {"sha256": hashlib.sha256(proc.stdout).hexdigest(), "exit": proc.returncode}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--record", action="store_true", help=f"write {DIGESTS.name} instead of comparing")
+    args = ap.parse_args(argv)
+    got = {c: run(c) for c in COMMANDS}
+    if args.record:
+        DIGESTS.write_text(json.dumps(got, indent=1) + "\n")
+        print(f"cli-digests: recorded {len(got)} commands in {DIGESTS.name}")
+        return 0
+    want = json.loads(DIGESTS.read_text())
+    bad = [c for c in COMMANDS if got[c] != want.get(c)]
+    for c in bad:
+        print(f"cli-digests: {c}: got {got[c]}, recorded {want.get(c)}")
+    print(f"cli-digests: {'FAIL' if bad else 'OK'} ({len(COMMANDS) - len(bad)}/{len(COMMANDS)} match)")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
