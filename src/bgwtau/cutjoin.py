@@ -10,6 +10,10 @@ where W is the BGW cut-and-join operator (or its N-deformation, derived by
 combining the m=1 constraint family) and (W1, W2) is the displayed m=2 pair.
 For m >= 3 no cut-and-join pair is available and the Schur oracle must be
 used instead.
+
+Each operator is materialized to the top weighted degree it is ever applied
+to: K-1 for W and 2K-2 for (W1, W2).  A dropped term has a derivative part
+heavier than its input, so it acts as zero (see operators).
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ class TauExpansion:
         return len(self.coeffs) - 1
 
 
-def _premul(mono: TimeMonomial, op: DiffOperator) -> DiffOperator:
-    """mono * op; multiplying by a fixed monomial is injective, so no term
-    can cancel."""
-    return DiffOperator({(mono * tm, dm): c for (tm, dm), c in op.terms.items()})
+def _add_product(op: DiffOperator, c, mono: TimeMonomial, gen: DiffOperator) -> None:
+    """op += c * mono * gen, in place, term by term."""
+    for (tm, dm), c0 in gen.terms.items():
+        op.add_term(c0 * c, mono * tm, dm)
 
 
 def w_bgw(bound: int) -> DiffOperator:
@@ -74,7 +78,7 @@ def w_gen(N, bound: int) -> DiffOperator:
     nc = n_coeff(N)
     op = DiffOperator({})
     for k in range(0, bound // 2 + 1):
-        op = op + _premul(TimeMonomial.var(2 * k + 1), virasoro(2 * k, bound)).scale(2 * k + 1)
+        _add_product(op, 2 * k + 1, TimeMonomial.var(2 * k + 1), virasoro(2 * k, bound))
     const = Coefficient.rational(QQ(1, 8)) - (nc * nc).scale(QQ(1, 2))
     op.add_term(const, TimeMonomial.var(1), MONO_ONE)
     return op
@@ -88,24 +92,22 @@ def w1_w2(N, bound: int) -> tuple[DiffOperator, DiffOperator]:
 
     w1 = DiffOperator({})
     for k in range(0, bound // 3 + 2):
-        w1 = w1 + _premul(TimeMonomial.var(3 * k + 2), virasoro(3 * k, bound)).scale(3 * k + 2)
-        w1 = w1 + _premul(TimeMonomial.var(3 * k + 1), virasoro(3 * k - 1, bound)).scale(
-            2 * (3 * k + 1)
-        )
+        _add_product(w1, 3 * k + 2, TimeMonomial.var(3 * k + 2), virasoro(3 * k, bound))
+        _add_product(w1, 2 * (3 * k + 1), TimeMonomial.var(3 * k + 1), virasoro(3 * k - 1, bound))
     w1.add_term(Coefficient.rational(QQ(2, 3)) - nsq.scale(2), TimeMonomial.var(2), MONO_ONE)
     w1.add_term(-nc, TimeMonomial.var(1, 2), MONO_ONE)
     w1.add_term(nc.scale(-4), TimeMonomial.var(4), TimeMonomial.var(2))
 
     w2 = DiffOperator({})
     for k in range(0, bound // 3 + 2):
-        w2 = w2 - _premul(TimeMonomial.var(3 * k + 1), cubic(3 * k - 3, bound)).scale(3 * k + 1)
+        _add_product(w2, -(3 * k + 1), TimeMonomial.var(3 * k + 1), cubic(3 * k - 3, bound))
     w2.add_term(
         Coefficient.rational(-2) + nsq.scale(6),
         TimeMonomial.var(3) * TimeMonomial.var(1),
         MONO_ONE,
     )
-    w2 = w2 + _premul(TimeMonomial.var(4), virasoro(0, bound)).scale(nc.scale(4))
-    w2 = w2 + _premul(TimeMonomial.var(1), virasoro(-3, bound)).scale(nc)
+    _add_product(w2, nc.scale(4), TimeMonomial.var(4), virasoro(0, bound))
+    _add_product(w2, nc, TimeMonomial.var(1), virasoro(-3, bound))
     w2.add_term((nc ** 3 - nc).scale(QQ(-4, 3)), TimeMonomial.var(4), MONO_ONE)
     return w1, w2
 
@@ -115,15 +117,14 @@ def tau_expand(m: int, N, K: int) -> TauExpansion:
     if K < 0:
         raise ValueError("order K must be >= 0")
     if m == 1:
-        bound = K + 1
+        bound = max(K - 1, 0)
         w = w_bgw(bound) if n_coeff(N).is_zero() else w_gen(N, bound)
         coeffs = [TimePolynomial.one()]
         for k in range(1, K + 1):
             coeffs.append(w.apply(coeffs[k - 1]).scale(QQ(1, k)))
         return TauExpansion(1, N, coeffs, RECURSION)
     if m == 2:
-        bound = 2 * K + 4
-        w1, w2 = w1_w2(N, bound)
+        w1, w2 = w1_w2(N, max(2 * K - 2, 0))
         coeffs = [TimePolynomial.one()]
         prev2 = TimePolynomial.zero()
         for k in range(1, K + 1):

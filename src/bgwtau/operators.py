@@ -95,12 +95,18 @@ class DiffOperator:
 
     def apply(self, p: TimePolynomial) -> TimePolynomial:
         """Exact application; linear in p.  p is differentiated once per
-        distinct derivative part, then multiplied by that part's t-parts."""
+        distinct derivative part, then multiplied by that part's t-parts.  A
+        derivative part of weighted degree above p's top degree kills every
+        monomial of p, so it is skipped (all parts are, on the zero
+        polynomial)."""
+        top = max((pm.degree for pm in p.terms), default=-1)
         by_dpart: dict[TimeMonomial, list] = {}
         for (tm, dm), c in self.terms.items():
             by_dpart.setdefault(dm, []).append((tm, c))
         out: dict[TimeMonomial, Coefficient] = {}
         for dm, tparts in by_dpart.items():
+            if dm.degree > top:
+                continue
             dp = p.derivative(dm).terms.items()
             for tm, c in tparts:
                 for pm, pc in dp:

@@ -1,12 +1,15 @@
 """Command line front end: output determinism, exit codes, cache behavior."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bgwtau.cli import cache_load, cache_store, main
 from bgwtau.cutjoin import tau_expand
@@ -287,3 +290,92 @@ def test_cache_clear_that_cannot_remove_an_entry_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot remove ") and len(err.splitlines()) == 1
+
+
+# "never a traceback": every argv of the CLI grammar, drawn with tiny values
+# (order <= 3, degree <= 6, depth <= 4), ends in a result (0 or 1) or a usage
+# error (2); nothing else is raised and no traceback is printed
+
+JUNK = ("", "x", "1/0", "-1", "2.5", "1e3")
+POOLS = {
+    "--m": ("0", "1", "2", "3", "4"),
+    "--N": ("0", "1/2", "-2/3", "3", "symbolic", "nan", "inf", "1/-2"),
+    "--order": ("0", "1", "2", "3"),
+    "--degree": ("0", "1", "2", "4", "6"),
+    "--depth": ("0", "1", "2", "4"),
+    "--points": ("0", "2", "6", "8"),
+    "--j": ("-2", "0", "1", "3", "symbolic"),
+    "--format": ("text", "json", "yaml"),
+    "--suite": ("all", "checksums", "golden-A", "golden-B", "golden-C", "golden-inline",
+                "constraints", "hirota", "crosscheck", "ks", "invariants",
+                "constraints,hirota", "ks,all", ",", " "),
+    "--cache-dir": ("DIR", "FILE", "MISSING", "FILE/sub"),
+    "--oracle": None,
+    "--no-cache": None,
+}
+COMMON = ("--m", "--N", "--format")
+GRAMMAR = {
+    "expand": COMMON + ("--order", "--cache-dir", "--no-cache", "--degree", "--oracle"),
+    "free-energy": COMMON + ("--order", "--cache-dir", "--no-cache", "--oracle"),
+    "phi": COMMON + ("--j", "--depth"),
+    "schur": COMMON + ("--degree", "--points"),
+    "verify": COMMON + ("--order", "--suite", "--depth"),
+    "cache": ("--cache-dir",),
+}
+# the defaults --order 6 and --depth 20 are not tiny: always pass them
+COSTLY_DEFAULTS = {"expand": ("--order",), "free-energy": ("--order",),
+                   "verify": ("--order", "--depth")}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(GRAMMAR) + ["bogus"]))
+    argv = [command]
+    if command == "cache":
+        argv.append(draw(st.sampled_from(("dir", "list", "clear", "purge"))))
+    flags = draw(st.lists(st.sampled_from(GRAMMAR.get(command, ("--m",))), unique=True))
+    flags += [f for f in COSTLY_DEFAULTS.get(command, ()) if f not in flags]
+    for flag in flags:
+        argv.append(flag)
+        if POOLS[flag] is not None:
+            argv.append(draw(st.sampled_from(POOLS[flag] + JUNK)))
+    argv += draw(st.lists(st.sampled_from(("--bogus", "extra", "--m")), max_size=1))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    """Placeholder -> path: a cache directory, a regular file, a missing
+    path and a path below a file.  The environment's cache is private too,
+    and junk relative cache paths land in the temporary directory."""
+    root = tmp_path_factory.mktemp("cli-grammar")
+    (root / "DIR").mkdir()
+    (root / "FILE").write_text("not a directory")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("BGWTAU_CACHE_DIR", str(root / "env-cache"))
+        mp.chdir(root)
+        yield {p: str(root / p) for p in POOLS["--cache-dir"]}
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argvs())
+# inputs that crashed before: a cache directory below a regular file, cache
+# maintenance on a regular file, and a Miwa-point count below the degree
+@example(["free-energy", "--m", "1", "--order", "2", "--cache-dir", "FILE/sub"])
+@example(["cache", "clear", "--cache-dir", "FILE"])
+@example(["schur", "--degree", "6", "--points", "2"])
+def test_cli_never_prints_a_traceback(cli_paths, argv):
+    argv = [cli_paths.get(a, a) for a in argv]
+    code, out, err = run_in_process(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in out + err

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import marker_poly, monomials_up_to
 from bgwtau.algebra import (
+    MONO_ONE,
     Coefficient,
     TimeMonomial,
     TimePolynomial,
@@ -19,7 +20,7 @@ from bgwtau.cutjoin import (
     w_bgw,
     w_gen,
 )
-from bgwtau.operators import commutator
+from bgwtau.operators import DiffOperator, commutator, cubic, n_coeff, virasoro
 from bgwtau.rational import QQ
 
 P = parse_polynomial
@@ -158,3 +159,81 @@ def test_homogeneity_eigenvalue():
     T = tau_expand(2, 0, 4)
     for k in range(1, 5):
         assert euler(10).apply(T.coeffs[k]) == T.coeffs[k].scale(2 * k)
+
+
+# The recursion builds W to degree K-1 and (W1, W2) to degree 2K-2, the top
+# degree each is applied to.  The references below are the bounds and the
+# construction used before: K+1 and 2K+4, whole-operator merges.
+
+
+def recursion_at_old_bounds(m, N, K):
+    coeffs = [TimePolynomial.one()]
+    if m == 1:
+        w = w_bgw(K + 1) if N == 0 else w_gen(N, K + 1)
+        for k in range(1, K + 1):
+            coeffs.append(w.apply(coeffs[k - 1]).scale(QQ(1, k)))
+        return coeffs
+    w1, w2 = w1_w2(N, 2 * K + 4)
+    prev2 = TimePolynomial.zero()
+    for k in range(1, K + 1):
+        tk = w1.apply(coeffs[k - 1]) + w2.apply(prev2)
+        prev2 = coeffs[k - 1]
+        coeffs.append(tk.scale(QQ(1, 2 * k)))
+    return coeffs
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("N", [0, QQ(1, 2), "symbolic"])
+def test_trimmed_bounds_match_old_bounds(m, N):
+    for K in range(9):
+        assert tau_expand(m, N, K).coeffs == recursion_at_old_bounds(m, N, K), K
+
+
+def _premul(mono, op):
+    return DiffOperator({(mono * tm, dm): c for (tm, dm), c in op.terms.items()})
+
+
+def merged_w_gen(N, bound):
+    nc = n_coeff(N)
+    op = DiffOperator({})
+    for k in range(0, bound // 2 + 1):
+        op = op + _premul(TimeMonomial.var(2 * k + 1), virasoro(2 * k, bound)).scale(2 * k + 1)
+    const = Coefficient.rational(QQ(1, 8)) - (nc * nc).scale(QQ(1, 2))
+    op.add_term(const, TimeMonomial.var(1), MONO_ONE)
+    return op
+
+
+def merged_w1_w2(N, bound):
+    nc = n_coeff(N)
+    nsq = nc * nc
+    w1 = DiffOperator({})
+    for k in range(0, bound // 3 + 2):
+        w1 = w1 + _premul(TimeMonomial.var(3 * k + 2), virasoro(3 * k, bound)).scale(3 * k + 2)
+        w1 = w1 + _premul(TimeMonomial.var(3 * k + 1), virasoro(3 * k - 1, bound)).scale(
+            2 * (3 * k + 1)
+        )
+    w1.add_term(Coefficient.rational(QQ(2, 3)) - nsq.scale(2), TimeMonomial.var(2), MONO_ONE)
+    w1.add_term(-nc, TimeMonomial.var(1, 2), MONO_ONE)
+    w1.add_term(nc.scale(-4), TimeMonomial.var(4), TimeMonomial.var(2))
+    w2 = DiffOperator({})
+    for k in range(0, bound // 3 + 2):
+        w2 = w2 - _premul(TimeMonomial.var(3 * k + 1), cubic(3 * k - 3, bound)).scale(3 * k + 1)
+    w2.add_term(
+        Coefficient.rational(-2) + nsq.scale(6),
+        TimeMonomial.var(3) * TimeMonomial.var(1),
+        MONO_ONE,
+    )
+    w2 = w2 + _premul(TimeMonomial.var(4), virasoro(0, bound)).scale(nc.scale(4))
+    w2 = w2 + _premul(TimeMonomial.var(1), virasoro(-3, bound)).scale(nc)
+    w2.add_term((nc ** 3 - nc).scale(QQ(-4, 3)), TimeMonomial.var(4), MONO_ONE)
+    return w1, w2
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 5, 14, 20])
+def test_term_by_term_build_matches_merged_build(bound):
+    """Same terms in the same order, so every apply sums in the same order."""
+    for N in (0, QQ(1, 2), "symbolic"):
+        got = (w_gen(N, bound), *w1_w2(N, bound))
+        want = (merged_w_gen(N, bound), *merged_w1_w2(N, bound))
+        for a, b in zip(got, want):
+            assert list(a.terms.items()) == list(b.terms.items())

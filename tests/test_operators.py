@@ -63,12 +63,29 @@ def leibniz_apply(op: DiffOperator, p: TimePolynomial) -> TimePolynomial:
 
 
 def test_apply_matches_leibniz_reference():
+    """apply skips derivative parts heavier than p's top degree: the probes
+    include the zero polynomial, a constant and inhomogeneous polynomials
+    below the heaviest part; identities and L_0, M_0 carry d-free parts."""
     ops = [virasoro(k, 10) for k in range(-4, 5)] + [cubic(k, 10) for k in range(-4, 5)]
     for kind, k_lo in (("J", 1), ("L", 0), ("M", -1)):
         ops += [constraint(2, "symbolic", kind, k, 10) for k in range(k_lo, 4)]
     ops += [w_bgw(9), w_gen("symbolic", 9), *w1_w2("symbolic", 10)]
+    ops += [DiffOperator.identity(), DiffOperator.identity(QQ(-3, 4))]
+    probes = [PROBE8, TimePolynomial.zero(), TimePolynomial.one(),
+              marker_poly(monomials_up_to(4)), P("2/1*t3+1/1*j*t1*t6-1/3*N*t1^2")]
     for op in ops:
-        assert op.apply(PROBE8) == leibniz_apply(op, PROBE8), operator_text(op)[:80]
+        for p in probes:
+            assert op.apply(p) == leibniz_apply(op, p), (operator_text(op)[:80], p)
+
+
+def test_apply_differentiates_only_by_light_enough_parts(monkeypatch):
+    seen = []
+    derivative = TimePolynomial.derivative
+    monkeypatch.setattr(TimePolynomial, "derivative",
+                        lambda p, d: seen.append(d.degree) or derivative(p, d))
+    p = P("1/1*t1^2+1/1*t2")
+    assert virasoro(0, 10).apply(p) == p.scale(2)
+    assert sorted(seen) == [1, 2]
 
 
 def test_currents():

@@ -4,11 +4,13 @@ sha256 of each one's stdout and its exit code with tools/cli_digests.json.
     python tools/cli_digests.py            # compare; exit 1 on any difference
     python tools/cli_digests.py --record   # (re)write tools/cli_digests.json
 
-The commands cover every verify suite at m = 1, 2, 3 and the basis-vector
-table, so a change that must keep the CLI output byte-identical can be
-checked against digests recorded before it.  Each command runs as
+The commands cover every verify suite at m = 1, 2, 3, the basis-vector
+table, the cut-and-join expansions and free energies at m = 1, 2 (rational
+and symbolic N) and one Schur table, so a change that must keep the CLI
+output byte-identical can be checked against digests recorded before it.  Each command runs as
 `python -m bgwtau.cli ...` from the root of the checkout with `src` on
-PYTHONPATH; none of them reads or writes the disk cache.
+PYTHONPATH; none of them reads or writes the disk cache (expand and
+free-energy run with --no-cache).
 """
 
 from __future__ import annotations
@@ -31,6 +33,15 @@ COMMANDS = (
     "verify --suite ks --m 3 --depth 6",
     "verify --suite golden-A",
     "phi --m 2 --depth 4",
+    "expand --m 1 --N 1/2 --order 12 --no-cache",
+    "expand --m 1 --N symbolic --order 12 --no-cache",
+    "expand --m 2 --N 0 --order 8 --no-cache",
+    "expand --m 2 --N symbolic --order 6 --no-cache --format json",
+    "free-energy --m 1 --N 1/2 --order 12 --no-cache",
+    "free-energy --m 1 --N symbolic --order 12 --no-cache",
+    "free-energy --m 2 --N 0 --order 8 --no-cache",
+    "free-energy --m 2 --N symbolic --order 6 --no-cache --format json",
+    "schur --m 2 --N 1/3 --degree 8",
 )
 
 
