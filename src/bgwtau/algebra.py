@@ -10,9 +10,9 @@ Representation:
                   1/h^2); N_exp and j_exp are >= 0.  Arithmetic is plain
                   int arithmetic; rational.QQ appears only at the
                   boundaries (see Coefficient).
-  TimeMonomial    sorted tuple ((k, e), ...) for t_k^e with k >= 1, e >= 1;
-                  the empty tuple is the unit monomial.  weighted degree is
-                  sum k*e.
+  TimeMonomial    a tuple subclass: sorted pairs ((k, e), ...) for t_k^e
+                  with k >= 1, e >= 1; the empty tuple is the unit
+                  monomial.  weighted degree is sum k*e.
   TimePolynomial  dict TimeMonomial -> Coefficient, no zero coefficients.
 
 All arithmetic is exact; there is no floating point anywhere in this module.
@@ -362,14 +362,11 @@ def _powers(q, lo: int, hi: int) -> tuple[list[int], int]:
 COEFF_ONE = Coefficient.one()
 
 
-class TimeMonomial:
-    """Monomial in the times t_1, t_2, ...; exps is a sorted tuple of
-    (variable index, positive exponent) pairs."""
+class TimeMonomial(tuple):
+    """Monomial in the times t_1, t_2, ...: a tuple of sorted (variable
+    index, positive exponent) pairs, so it hashes and compares as one."""
 
-    __slots__ = ("exps",)
-
-    def __init__(self, exps=()):
-        self.exps: tuple[tuple[int, int], ...] = tuple(exps)
+    __slots__ = ()
 
     @classmethod
     def var(cls, k: int, e: int = 1) -> "TimeMonomial":
@@ -379,32 +376,31 @@ class TimeMonomial:
 
     @classmethod
     def from_dict(cls, d: dict[int, int]) -> "TimeMonomial":
-        return cls(tuple(sorted((k, e) for k, e in d.items() if e)))
+        return cls(sorted((k, e) for k, e in d.items() if e))
+
+    @property
+    def exps(self) -> "TimeMonomial":
+        """The (k, e) pairs: the monomial itself."""
+        return self
 
     @property
     def degree(self) -> int:
-        return sum(k * e for k, e in self.exps)
+        return sum(k * e for k, e in self)
 
     def __mul__(self, other: "TimeMonomial") -> "TimeMonomial":
-        if not self.exps:
+        if not self:
             return other
-        if not other.exps:
+        if not other:
             return self
-        d = dict(self.exps)
-        for k, e in other.exps:
+        d = dict(self)
+        for k, e in other:
             d[k] = d.get(k, 0) + e
-        return TimeMonomial(tuple(sorted(d.items())))
-
-    def __eq__(self, other):
-        return isinstance(other, TimeMonomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
+        return TimeMonomial(sorted(d.items()))
 
     def __repr__(self):
-        if not self.exps:
+        if not self:
             return "1"
-        return "*".join(f"t{k}" + (f"^{e}" if e > 1 else "") for k, e in self.exps)
+        return "*".join(f"t{k}" + (f"^{e}" if e > 1 else "") for k, e in self)
 
 
 MONO_ONE = TimeMonomial()
@@ -484,18 +480,16 @@ class TimePolynomial:
     def times_h(self, k: int) -> "TimePolynomial":
         return TimePolynomial({m: c.times_h(k) for m, c in self.terms.items()})
 
-    def derivative(self, d) -> "TimePolynomial":
+    def derivative(self, d: TimeMonomial) -> "TimePolynomial":
         """Partial derivative by a derivative monomial d: the product of
-        (d/dt_k)^order over its (k, order) pairs; an int k means d/dt_k."""
-        if isinstance(d, int):
-            d = TimeMonomial.var(d)
-        if not d.exps:
+        (d/dt_k)^order over its (k, order) pairs."""
+        if not d:
             return TimePolynomial(dict(self.terms))
         out: dict[TimeMonomial, Coefficient] = {}
         for m, c in self.terms.items():
-            exps = dict(m.exps)  # stays sorted: entries are only lowered or deleted
+            exps = dict(m)  # stays sorted: entries are only lowered or deleted
             fac = 1
-            for k, order in d.exps:
+            for k, order in d:
                 e = exps.get(k, 0)
                 if e < order:
                     break
@@ -506,7 +500,7 @@ class TimePolynomial:
                 else:
                     exps[k] = e - order
             else:
-                add_into(out, TimeMonomial(tuple(exps.items())), c if fac == 1 else c.scale(fac))
+                add_into(out, TimeMonomial(exps.items()), c if fac == 1 else c.scale(fac))
         return TimePolynomial(out)
 
     def h_coefficient(self, p: int) -> "TimePolynomial":
@@ -519,7 +513,7 @@ class TimePolynomial:
     def variables(self) -> set[int]:
         out: set[int] = set()
         for m in self.terms:
-            out.update(k for k, _ in m.exps)
+            out.update(k for k, _ in m)
         return out
 
     def substitute(self, n=None, j=None, h=None) -> "TimePolynomial":
@@ -533,7 +527,7 @@ class TimePolynomial:
         out = Coefficient.zero()
         for m, c in self.terms.items():
             q = QQ1
-            for k, e in m.exps:
+            for k, e in m:
                 if k not in values:
                     raise KeyError(f"no value for t{k}")
                 q = q * QQ(values[k]) ** e
@@ -569,7 +563,7 @@ def _atoms(p: TimePolynomial):
     for m, c in p.terms.items():
         for k, v in c.terms.items():
             h, n, j = _cunpack(k)
-            yield (h, m.degree, m.exps, -n, -j), (h, n, j, m, v, c.den)
+            yield (h, m.degree, m, -n, -j), (h, n, j, m, v, c.den)
 
 
 def term_texts(p: TimePolynomial) -> list[str]:
@@ -578,7 +572,7 @@ def term_texts(p: TimePolynomial) -> list[str]:
     Atom order: h-exponent asc, weighted degree asc, lexicographic on the
     (variable, exponent) pairs, then N- and j-exponent descending.
     """
-    return [_atom_text(v, den, h, n, j, m.exps)
+    return [_atom_text(v, den, h, n, j, m)
             for _, (h, n, j, m, v, den) in sorted(_atoms(p), key=lambda kv: kv[0])]
 
 

@@ -9,8 +9,9 @@ The expansion cache stores one content-addressed file per
 (m, N, K, engine-version) with a header line, canonical-text body and a
 trailing checksum; loads re-verify the checksum and the expansion
 invariants before trusting a file, and silently recompute otherwise.  An
-unusable cache directory (an OSError) is a miss and a skipped store, never
-an error: the result is computed and printed all the same.
+unusable cache directory (an OSError, or a ValueError such as an embedded
+NUL in its path) is a miss and a skipped store, never an error: the result
+is computed and printed all the same.
 """
 
 from __future__ import annotations
@@ -96,16 +97,18 @@ def _cache_path(directory: Path, header: str) -> Path:
 
 
 def _read_lines(path: Path) -> list[str] | None:
-    """Lines of a cache file; None if it cannot be read or is not UTF-8 text."""
+    """Lines of a cache file; None if it cannot be read, is not UTF-8 text
+    (a UnicodeDecodeError) or its path is not one the OS accepts (a ValueError,
+    e.g. an embedded NUL)."""
     try:
         return path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError):
+    except (OSError, ValueError):
         return None
 
 
 def cache_store(T: TauExpansion, directory: Path) -> Path | None:
     """Write T to the cache; None (nothing stored) if the directory cannot
-    be created or written."""
+    be created or written, or its path is not one the OS accepts."""
     header = _cache_header(T.m, T.N, T.order)
     body = "\n".join(canonical_text(c) for c in T.coeffs)
     digest = hashlib.sha256((header + "\n" + body).encode()).hexdigest()
@@ -119,7 +122,7 @@ def cache_store(T: TauExpansion, directory: Path) -> Path | None:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(f"{header}\n{body}\nchecksum={digest}\n")
         os.replace(tmp, path)
-    except OSError:
+    except (OSError, ValueError):
         return None
     finally:
         if tmp is not None:

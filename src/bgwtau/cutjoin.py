@@ -6,14 +6,24 @@ degree m*k.  The recursion is
   m=1:  k tau_k = W . tau_{k-1}
   m=2:  2k tau_k = W1 . tau_{k-1} + W2 . tau_{k-2}
 
-where W is the BGW cut-and-join operator (or its N-deformation, derived by
-combining the m=1 constraint family) and (W1, W2) is the displayed m=2 pair.
+where W is the N-deformed BGW cut-and-join operator, derived by combining
+the m=1 constraint family, and (W1, W2) is the displayed m=2 pair.
 For m >= 3 no cut-and-join pair is available and the Schur oracle must be
 used instead.
 
-Each operator is materialized to the top weighted degree it is ever applied
-to: K-1 for W and 2K-2 for (W1, W2).  A dropped term has a derivative part
-heavier than its input, so it acts as zero (see operators).
+The operators are built the same way for every N; tau_expand trims them by
+two rules whose dropped terms act as zero on every tau_k it feeds them:
+
+  degree     each operator is materialized to the top weighted degree it is
+             ever applied to, K-1 for W and 2K-2 for (W1, W2); a dropped
+             term has a derivative part heavier than its input (see
+             operators);
+  reduction  terms whose derivative part contains some d/dt_k with
+             (m+1) | k are dropped: tau^(m,N) is free of every t_{(m+1)l}
+             (check_expansion_invariants checks it on the result).
+
+w_gen and w1_w2 build to the bound they are given; only tau_expand applies
+the reduction.
 """
 
 from __future__ import annotations
@@ -49,32 +59,12 @@ def _add_product(op: DiffOperator, c, mono: TimeMonomial, gen: DiffOperator) -> 
         op.add_term(c0 * c, mono * tm, dm)
 
 
-def w_bgw(bound: int) -> DiffOperator:
-    """BGW cut-and-join operator: odd-index cut and join sums plus t_1/8."""
-    op = DiffOperator({})
-    for k in range(1, bound + 2, 2):
-        for m in range(1, bound + 2, 2):
-            if k + m - 1 <= bound:
-                op.add_term(
-                    Coefficient.rational(k * m),
-                    TimeMonomial.var(k) * TimeMonomial.var(m),
-                    TimeMonomial.var(k + m - 1),
-                )
-            if k + m <= bound:
-                op.add_term(
-                    Coefficient.rational(QQ(k + m + 1, 2)),
-                    TimeMonomial.var(k + m + 1),
-                    TimeMonomial.var(k) * TimeMonomial.var(m),
-                )
-    op.add_term(Coefficient.rational(QQ(1, 8)), TimeMonomial.var(1), MONO_ONE)
-    return op
-
-
 def w_gen(N, bound: int) -> DiffOperator:
     """m=1 cut-and-join for the N-deformation, obtained by combining the m=1
     constraint family exactly as the m=2 pair is combined: the Euler grading
-    of tau^(1,N) equals h times this operator acting on it.  At N=0 its
-    action on odd-times polynomials coincides with w_bgw."""
+    of tau^(1,N) equals h times this operator acting on it.  On odd-times
+    polynomials at N=0 it acts as the BGW operator (odd-index cut and join
+    sums plus t_1/8)."""
     nc = n_coeff(N)
     op = DiffOperator({})
     for k in range(0, bound // 2 + 1):
@@ -112,30 +102,33 @@ def w1_w2(N, bound: int) -> tuple[DiffOperator, DiffOperator]:
     return w1, w2
 
 
+def _reduced(op: DiffOperator, m: int) -> DiffOperator:
+    """op without its terms that differentiate by some t_{(m+1)l}."""
+    return DiffOperator({(tm, dm): c for (tm, dm), c in op.terms.items()
+                         if all(k % (m + 1) for k, _ in dm)})
+
+
 def tau_expand(m: int, N, K: int) -> TauExpansion:
     """Run the algebraic topological recursion to order K."""
     if K < 0:
         raise ValueError("order K must be >= 0")
     if m == 1:
-        bound = max(K - 1, 0)
-        w = w_bgw(bound) if n_coeff(N).is_zero() else w_gen(N, bound)
-        coeffs = [TimePolynomial.one()]
-        for k in range(1, K + 1):
-            coeffs.append(w.apply(coeffs[k - 1]).scale(QQ(1, k)))
-        return TauExpansion(1, N, coeffs, RECURSION)
-    if m == 2:
-        w1, w2 = w1_w2(N, max(2 * K - 2, 0))
-        coeffs = [TimePolynomial.one()]
-        prev2 = TimePolynomial.zero()
-        for k in range(1, K + 1):
-            tk = w1.apply(coeffs[k - 1]) + w2.apply(prev2)
-            prev2 = coeffs[k - 1]
-            coeffs.append(tk.scale(QQ(1, 2 * k)))
-        return TauExpansion(2, N, coeffs, RECURSION)
-    raise ValueError(
-        "recursion unavailable; cut-and-join operators are only known for m <= 2"
-        " (use the schur oracle instead)"
-    )
+        ops = (w_gen(N, max(K - 1, 0)),)
+    elif m == 2:
+        ops = w1_w2(N, max(2 * K - 2, 0))
+    else:
+        raise ValueError(
+            "recursion unavailable; cut-and-join operators are only known for m <= 2"
+            " (use the schur oracle instead)"
+        )
+    ops = [_reduced(w, m) for w in ops]
+    coeffs = [TimePolynomial.one()]
+    for k in range(1, K + 1):
+        tk = TimePolynomial.zero()
+        for i, w in enumerate(ops[:k], 1):
+            tk = tk + w.apply(coeffs[k - i])
+        coeffs.append(tk.scale(QQ(1, m * k)))
+    return TauExpansion(m, N, coeffs, RECURSION)
 
 
 def free_energy(T: TauExpansion) -> list[TimePolynomial]:

@@ -121,8 +121,8 @@ class DiffOperator:
             for (tB, dB), cB in other.terms.items():
                 c0 = cA * cB
                 # distribute each derivative of dA over tB or pass it through
-                splits = [(1, dict(tB.exps), {})]
-                for k, a in dA.exps:
+                splits = [(1, dict(tB), {})]
+                for k, a in dA:
                     new = []
                     for fac, texps, dpass in splits:
                         e = texps.get(k, 0)
@@ -145,11 +145,11 @@ class DiffOperator:
                             new.append((fac * binom * ffac, t2, d2))
                     splits = new
                 for fac, texps, dpass in splits:
-                    tpart = tA * TimeMonomial(tuple(sorted(texps.items())))
-                    dd = dict(dB.exps)
+                    tpart = tA * TimeMonomial(sorted(texps.items()))
+                    dd = dict(dB)
                     for k, o in dpass.items():
                         dd[k] = dd.get(k, 0) + o
-                    dpart = TimeMonomial(tuple(sorted(dd.items())))
+                    dpart = TimeMonomial(sorted(dd.items()))
                     add_into(out, (tpart, dpart), c0.scale(fac))
         return DiffOperator(out)
 
@@ -170,9 +170,9 @@ def operator_text(op: DiffOperator) -> str:
     key)."""
     bits = []
     for (tm, dm), c in sorted(
-        op.terms.items(), key=lambda kv: (kv[0][1].exps, kv[0][0].exps)
+        op.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])
     ):
-        dsuffix = "".join(f"*d{k}" + (f"^{e}" if e > 1 else "") for k, e in dm.exps)
+        dsuffix = "".join(f"*d{k}" + (f"^{e}" if e > 1 else "") for k, e in dm)
         bits.extend(atom + dsuffix for atom in term_texts(TimePolynomial({tm: c})))
     return join_terms(bits)
 

@@ -74,7 +74,7 @@ def schur_in_times(mu: Partition) -> TimePolynomial:
         if chi:
             mult = sorted(Counter(lam).items())
             z = prod(factorial(e) for _, e in mult)
-            out.terms[TimeMonomial(tuple(mult))] = Coefficient.rational(QQ(chi, z))
+            out.terms[TimeMonomial(mult)] = Coefficient.rational(QQ(chi, z))
     return out
 
 

@@ -9,9 +9,10 @@ Propagation is conservative:
   add:        floor = max(floors)
   d/dz:       floor - 1
   * z^k:      floor + k
-  s1 * s2:    floor = max(f1 + top2, f2 + top1)   (top = highest nonzero
-              exponent; junk below a floor can only reach the product at
-              exponents below that bound)
+  s1 * s2:    floor = max(f1 + reach2, f2 + reach1)   (reach = highest
+              exponent a factor may reach, LaurentSeries.reach; junk below
+              a floor can only reach the product at exponents below that
+              bound)
 
 so recomputing at greater depth never changes previously asserted
 coefficients.
@@ -86,6 +87,13 @@ class LaurentSeries:
         """Highest exponent with a nonzero coefficient; None for (known) zero."""
         return max((n for n, c in self.coeffs.items() if c), default=None)
 
+    def reach(self):
+        """Highest exponent the series may reach, junk below its floor
+        included: top(), or floor - 1 when nothing nonzero is stored at or
+        above a set floor; None for a known zero."""
+        t = self.top()
+        return self.floor - 1 if t is None and self.floor is not None else t
+
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         return LaurentSeries(merged(self.coeffs, other.coeffs), _max_known(self.floor, other.floor))
 
@@ -116,22 +124,14 @@ class LaurentSeries:
         return LaurentSeries(out, None if self.floor is None else self.floor - 1)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        t1, t2 = self.top(), other.top()
+        e1, e2 = self.reach(), other.reach()
         f1, f2 = self.floor, other.floor
-        e1 = (f1 - 1) if (t1 is None and f1 is not None) else t1
-        e2 = (f2 - 1) if (t2 is None and f2 is not None) else t2
         if f1 is None:
             fl = None if f2 is None or e1 is None else f2 + e1
         elif f2 is None:
             fl = None if e2 is None else f1 + e2
         else:
-            # both truncated; an identically-zero stored part still bounds
-            # junk reach through the other side's floor
-            a = f1 + e2 if e2 is not None else None
-            b = f2 + e1 if e1 is not None else None
-            fl = _max_known(a, b)
-            if fl is None:
-                fl = f1 + f2 - 1
+            fl = max(f1 + e2, f2 + e1)
         out: dict[int, Coefficient] = {}
         for n1, c1 in self.coeffs.items():
             for n2, c2 in other.coeffs.items():
@@ -217,9 +217,7 @@ class ZOperator:
         series floors included); None if there is no stored content."""
         out = None
         for i, s in self.terms.items():
-            t = s.top()
-            if s.floor is not None:
-                t = _max_known(t, s.floor - 1)
+            t = s.reach()
             if t is not None:
                 out = _max_known(out, t - i)
         return out
@@ -257,9 +255,7 @@ class ZOperator:
                 d = d.dz()
             out = out + c * d
         if self.tail_shift is not None:
-            t = s.top()
-            if s.floor is not None:
-                t = _max_known(t, s.floor - 1)
+            t = s.reach()
             if t is not None:
                 out = out.truncate(t + self.tail_shift + 1)
         return out

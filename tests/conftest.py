@@ -1,9 +1,12 @@
-"""Shared helpers: monomial enumeration and the linear-independence marker
-trick for checking operator identities on a whole degree window at once."""
+"""Shared helpers: monomial enumeration, the linear-independence marker
+trick for checking operator identities on a whole degree window at once, and
+the paper's odd-index BGW cut-and-join operator as a reference."""
 
 from __future__ import annotations
 
-from bgwtau.algebra import Coefficient, TimeMonomial, TimePolynomial
+from bgwtau.algebra import MONO_ONE, Coefficient, TimeMonomial, TimePolynomial
+from bgwtau.operators import DiffOperator
+from bgwtau.rational import QQ
 from bgwtau.schur import partitions
 
 
@@ -31,3 +34,26 @@ def marker_poly(monomials) -> TimePolynomial:
 
 def ops_agree_on(a, b, probe: TimePolynomial) -> bool:
     return a.apply(probe) == b.apply(probe)
+
+
+def w_bgw(bound: int) -> DiffOperator:
+    """The BGW cut-and-join operator (m=1, N=0) as the paper writes it:
+    odd-index cut and join sums plus t_1/8.  The engine builds it as w_gen(0)
+    trimmed by the 2-reduction; this literal form is independent of that."""
+    op = DiffOperator({})
+    for k in range(1, bound + 2, 2):
+        for m in range(1, bound + 2, 2):
+            if k + m - 1 <= bound:
+                op.add_term(
+                    Coefficient.rational(k * m),
+                    TimeMonomial.var(k) * TimeMonomial.var(m),
+                    TimeMonomial.var(k + m - 1),
+                )
+            if k + m <= bound:
+                op.add_term(
+                    Coefficient.rational(QQ(k + m + 1, 2)),
+                    TimeMonomial.var(k + m + 1),
+                    TimeMonomial.var(k) * TimeMonomial.var(m),
+                )
+    op.add_term(Coefficient.rational(QQ(1, 8)), TimeMonomial.var(1), MONO_ONE)
+    return op

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bgwtau.algebra import (
+    MONO_ONE,
     Coefficient,
     INHOMOGENEOUS,
     TimeMonomial,
@@ -45,6 +46,19 @@ def convolution_oracle(a: TimePolynomial, b: TimePolynomial) -> TimePolynomial:
 def test_monomial_products():
     assert P("1/1*t1") * P("1/1*t2") == P("1/1*t1*t2")
     assert P("1/3*t2") * P("1/3*t2") == P("1/9*t2^2")
+
+
+def test_time_monomial_is_a_tuple_of_its_pairs():
+    mono = TimeMonomial.from_dict({3: 2, 1: 1, 5: 0})
+    assert tuple(mono) == ((1, 1), (3, 2))
+    assert hash(mono) == hash(tuple(mono))
+    assert mono.exps == mono and mono.exps is mono
+    assert repr(mono) == "t1*t3^2" and repr(MONO_ONE) == "1"
+    assert not hasattr(mono, "__dict__")
+    assert mono.degree == 7 and MONO_ONE.degree == 0
+    prod = mono * TimeMonomial.var(1) * TimeMonomial.var(2)
+    assert type(prod) is TimeMonomial and prod == TimeMonomial(((1, 2), (2, 1), (3, 2)))
+    assert MONO_ONE * mono is mono and mono * MONO_ONE is mono
 
 
 def test_square_against_convolution_oracle():

@@ -275,6 +275,13 @@ def test_expand_with_a_regular_file_as_cache_dir_from_the_environment(
     assert _plain_expand(capsys) == (0, want, "")
 
 
+@pytest.mark.parametrize("command", ["expand", "free-energy"])
+def test_cache_dir_with_an_embedded_nul(capsys, command):
+    args = (command, "--m", "1", "--N", "1/3", "--order", "3")
+    _, want, _ = run_cli(capsys, *args, "--no-cache")
+    assert run_cli(capsys, *args, "--cache-dir", "a\x00b") == (0, want, "")
+
+
 @pytest.mark.parametrize("action", ["list", "clear"])
 def test_cache_maintenance_on_a_regular_file_exits_2(tmp_path, capsys, action):
     blocker = tmp_path / "file.tau"
@@ -309,7 +316,7 @@ POOLS = {
     "--suite": ("all", "checksums", "golden-A", "golden-B", "golden-C", "golden-inline",
                 "constraints", "hirota", "crosscheck", "ks", "invariants",
                 "constraints,hirota", "ks,all", ",", " "),
-    "--cache-dir": ("DIR", "FILE", "MISSING", "FILE/sub"),
+    "--cache-dir": ("DIR", "FILE", "MISSING", "FILE/sub", "NUL"),
     "--oracle": None,
     "--no-cache": None,
 }
@@ -346,15 +353,16 @@ def cli_argvs(draw):
 @pytest.fixture(scope="module")
 def cli_paths(tmp_path_factory):
     """Placeholder -> path: a cache directory, a regular file, a missing
-    path and a path below a file.  The environment's cache is private too,
-    and junk relative cache paths land in the temporary directory."""
+    path, a path below a file and one with an embedded NUL.  The
+    environment's cache is private too, and junk relative cache paths land
+    in the temporary directory."""
     root = tmp_path_factory.mktemp("cli-grammar")
     (root / "DIR").mkdir()
     (root / "FILE").write_text("not a directory")
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("BGWTAU_CACHE_DIR", str(root / "env-cache"))
         mp.chdir(root)
-        yield {p: str(root / p) for p in POOLS["--cache-dir"]}
+        yield {p: str(root / p.replace("NUL", "a\x00b")) for p in POOLS["--cache-dir"]}
 
 
 def run_in_process(argv):
@@ -370,8 +378,10 @@ def run_in_process(argv):
 @settings(max_examples=150, deadline=None)
 @given(cli_argvs())
 # inputs that crashed before: a cache directory below a regular file, cache
-# maintenance on a regular file, and a Miwa-point count below the degree
+# maintenance on a regular file, a Miwa-point count below the degree, and a
+# cache directory with an embedded NUL
 @example(["free-energy", "--m", "1", "--order", "2", "--cache-dir", "FILE/sub"])
+@example(["expand", "--m", "1", "--order", "1", "--cache-dir", "NUL"])
 @example(["cache", "clear", "--cache-dir", "FILE"])
 @example(["schur", "--degree", "6", "--points", "2"])
 def test_cli_never_prints_a_traceback(cli_paths, argv):

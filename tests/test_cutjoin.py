@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import marker_poly, monomials_up_to
+from conftest import marker_poly, monomials_up_to, w_bgw
 from bgwtau.algebra import (
     MONO_ONE,
     Coefficient,
@@ -17,7 +17,6 @@ from bgwtau.cutjoin import (
     free_energy,
     tau_expand,
     w1_w2,
-    w_bgw,
     w_gen,
 )
 from bgwtau.operators import DiffOperator, commutator, cubic, n_coeff, virasoro
@@ -162,8 +161,10 @@ def test_homogeneity_eigenvalue():
 
 
 # The recursion builds W to degree K-1 and (W1, W2) to degree 2K-2, the top
-# degree each is applied to.  The references below are the bounds and the
-# construction used before: K+1 and 2K+4, whole-operator merges.
+# degree each is applied to, and drops every term differentiating by some
+# t_{(m+1)l}.  The references below are the bounds and the construction used
+# before: K+1 and 2K+4, the paper's BGW operator at m=1, N=0, the full
+# operators otherwise, whole-operator merges.
 
 
 def recursion_at_old_bounds(m, N, K):
@@ -187,6 +188,29 @@ def recursion_at_old_bounds(m, N, K):
 def test_trimmed_bounds_match_old_bounds(m, N):
     for K in range(9):
         assert tau_expand(m, N, K).coeffs == recursion_at_old_bounds(m, N, K), K
+
+
+def test_bgw_operator_recursion_matches_tau_expand():
+    """At m=1, N=0 the engine's w_gen-built W and the paper's literal BGW
+    operator drive the same recursion."""
+    want = recursion_at_old_bounds(1, 0, 16)
+    for K in range(17):
+        assert tau_expand(1, 0, K).coeffs == want[:K + 1], K
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("N", [0, QQ(1, 3), QQ(1, 2), "symbolic"])
+def test_recursion_never_differentiates_by_reduced_times(monkeypatch, m, N):
+    """tau^(m,N) is free of every t_{(m+1)l}: the recursion drops the terms
+    that would differentiate by one instead of applying them.  (At m=1,
+    N=1/2 tau is 1 and nothing is differentiated at all.)"""
+    seen = set()
+    derivative = TimePolynomial.derivative
+    monkeypatch.setattr(TimePolynomial, "derivative",
+                        lambda p, d: seen.update(k for k, _ in d.exps) or derivative(p, d))
+    tau_expand(m, N, 8)
+    assert not [k for k in seen if k % (m + 1) == 0], sorted(seen)
+    assert seen or (m, N) == (1, QQ(1, 2))
 
 
 def _premul(mono, op):

@@ -3,7 +3,7 @@ constraint operators."""
 
 import pytest
 
-from conftest import marker_poly, monomials_up_to
+from conftest import marker_poly, monomials_up_to, w_bgw
 from bgwtau.algebra import (
     Coefficient,
     TimeMonomial,
@@ -22,7 +22,7 @@ from bgwtau.operators import (
     parse_operator,
     virasoro,
 )
-from bgwtau.cutjoin import w1_w2, w_bgw, w_gen
+from bgwtau.cutjoin import w1_w2, w_gen
 from bgwtau.rational import QQ
 
 P = parse_polynomial

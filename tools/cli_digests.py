@@ -30,13 +30,16 @@ COMMANDS = (
     "verify --suite all --m 3 --order 3 --depth 6",
     "verify --suite constraints --m 2 --N 1/3 --order 7",
     "verify --suite constraints --m 1 --N symbolic --order 8",
+    "verify --suite hirota,invariants,constraints --m 1 --N 0 --order 8",
     "verify --suite ks --m 3 --depth 6",
     "verify --suite golden-A",
     "phi --m 2 --depth 4",
+    "expand --m 1 --N 0 --order 12 --no-cache",
     "expand --m 1 --N 1/2 --order 12 --no-cache",
     "expand --m 1 --N symbolic --order 12 --no-cache",
     "expand --m 2 --N 0 --order 8 --no-cache",
     "expand --m 2 --N symbolic --order 6 --no-cache --format json",
+    "free-energy --m 1 --N 0 --order 12 --no-cache",
     "free-energy --m 1 --N 1/2 --order 12 --no-cache",
     "free-energy --m 1 --N symbolic --order 12 --no-cache",
     "free-energy --m 2 --N 0 --order 8 --no-cache",
