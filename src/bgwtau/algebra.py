@@ -95,25 +95,6 @@ def merged(a: dict, b: dict) -> dict:
     return out
 
 
-def h_parts(terms: dict, p: int) -> dict:
-    """The h^p part of a sparse sum of Coefficients, h-power stripped: key ->
-    c.h_part(p) for each key whose part is nonzero."""
-    out = {}
-    for k, c in terms.items():
-        part = c.h_part(p)
-        if part:
-            out[k] = part
-    return out
-
-
-def h_span(coeffs) -> tuple[int, int]:
-    """(lowest, highest) h-power over some Coefficients; (0, 0) for none."""
-    spans = [c.h_range() for c in coeffs]
-    if not spans:
-        return (0, 0)
-    return min(lo for lo, _ in spans), max(hi for _, hi in spans)
-
-
 class Coefficient:
     """Element of QQ[N,j][h,h^-1]: integer numerators over one common
     denominator, the value sum(terms[key] * h^a N^b j^c) / den with
@@ -505,10 +486,13 @@ class TimePolynomial:
 
     def h_coefficient(self, p: int) -> "TimePolynomial":
         """Polynomial multiplying h^p, with the h-power stripped."""
-        return TimePolynomial(h_parts(self.terms, p))
+        parts = ((m, c.h_part(p)) for m, c in self.terms.items())
+        return TimePolynomial({m: part for m, part in parts if part})
 
     def h_range(self) -> tuple[int, int]:
-        return h_span(self.terms.values())
+        """(lowest, highest) h-power over the coefficients; (0, 0) for zero."""
+        spans = [c.h_range() for c in self.terms.values()]
+        return (min(lo for lo, _ in spans), max(hi for _, hi in spans)) if spans else (0, 0)
 
     def variables(self) -> set[int]:
         out: set[int] = set()

@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -351,6 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("dir", "list", "clear"))
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=cmd_cache)
+    # a negative fraction such as -1/2 is a value, as -3 is: no option looks like a number
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     return ap
 
 

@@ -53,12 +53,6 @@ class TauExpansion:
         return len(self.coeffs) - 1
 
 
-def _add_product(op: DiffOperator, c, mono: TimeMonomial, gen: DiffOperator) -> None:
-    """op += c * mono * gen, in place, term by term."""
-    for (tm, dm), c0 in gen.terms.items():
-        op.add_term(c0 * c, mono * tm, dm)
-
-
 def w_gen(N, bound: int) -> DiffOperator:
     """m=1 cut-and-join for the N-deformation, obtained by combining the m=1
     constraint family exactly as the m=2 pair is combined: the Euler grading
@@ -68,7 +62,7 @@ def w_gen(N, bound: int) -> DiffOperator:
     nc = n_coeff(N)
     op = DiffOperator({})
     for k in range(0, bound // 2 + 1):
-        _add_product(op, 2 * k + 1, TimeMonomial.var(2 * k + 1), virasoro(2 * k, bound))
+        op.add_scaled(2 * k + 1, virasoro(2 * k, bound), TimeMonomial.var(2 * k + 1))
     const = Coefficient.rational(QQ(1, 8)) - (nc * nc).scale(QQ(1, 2))
     op.add_term(const, TimeMonomial.var(1), MONO_ONE)
     return op
@@ -82,22 +76,22 @@ def w1_w2(N, bound: int) -> tuple[DiffOperator, DiffOperator]:
 
     w1 = DiffOperator({})
     for k in range(0, bound // 3 + 2):
-        _add_product(w1, 3 * k + 2, TimeMonomial.var(3 * k + 2), virasoro(3 * k, bound))
-        _add_product(w1, 2 * (3 * k + 1), TimeMonomial.var(3 * k + 1), virasoro(3 * k - 1, bound))
+        w1.add_scaled(3 * k + 2, virasoro(3 * k, bound), TimeMonomial.var(3 * k + 2))
+        w1.add_scaled(2 * (3 * k + 1), virasoro(3 * k - 1, bound), TimeMonomial.var(3 * k + 1))
     w1.add_term(Coefficient.rational(QQ(2, 3)) - nsq.scale(2), TimeMonomial.var(2), MONO_ONE)
     w1.add_term(-nc, TimeMonomial.var(1, 2), MONO_ONE)
     w1.add_term(nc.scale(-4), TimeMonomial.var(4), TimeMonomial.var(2))
 
     w2 = DiffOperator({})
     for k in range(0, bound // 3 + 2):
-        _add_product(w2, -(3 * k + 1), TimeMonomial.var(3 * k + 1), cubic(3 * k - 3, bound))
+        w2.add_scaled(-(3 * k + 1), cubic(3 * k - 3, bound), TimeMonomial.var(3 * k + 1))
     w2.add_term(
         Coefficient.rational(-2) + nsq.scale(6),
         TimeMonomial.var(3) * TimeMonomial.var(1),
         MONO_ONE,
     )
-    _add_product(w2, nc.scale(4), TimeMonomial.var(4), virasoro(0, bound))
-    _add_product(w2, nc, TimeMonomial.var(1), virasoro(-3, bound))
+    w2.add_scaled(nc.scale(4), virasoro(0, bound), TimeMonomial.var(4))
+    w2.add_scaled(nc, virasoro(-3, bound), TimeMonomial.var(1))
     w2.add_term((nc ** 3 - nc).scale(QQ(-4, 3)), TimeMonomial.var(4), MONO_ONE)
     return w1, w2
 

@@ -23,8 +23,6 @@ from .algebra import (
     TimeMonomial,
     TimePolynomial,
     add_into,
-    h_parts,
-    h_span,
     join_terms,
     merged,
     parse_polynomial,
@@ -86,31 +84,22 @@ class DiffOperator:
     def __eq__(self, other):
         return isinstance(other, DiffOperator) and self.terms == other.terms
 
-    def h_coefficient(self, e: int) -> "DiffOperator":
-        """The terms multiplying h^e, with the h-power stripped."""
-        return DiffOperator(h_parts(self.terms, e))
+    def add_scaled(self, c, gen: "DiffOperator", mono: TimeMonomial = MONO_ONE) -> None:
+        """self += c * mono * gen, in place, term by term."""
+        for (tm, dm), c0 in gen.terms.items():
+            self.add_term(c0 * c, mono * tm, dm)
 
-    def h_range(self) -> tuple[int, int]:
-        return h_span(self.terms.values())
-
-    def apply(self, p: TimePolynomial) -> TimePolynomial:
-        """Exact application; linear in p.  p is differentiated once per
-        distinct derivative part, then multiplied by that part's t-parts.  A
-        derivative part of weighted degree above p's top degree kills every
-        monomial of p, so it is skipped (all parts are, on the zero
-        polynomial)."""
-        top = max((pm.degree for pm in p.terms), default=-1)
-        by_dpart: dict[TimeMonomial, list] = {}
-        for (tm, dm), c in self.terms.items():
-            by_dpart.setdefault(dm, []).append((tm, c))
+    def apply(self, p: TimePolynomial, table: "DerivativeTable | None" = None) -> TimePolynomial:
+        """Exact application; linear in p.  p's derivatives come from table,
+        a DerivativeTable of p (a private one by default): each distinct
+        derivative part differentiates p once per table, so a caller that
+        applies several operators to one p shares one table among them."""
+        if table is None:
+            table = DerivativeTable(p)
         out: dict[TimeMonomial, Coefficient] = {}
-        for dm, tparts in by_dpart.items():
-            if dm.degree > top:
-                continue
-            dp = p.derivative(dm).terms.items()
-            for tm, c in tparts:
-                for pm, pc in dp:
-                    add_into(out, tm * pm, c * pc)
+        for (tm, dm), c in self.terms.items():
+            for pm, pc in table[dm]:
+                add_into(out, tm * pm, c * pc)
         return TimePolynomial(out)
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
@@ -155,6 +144,26 @@ class DiffOperator:
 
     def __repr__(self):
         return operator_text(self)
+
+
+class DerivativeTable(dict):
+    """The derivatives of one polynomial p, each computed on first use:
+    derivative part -> the (monomial, coefficient) terms of p's derivative.
+    top is p's top weighted degree (-1 for zero); a part heavier than top
+    kills every monomial of p, so its entry is empty and p is not
+    differentiated."""
+
+    __slots__ = ("p", "top")
+
+    def __init__(self, p: TimePolynomial):
+        super().__init__()
+        self.p = p
+        self.top = max((pm.degree for pm in p.terms), default=-1)
+
+    def __missing__(self, dm: TimeMonomial) -> list:
+        terms = [] if dm.degree > self.top else list(self.p.derivative(dm).terms.items())
+        self[dm] = terms
+        return terms
 
 
 def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
@@ -302,40 +311,38 @@ def a_constant(m: int, N) -> Coefficient:
     return n_coeff(N).scale(m - 1)
 
 
-def constraint(m: int, N, kind: str, k: int, bound: int) -> DiffOperator:
-    """The operator annihilating tau^(m,N): kind "J" (k>=1), "L" (k>=0) or
-    "M" (k>=-1), including the 1/h and 1/h^2 pieces and the delta_{k,0}
-    constants.  N=0 gives the undeformed family."""
+def constraint(m: int, N, kind: str, k: int, bound: int) -> dict[int, DiffOperator]:
+    """The operator annihilating tau^(m,N), kind "J" (k>=1), "L" (k>=0) or
+    "M" (k>=-1), as its h-graded parts: e -> the h-free operator that
+    multiplies h^e, for e = 0 and the -1, -2 of the 1/h and 1/h^2 pieces,
+    the delta_{k,0} constants included; a part that vanishes is left out.
+    The whole operator is sum_e h^e parts[e].  N=0 gives the undeformed
+    family."""
+    k_lo = {"J": 1, "L": 0, "M": -1}.get(kind)
+    if k_lo is None:
+        raise ValueError(f"unknown constraint kind {kind!r}")
+    if k < k_lo:
+        raise ValueError(f"constraint index out of range: {kind} needs k >= {k_lo}")
+    w = QQ(1, m + 1)
+    n = (m + 1) * k
+    cmn, amn = c_constant(m, N), a_constant(m, N)
     if kind == "J":
-        if k < 1:
-            raise ValueError("constraint index out of range: J needs k >= 1")
-        return current((m + 1) * k).scale(QQ(1, m + 1))
-    if kind == "L":
-        if k < 0:
-            raise ValueError("constraint index out of range: L needs k >= 0")
-        op = virasoro((m + 1) * k, bound)
-        op = op - current((m + 1) * k + m).scale(Coefficient.monomial(1, h=-1))
-        if k == 0:
-            op = op + DiffOperator.identity(c_constant(m, N).scale(QQ(1, 2)))
-        return op.scale(QQ(1, m + 1))
-    if kind == "M":
-        if k < -1:
-            raise ValueError("constraint index out of range: M needs k >= -1")
-        cmn = c_constant(m, N)
-        amn = a_constant(m, N)
-        op = cubic((m + 1) * k, bound)
-        op = op - virasoro((m + 1) * k + m, bound).scale(Coefficient.monomial(2, h=-1))
-        op = op + current((m + 1) * k + 2 * m).scale(Coefficient.monomial(1, h=-2))
-        op = op + current((m + 1) * k).scale(cmn)
-        op = op - virasoro((m + 1) * k, bound).scale(amn)
-        op = op + current((m + 1) * k + m).scale(amn * Coefficient.monomial(1, h=-1))
-        if k == 0:
-            const = amn.scale(QQ(-1, 3)) * (
-                cmn.scale(QQ(1, 2)) + Coefficient.rational(QQ(m * m + 2 * m, 12))
-            )
-            op = op + DiffOperator.identity(const)
-        return op.scale(QQ(1, m + 1))
-    raise ValueError(f"unknown constraint kind {kind!r}")
+        gens = [(0, w, current(n))]
+    elif kind == "L":
+        gens = [(0, w, virasoro(n, bound)), (-1, -w, current(n + m)),
+                (0, cmn.scale(w / 2) if k == 0 else 0, DiffOperator.identity())]
+    else:
+        const = cmn.scale(QQ(1, 2)) + Coefficient.rational(QQ(m * m + 2 * m, 12))
+        gens = [(0, w, cubic(n, bound)), (0, cmn.scale(w), current(n)),
+                (0, amn.scale(-w), virasoro(n, bound)),
+                (-1, -2 * w, virasoro(n + m, bound)), (-1, amn.scale(w), current(n + m)),
+                (-2, w, current(n + 2 * m)),
+                (0, amn.scale(-w / 3) * const if k == 0 else 0, DiffOperator.identity())]
+    parts: dict[int, DiffOperator] = {}
+    for e, c, gen in gens:
+        if c:
+            parts.setdefault(e, DiffOperator({})).add_scaled(c, gen)
+    return {e: part for e, part in parts.items() if part}
 
 
 def constraint_index_bound(m: int, max_degree: int) -> int:

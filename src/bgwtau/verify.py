@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .algebra import TimeMonomial, TimePolynomial, parse_polynomial
 from .cutjoin import TauExpansion, check_expansion_invariants, free_energy, tau_expand
-from .operators import constraint, constraint_index_bound
+from .operators import DerivativeTable, constraint, constraint_index_bound
 from .report import Report
 from .schur import plucker_expansion, tau_from_schur
 from .zcalculus import (
@@ -143,7 +143,9 @@ def constraint_suite(m: int, N, T: TauExpansion) -> Report:
     fixes the image only through p = K-2, and only those products are
     computed: op_0 never meets tau_(K-1) or tau_K, and no part meets an
     order it would send above h^(K-2) or below h^0.  The checked orders run
-    up from h^0 and stop at the first nonzero residual."""
+    up from h^0 and stop at the first nonzero residual.  Each tau_q has one
+    DerivativeTable for the whole suite, so it is differentiated by each
+    derivative part at most once, whichever operators hold that part."""
     rep = Report()
     K = T.order
     if K < 2:
@@ -159,18 +161,17 @@ def constraint_suite(m: int, N, T: TauExpansion) -> Report:
             part = tk.h_coefficient(s)
             if part:
                 tau[k + s] = tau.get(k + s, TimePolynomial.zero()) + part
+    tables = {q: DerivativeTable(tq) for q, tq in tau.items()}
     p_max = K - 2
     for kind, k_lo in (("J", 1), ("L", 0), ("M", -1)):
         for k in range(k_lo, kb + 1):
-            op = constraint(m, N, kind, k, maxdeg)
-            lo, hi = op.h_range()
-            parts = [(e, op.h_coefficient(e)) for e in range(lo, hi + 1)]
+            parts = constraint(m, N, kind, k, maxdeg)
             bad = ""
             for p in range(0, p_max + 1):
                 resid = TimePolynomial.zero()
-                for e, op_e in parts:
-                    if op_e and p - e in tau:
-                        resid = resid + op_e.apply(tau[p - e])
+                for e, op_e in parts.items():
+                    if p - e in tau:
+                        resid = resid + op_e.apply(tau[p - e], tables[p - e])
                 if not resid.is_zero():
                     mono = sorted(resid.terms, key=lambda mm: (mm.degree, mm))[0]
                     bad = f"h^{p} residual at {mono!r}"

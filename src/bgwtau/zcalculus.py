@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .algebra import COEFF_ONE, Coefficient, add_into, merged
 from .operators import n_coeff
@@ -123,7 +123,9 @@ class LaurentSeries:
                 out[n - 1] = c.scale(n)
         return LaurentSeries(out, None if self.floor is None else self.floor - 1)
 
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
+    def __mul__(self, other: "LaurentSeries", cut=None) -> "LaurentSeries":
+        """The product; a cut truncates it there: no coefficient below z^cut
+        is computed and the floor is at least cut."""
         e1, e2 = self.reach(), other.reach()
         f1, f2 = self.floor, other.floor
         if f1 is None:
@@ -132,6 +134,7 @@ class LaurentSeries:
             fl = None if e2 is None else f1 + e2
         else:
             fl = max(f1 + e2, f2 + e1)
+        fl = _max_known(fl, cut)
         out: dict[int, Coefficient] = {}
         for n1, c1 in self.coeffs.items():
             for n2, c2 in other.coeffs.items():
@@ -248,33 +251,20 @@ class ZOperator:
         )
 
     def apply(self, s: LaurentSeries) -> "LaurentSeries":
+        """The action on s; with a tail, the result is exact only above
+        z^(reach + tail_shift), and nothing below that is computed."""
+        t = s.reach()
+        cut = None if self.tail_shift is None or t is None else t + self.tail_shift + 1
+        ds = _derivatives(s, max(self.terms, default=0))
         out = LaurentSeries.zero()
         for order, c in self.terms.items():
-            d = s
-            for _ in range(order):
-                d = d.dz()
-            out = out + c * d
-        if self.tail_shift is not None:
-            t = s.reach()
-            if t is not None:
-                out = out.truncate(t + self.tail_shift + 1)
-        return out
+            out = out + c.__mul__(ds[order], cut)
+        return out if cut is None else out.truncate(cut)
 
     def compose(self, other: "ZOperator") -> "ZOperator":
         """self after other (operator product)."""
-        out = ZOperator({})
-        for i, ci in self.terms.items():
-            for l, bl in other.terms.items():
-                # c_i d^i (b_l d^l) = c_i sum_s C(i,s) (d^s b_l) d^(i+l-s)
-                binom = 1
-                ds = bl
-                for s in range(i + 1):
-                    if s:
-                        binom = binom * (i - s + 1) // s
-                        ds = ds.dz()
-                    piece = ci * ds if binom == 1 else ci.scale(binom) * ds
-                    add_into(out.terms, i + l - s, piece)
-        # fold truncation tails: missing factors only act with small shifts
+        # fold truncation tails: missing factors only act with small shifts,
+        # so order o of the product is exact only above z^(o + tail)
         tail = None
         if self.tail_shift is not None:
             ms = other.max_shift()
@@ -286,12 +276,17 @@ class ZOperator:
             ms = self.max_shift()
             if ms is not None:
                 tail = _max_known(tail, ms + other.tail_shift)
-        if tail is not None:
-            out = ZOperator(
-                {o: s.truncate(o + tail + 1) for o, s in out.terms.items()},
-                tail,
-            )
-        return out
+        top = max(self.terms, default=0)
+        derivs = {l: _derivatives(bl, top) for l, bl in other.terms.items()}
+        out: dict[int, LaurentSeries] = {}
+        for i, ci in self.terms.items():
+            # c_i d^i (b_l d^l) = c_i sum_s C(i,s) (d^s b_l) d^(i+l-s)
+            cis = [ci if s in (0, i) else ci.scale(comb(i, s)) for s in range(i + 1)]
+            for l, ds in derivs.items():
+                for s in range(i + 1):
+                    o = i + l - s
+                    add_into(out, o, cis[s].__mul__(ds[s], None if tail is None else o + tail + 1))
+        return ZOperator(out, tail)
 
     def power(self, e: int) -> "ZOperator":
         if e < 0:
@@ -313,6 +308,14 @@ class ZOperator:
         if self.tail_shift is not None:
             s += f"  (tail shift {self.tail_shift})"
         return s
+
+
+def _derivatives(s: LaurentSeries, n: int) -> list[LaurentSeries]:
+    """[s, s', ..., s^(n)]: the z-derivatives of s up to order n."""
+    out = [s]
+    for _ in range(n):
+        out.append(out[-1].dz())
+    return out
 
 
 def z_commutator(a: ZOperator, b: ZOperator) -> ZOperator:
@@ -508,10 +511,11 @@ def ks_operators(m: int, N, depth: int) -> KSOperators:
     # Every term of step^k z shifts z-degree by exactly 1 - m k, so the
     # omitted k > k_max tail has action shift <= 1 - m (k_max + 1).
     k_max = (depth + 2 + m) // m + 1
+    hmn = (Coefficient.rational(half_m) + nc).times_h(1)  # h (m/2 + N), zero at N = -m/2
     step = ZOperator(
         {
             1: LaurentSeries.z_power(1 - m, Coefficient.monomial(-1, h=1)),
-            0: LaurentSeries.z_power(-m, (Coefficient.rational(half_m) + nc).times_h(1)),
+            0: LaurentSeries.z_power(-m, hmn),
         }
     )
     term = ZOperator({0: LaurentSeries.z_power(1)})
@@ -524,10 +528,7 @@ def ks_operators(m: int, N, depth: int) -> KSOperators:
     d_inv = ZOperator(
         {
             1: LaurentSeries.z_power(-m, Coefficient.monomial(1, h=1)),
-            0: LaurentSeries(
-                {-1: COEFF_ONE, -m - 1: (Coefficient.rational(half_m) + nc).scale(-1).times_h(1)},
-                None,
-            ),
+            0: LaurentSeries.z_power(-1) + LaurentSeries.z_power(-m - 1, -hmn),
         }
     )
     return KSOperators(m, a, b, c, d, d_inv)

@@ -1,6 +1,7 @@
 """Shared helpers: monomial enumeration, the linear-independence marker
-trick for checking operator identities on a whole degree window at once, and
-the paper's odd-index BGW cut-and-join operator as a reference."""
+trick for checking operator identities on a whole degree window at once, the
+whole constraint operator from its h-graded parts, and the paper's odd-index
+BGW cut-and-join operator as a reference."""
 
 from __future__ import annotations
 
@@ -30,6 +31,14 @@ def marker_poly(monomials) -> TimePolynomial:
     for i, m in enumerate(monomials):
         p.add_term(m, Coefficient.monomial(1, j=i))
     return p
+
+
+def whole(parts: dict) -> DiffOperator:
+    """sum_e h^e parts[e]: a constraint operator from its h-graded parts."""
+    op = DiffOperator({})
+    for e, part in parts.items():
+        op = op + part.scale(Coefficient.monomial(1, h=e))
+    return op
 
 
 def ops_agree_on(a, b, probe: TimePolynomial) -> bool:

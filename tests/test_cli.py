@@ -299,6 +299,21 @@ def test_cache_clear_that_cannot_remove_an_entry_exits_2(tmp_path, capsys):
     assert err.startswith("error: cannot remove ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "--m", "1", "--order", "3", "--no-cache"),
+    ("free-energy", "--m", "2", "--order", "3", "--no-cache"),
+    ("phi", "--m", "2", "--j", "2", "--depth", "3"),
+    ("schur", "--m", "2", "--degree", "4"),
+    ("verify", "--suite", "constraints,ks", "--m", "1", "--order", "4", "--depth", "3"),
+])
+@pytest.mark.parametrize("n", ["-1/2", "-3/2", "-3"])
+def test_negative_n_reads_the_same_spaced_or_with_equals(capsys, argv, n):
+    """argparse took a spaced "-1/2" for an option and exited 2."""
+    spaced = run_cli(capsys, *argv, "--N", n)
+    assert spaced == run_cli(capsys, *argv, f"--N={n}")
+    assert spaced[0] == 0 and spaced[1]
+
+
 # "never a traceback": every argv of the CLI grammar, drawn with tiny values
 # (order <= 3, degree <= 6, depth <= 4), ends in a result (0 or 1) or a usage
 # error (2); nothing else is raised and no traceback is printed
@@ -306,7 +321,7 @@ def test_cache_clear_that_cannot_remove_an_entry_exits_2(tmp_path, capsys):
 JUNK = ("", "x", "1/0", "-1", "2.5", "1e3")
 POOLS = {
     "--m": ("0", "1", "2", "3", "4"),
-    "--N": ("0", "1/2", "-2/3", "3", "symbolic", "nan", "inf", "1/-2"),
+    "--N": ("0", "1/2", "-2/3", "-1/2", "-3/2", "-1/0", "3", "symbolic", "nan", "inf", "1/-2"),
     "--order": ("0", "1", "2", "3"),
     "--degree": ("0", "1", "2", "4", "6"),
     "--depth": ("0", "1", "2", "4"),

@@ -3,7 +3,7 @@ constraint operators."""
 
 import pytest
 
-from conftest import marker_poly, monomials_up_to, w_bgw
+from conftest import marker_poly, monomials_up_to, w_bgw, whole
 from bgwtau.algebra import (
     Coefficient,
     TimeMonomial,
@@ -12,6 +12,8 @@ from bgwtau.algebra import (
 )
 from bgwtau.operators import (
     DiffOperator,
+    a_constant,
+    c_constant,
     commutator,
     constraint,
     constraint_index_bound,
@@ -68,7 +70,7 @@ def test_apply_matches_leibniz_reference():
     below the heaviest part; identities and L_0, M_0 carry d-free parts."""
     ops = [virasoro(k, 10) for k in range(-4, 5)] + [cubic(k, 10) for k in range(-4, 5)]
     for kind, k_lo in (("J", 1), ("L", 0), ("M", -1)):
-        ops += [constraint(2, "symbolic", kind, k, 10) for k in range(k_lo, 4)]
+        ops += [whole(constraint(2, "symbolic", kind, k, 10)) for k in range(k_lo, 4)]
     ops += [w_bgw(9), w_gen("symbolic", 9), *w1_w2("symbolic", 10)]
     ops += [DiffOperator.identity(), DiffOperator.identity(QQ(-3, 4))]
     probes = [PROBE8, TimePolynomial.zero(), TimePolynomial.one(),
@@ -210,7 +212,7 @@ def test_constraint_l0():
         - current(2).scale(Coefficient.monomial(1, h=-1))
         + DiffOperator.identity(QQ(1, 3))
     ).scale(QQ(1, 3))
-    assert constraint(2, 0, "L", 0, 10) == lit
+    assert whole(constraint(2, 0, "L", 0, 10)) == lit
 
 
 def test_constraint_m1_matches_displayed_virasoro():
@@ -221,7 +223,7 @@ def test_constraint_m1_matches_displayed_virasoro():
         )
         if k == 0:
             lit = lit + DiffOperator.identity(QQ(1, 16))
-        assert constraint(1, 0, "L", k, 12) == lit
+        assert whole(constraint(1, 0, "L", k, 12)) == lit
 
 
 def test_constraint_m2n_literal():
@@ -240,31 +242,51 @@ def test_constraint_m2n_literal():
                 (nsym ** 3 - nsym).scale(QQ(1, 3))
             )
         lit = lit.scale(QQ(1, 3))
-        assert constraint(2, "symbolic", "M", k, 12) == lit
+        assert whole(constraint(2, "symbolic", "M", k, 12)) == lit
+
+
+def literal_constraint(m: int, N, kind: str, k: int, bound: int) -> DiffOperator:
+    """The J/L/M operator as the paper displays it, one whole-operator sum
+    with its 1/h and 1/h^2 pieces (independent of the h-graded build)."""
+    hinv = Coefficient.monomial(1, h=-1)
+    cmn, amn = c_constant(m, N), a_constant(m, N)
+    n = (m + 1) * k
+    if kind == "J":
+        op = current(n)
+    elif kind == "L":
+        op = virasoro(n, bound) - current(n + m).scale(hinv)
+        if k == 0:
+            op = op + DiffOperator.identity(cmn.scale(QQ(1, 2)))
+    else:
+        op = cubic(n, bound) - virasoro(n + m, bound).scale(hinv.scale(2))
+        op = op + current(n + 2 * m).scale(hinv * hinv) + current(n).scale(cmn)
+        op = op - (virasoro(n, bound) - current(n + m).scale(hinv)).scale(amn)
+        if k == 0:
+            op = op + DiffOperator.identity(amn.scale(QQ(-1, 3)) * (
+                cmn.scale(QQ(1, 2)) + Coefficient.rational(QQ(m * m + 2 * m, 12))))
+    return op.scale(QQ(1, m + 1))
 
 
 def test_h_coefficients_rebuild_every_constraint_operator():
-    """sum_e h^e op.h_coefficient(e) is op for every J/L/M operator the
-    constraint suite builds at order 6 (m = 1, 2, 3, symbolic N); each part
-    is h-free, and the lowest h-power is 0 for J, -1 for L and -2 for M
-    (k >= 0; M_-1's 1/h^2 piece d/dt_(m-1) vanishes at m = 1)."""
+    """sum_e h^e parts[e] is the displayed operator for every J/L/M operator
+    the constraint suite builds at order 6 (m = 1, 2, 3; N = 0, 7/11 and
+    symbolic); each part is h-free and nonzero, and the h-powers run from
+    the lowest, 0 for J, -1 for L and -2 for M, up to 0 (M_-1's 1/h^2 piece
+    d/dt_(m-1) vanishes at m = 1; a 1/h piece L_(n+m) in between can vanish
+    below the materialization bound)."""
     for m in (1, 2, 3):
         maxdeg = 6 * m
-        for kind, k_lo in (("J", 1), ("L", 0), ("M", -1)):
-            for k in range(k_lo, constraint_index_bound(m, maxdeg) + 1):
-                op = constraint(m, "symbolic", kind, k, maxdeg)
-                lo, hi = op.h_range()
-                assert hi == 0
-                if kind != "M" or k >= 0 or m > 1:
-                    assert lo == {"J": 0, "L": -1, "M": -2}[kind], (m, kind, k)
-                rebuilt = DiffOperator.zero()
-                for e in range(lo - 1, hi + 2):
-                    part = op.h_coefficient(e)
-                    assert part.h_range() == (0, 0)
-                    if e in (lo - 1, lo, hi, hi + 1):
-                        assert bool(part) == (lo <= e <= hi), (m, kind, k, e)
-                    rebuilt = rebuilt + part.scale(Coefficient.monomial(1, h=e))
-                assert rebuilt == op, (m, kind, k)
+        for N in (0, QQ(7, 11), "symbolic"):
+            for kind, k_lo in (("J", 1), ("L", 0), ("M", -1)):
+                for k in range(k_lo, constraint_index_bound(m, maxdeg) + 1):
+                    parts = constraint(m, N, kind, k, maxdeg)
+                    lo = {"J": 0, "L": -1, "M": -2}[kind]
+                    if kind == "M" and k < 0 and m == 1:
+                        lo = -1
+                    assert (min(parts), max(parts)) == (lo, 0), (m, N, kind, k)
+                    for part in parts.values():
+                        assert part and all(c.h_range() == (0, 0) for c in part.terms.values())
+                    assert whole(parts) == literal_constraint(m, N, kind, k, maxdeg), (m, N, kind, k)
 
 
 def test_constraint_index_errors():
@@ -285,7 +307,7 @@ def test_constraint_family_commutators_with_deformation():
     nsym = Coefficient.monomial(1, n=1)  # A_{2,N} = N
 
     def C(kind, k):
-        return constraint(2, "symbolic", kind, k, d)
+        return whole(constraint(2, "symbolic", kind, k, d))
 
     for k in (1, 2):
         for kp in (-1, 0, 1):
@@ -308,7 +330,7 @@ def test_operator_text_round_trip():
     for op in (
         virasoro(-2, 6),
         cubic(3, 6),
-        constraint(2, "symbolic", "M", -1, 8),
+        whole(constraint(2, "symbolic", "M", -1, 8)),
         DiffOperator.zero(),
     ):
         assert parse_operator(operator_text(op)) == op

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import whole
 from bgwtau.algebra import (
     Coefficient,
     TimeMonomial,
@@ -255,7 +256,7 @@ def _full_image_constraint_suite(m: int, N, T) -> Report:
     maxdeg = m * K
     for kind, k_lo in (("J", 1), ("L", 0), ("M", -1)):
         for k in range(k_lo, constraint_index_bound(m, maxdeg) + 1):
-            image = constraint(m, N, kind, k, maxdeg).apply(tau)
+            image = whole(constraint(m, N, kind, k, maxdeg)).apply(tau)
             bad = ""
             for p in range(0, K - 1):
                 resid = image.h_coefficient(p)
@@ -312,6 +313,25 @@ def test_constraint_suite_reaches_tau_K_by_the_1_over_h2_part_only(bench_expansi
     assert rep.failures
     for c in rep.failures:
         assert c.name.startswith("M[") and c.detail.startswith(f"h^{K - 2} residual"), c.line()
+
+
+def test_constraint_suite_differentiates_each_tau_part_once_per_derivative_part(
+        bench_expansions, monkeypatch):
+    """One suite pass differentiates each h^q part of tau by each derivative
+    part at most once, however many operators hold that part."""
+    calls: dict[tuple[int, TimeMonomial], int] = {}
+    held = []  # keeps every differentiated polynomial alive, so ids stay unique
+    derivative = TimePolynomial.derivative
+
+    def counted(p, d):
+        held.append(p)
+        calls[id(p), d] = calls.get((id(p), d), 0) + 1
+        return derivative(p, d)
+
+    monkeypatch.setattr(TimePolynomial, "derivative", counted)
+    for T in bench_expansions:
+        assert constraint_suite(T.m, T.N, T).ok
+    assert calls and max(calls.values()) == 1
 
 
 def test_run_suites_dispatch():

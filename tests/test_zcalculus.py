@@ -5,12 +5,14 @@ import pytest
 from bgwtau import zcalculus
 from bgwtau.algebra import Coefficient, TimePolynomial, canonical_text, parse_polynomial
 from bgwtau.rational import QQ
+from bgwtau.algebra import add_into
 from bgwtau.zcalculus import (
     InsufficientPrecision,
     LaurentSeries,
     ParityViolation,
     PhiRingElement,
     ZOperator,
+    canonical_pair,
     check_canonical_pair,
     check_commutation,
     check_ks_actions,
@@ -164,6 +166,80 @@ def test_commutation_reports():
     assert check_commutation(1, 0, 16).ok
     assert check_commutation(2, "symbolic", 16).ok
     assert check_commutation(4, 0, 12).ok
+
+
+def full_product_compose(a: ZOperator, b: ZOperator) -> ZOperator:
+    """Reference for ZOperator.compose: every product computed in full, each
+    order truncated at o + tail + 1 only after the sum."""
+    out = ZOperator({})
+    for i, ci in a.terms.items():
+        for l, bl in b.terms.items():
+            binom = 1
+            ds = bl
+            for s in range(i + 1):
+                if s:
+                    binom = binom * (i - s + 1) // s
+                    ds = ds.dz()
+                add_into(out.terms, i + l - s, ci.scale(binom) * ds)
+    tail = None
+    if a.tail_shift is not None:
+        for ms in (b.max_shift(), b.tail_shift):
+            if ms is not None:
+                tail = zcalculus._max_known(tail, a.tail_shift + ms)
+    if b.tail_shift is not None and a.max_shift() is not None:
+        tail = zcalculus._max_known(tail, a.max_shift() + b.tail_shift)
+    if tail is None:
+        return out
+    return ZOperator({o: s.truncate(o + tail + 1) for o, s in out.terms.items()}, tail)
+
+
+def full_product_apply(a: ZOperator, s: LaurentSeries) -> LaurentSeries:
+    """Reference for ZOperator.apply: full products, truncated after the sum."""
+    out = LaurentSeries.zero()
+    for order, c in a.terms.items():
+        d = s
+        for _ in range(order):
+            d = d.dz()
+        out = out + c * d
+    if a.tail_shift is not None and s.reach() is not None:
+        out = out.truncate(s.reach() + a.tail_shift + 1)
+    return out
+
+
+def test_truncated_products_match_the_full_product_reference():
+    """compose and apply compute no coefficient below a tail's cut; floors,
+    tail shifts and every coefficient (repr) equal the full-product
+    reference's, for the products the KS suites form."""
+    for m in (1, 2, 3):
+        for N in (0, QQ(-1, 2), "symbolic"):
+            ks = ks_operators(m, N, 6)
+            pairs = [(ks.c, ks.d), (ks.d, ks.c), (ks.d, ks.d_inv), (ks.d_inv, ks.d),
+                     (ks.d, ks.d), (ks.d_inv, ks.d_inv), (ks.b, ks.d_inv)]
+            if m >= 2:
+                p, q, _ = canonical_pair(m, N, 6)
+                pairs += [(p, q), (q, p)]
+            for a, b in pairs:
+                assert repr(a.compose(b)) == repr(full_product_compose(a, b)), (m, N)
+            for j in (1, 2):
+                phi = phi_series_gen(m, N, j, 4)
+                for op in (ks.a, ks.c, ks.d, ks.d_inv, ks.d.compose(ks.d)):
+                    assert repr(op.apply(phi)) == repr(full_product_apply(op, phi)), (m, N, j)
+
+
+def test_ks_series_store_no_zero():
+    """No series of the KS operators, the canonical pair or Phi_j stores a
+    zero coefficient; d_inv's h (m/2 + N) z^(-m-1) term vanishes at
+    N = -m/2."""
+    for m in (1, 2, 3):
+        for N in (0, QQ(-1, 2), QQ(-1), QQ(-3, 2), "symbolic"):
+            ks = ks_operators(m, N, 5)
+            ops = [ks.a, ks.b, ks.c, ks.d, ks.d_inv]
+            if m >= 2:
+                ops += canonical_pair(m, N, 5)[:2]
+            series = [s for op in ops for s in op.terms.values()]
+            series += [phi_series_gen(m, N, j, 3) for j in range(0, 4)]
+            for s in series:
+                assert all(s.coeffs.values()), (m, N, s)
 
 
 def test_ab_commutator_explicit():

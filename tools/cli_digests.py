@@ -45,6 +45,10 @@ COMMANDS = (
     "free-energy --m 2 --N 0 --order 8 --no-cache",
     "free-energy --m 2 --N symbolic --order 6 --no-cache --format json",
     "schur --m 2 --N 1/3 --degree 8",
+    "verify --suite ks --m 1 --N=-1/2 --depth 8",
+    "verify --suite ks --m 2 --N symbolic --depth 8",
+    "verify --suite constraints --m 3 --N symbolic --order 3",
+    "verify --suite constraints,hirota --m 2 --N=-1/2 --order 6",
 )
 
 
