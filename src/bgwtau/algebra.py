@@ -58,7 +58,7 @@ _KEY1 = _ckey(0, 0, 0)
 
 
 # The sparse-sum kernel.  Every exact linear combination in the engine is a
-# dict key -> nonzero value; these two functions keep it canonical: a zero is
+# dict key -> nonzero value; these functions keep it canonical: a zero is
 # never stored and a key whose sum cancels is deleted.
 
 
@@ -74,6 +74,13 @@ def add_into(terms: dict, key, value) -> None:
             terms[key] = s
         else:
             del terms[key]
+
+
+def mul_into(terms: dict, a: dict, b: dict) -> None:
+    """terms += a * b in place, for sparse sums whose keys multiply."""
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            add_into(terms, k1 * k2, v1 * v2)
 
 
 def merged(a: dict, b: dict) -> dict:
@@ -445,9 +452,7 @@ class TimePolynomial:
 
     def __mul__(self, other: "TimePolynomial") -> "TimePolynomial":
         out: dict[TimeMonomial, Coefficient] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                add_into(out, m1 * m2, c1 * c2)
+        mul_into(out, self.terms, other.terms)
         return TimePolynomial(out)
 
     def scale(self, c) -> "TimePolynomial":

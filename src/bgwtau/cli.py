@@ -133,7 +133,7 @@ def cache_store(T: TauExpansion, directory: Path) -> Path | None:
 
 def cache_load(m: int, N, K: int, directory: Path) -> TauExpansion | None:
     """The cached expansion, or None (a miss) if there is none, it fails its
-    checks, or it cannot be read."""
+    checks, or it cannot be read or parsed."""
     header = _cache_header(m, N, K)
     lines = _read_lines(_cache_path(directory, header))
     if lines is None or len(lines) != K + 3 or lines[0] != header \
@@ -142,7 +142,10 @@ def cache_load(m: int, N, K: int, directory: Path) -> TauExpansion | None:
     digest = hashlib.sha256("\n".join(lines[:-1]).encode()).hexdigest()
     if lines[-1] != f"checksum={digest}":
         return None
-    coeffs = [parse_polynomial(s) for s in lines[1:-1]]
+    try:
+        coeffs = [parse_polynomial(s) for s in lines[1:-1]]
+    except (ValueError, ZeroDivisionError):
+        return None
     T = TauExpansion(m, N, coeffs, "cache")
     if not check_expansion_invariants(T).ok:
         return None

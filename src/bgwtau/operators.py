@@ -9,12 +9,12 @@ families) are materialized to a degree bound d: a term is included iff its
 derivative part has weighted order sum <= d, which is exactly the set of
 terms that can act nontrivially on polynomials of weighted degree <= d.
 Materializing to a larger bound never changes the action on such
-polynomials.
+polynomials.  A generator is a list of (weight, tpart, dpart) terms with a
+plain rational weight, each (tpart, dpart) at most once; add_scaled adds it
+into an operator with one coefficient scaling per term.
 """
 
 from __future__ import annotations
-
-import re
 
 from .algebra import (
     COEFF_ONE,
@@ -25,8 +25,6 @@ from .algebra import (
     add_into,
     join_terms,
     merged,
-    parse_polynomial,
-    split_terms,
     term_texts,
 )
 from .rational import QQ
@@ -84,10 +82,12 @@ class DiffOperator:
     def __eq__(self, other):
         return isinstance(other, DiffOperator) and self.terms == other.terms
 
-    def add_scaled(self, c, gen: "DiffOperator", mono: TimeMonomial = MONO_ONE) -> None:
-        """self += c * mono * gen, in place, term by term."""
-        for (tm, dm), c0 in gen.terms.items():
-            self.add_term(c0 * c, mono * tm, dm)
+    def add_scaled(self, c, terms: list, mono: TimeMonomial = MONO_ONE) -> None:
+        """self += c * mono * (the generator of terms), in place: each
+        (weight, tpart, dpart) term adds c * weight at (mono * tpart, dpart)."""
+        c = c if isinstance(c, Coefficient) else Coefficient.rational(c)
+        for w, tm, dm in terms:
+            add_into(self.terms, (mono * tm, dm), c.scale(w))
 
     def apply(self, p: TimePolynomial, table: "DerivativeTable | None" = None) -> TimePolynomial:
         """Exact application; linear in p.  p's derivatives come from table,
@@ -166,12 +166,6 @@ class DerivativeTable(dict):
         return terms
 
 
-def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
-    """a b - b a; correct on polynomials of weighted degree <= d whenever both
-    factors are materialized to d plus the other's creation shift."""
-    return a.compose(b) - b.compose(a)
-
-
 def operator_text(op: DiffOperator) -> str:
     """Serialize in the polynomial text grammar extended with d<k> factors
     for d/dt_k (normal-ordered: all d-factors after the t- and scalar
@@ -186,114 +180,85 @@ def operator_text(op: DiffOperator) -> str:
     return join_terms(bits)
 
 
-_DPART_RE = re.compile(r"^(.*?)((?:\*d\d+(?:\^\d+)?)*)$")
-_DFACTOR_RE = re.compile(r"\*d(\d+)(?:\^(\d+))?")
-
-
-def parse_operator(text: str) -> DiffOperator:
-    """Parse the operator text grammar (inverse of operator_text)."""
-    s = "".join(text.split())
-    if s == "0":
-        return DiffOperator.zero()
-    op = DiffOperator({})
-    for piece in split_terms(s):
-        mt = _DPART_RE.match(piece)
-        poly = parse_polynomial(mt.group(1))
-        dvars: dict[int, int] = {}
-        for fm in _DFACTOR_RE.finditer(mt.group(2)):
-            k = int(fm.group(1))
-            dvars[k] = dvars.get(k, 0) + int(fm.group(2) or 1)
-        dm = TimeMonomial.from_dict(dvars)
-        for tm, c in poly.terms.items():
-            op.add_term(c, tm, dm)
-    return op
-
-
 # ---------------------------------------------------------------------------
-# Heisenberg-Virasoro and cubic generators
+# Heisenberg-Virasoro and cubic generators, as term lists.  A sum over
+# ordered indexes that is symmetric in them runs over ascending indexes only;
+# the weight counts the orderings that give its monomial, so each (tpart,
+# dpart) comes once, where the ordered sum first reached it.
 
 
-def current(k: int) -> DiffOperator:
-    """J_k: d/dt_k (k>0), 0 (k=0), -k t_{-k} (k<0)."""
+def current(k: int) -> list:
+    """J_k's terms: d/dt_k (k>0), none (k=0), -k t_{-k} (k<0)."""
     if k > 0:
-        return DiffOperator({(MONO_ONE, TimeMonomial.var(k)): COEFF_ONE})
-    if k == 0:
-        return DiffOperator.zero()
-    return DiffOperator({(TimeMonomial.var(-k), MONO_ONE): Coefficient.rational(-k)})
+        return [(1, MONO_ONE, TimeMonomial.var(k))]
+    return [(-k, TimeMonomial.var(-k), MONO_ONE)] if k else []
 
 
-def virasoro(m: int, bound: int) -> DiffOperator:
-    """L_m materialized to derivative weight <= bound."""
-    op = DiffOperator({})
-    half = QQ(1, 2)
+def _pair(a: int, b: int) -> tuple[int, TimeMonomial]:
+    """(orderings of (a, b), t_a t_b) for a <= b."""
+    if a == b:
+        return 1, TimeMonomial(((a, 2),))
+    return 2, TimeMonomial(((a, 1), (b, 1)))
+
+
+def _triple(a: int, b: int, c: int) -> tuple[int, TimeMonomial]:
+    """(orderings of (a, b, c), t_a t_b t_c) for a <= b <= c."""
+    if a == c:
+        return 1, TimeMonomial(((a, 3),))
+    if a == b:
+        return 3, TimeMonomial(((a, 2), (c, 1)))
+    if b == c:
+        return 3, TimeMonomial(((a, 1), (b, 2)))
+    return 6, TimeMonomial(((a, 1), (b, 1), (c, 1)))
+
+
+def virasoro(m: int, bound: int) -> list:
+    """L_m's terms to derivative weight <= bound."""
+    terms = []
     if m <= -2:
-        for a in range(1, -m):
-            b = -m - a
-            op.add_term(
-                Coefficient.rational(half * a * b),
-                TimeMonomial.var(a) * TimeMonomial.var(b),
-                MONO_ONE,
-            )
+        # (1/2) a b t_a t_b, a + b = -m
+        for a in range(1, -m // 2 + 1):
+            n, tm = _pair(a, -m - a)
+            terms.append((QQ(n * a * (-m - a), 2), tm, MONO_ONE))
     for k in range(max(1, 1 - m), bound - m + 1):
-        op.add_term(Coefficient.rational(k), TimeMonomial.var(k), TimeMonomial.var(k + m))
+        terms.append((k, TimeMonomial.var(k), TimeMonomial.var(k + m)))
     if 2 <= m <= bound:
-        for a in range(1, m):
-            op.add_term(
-                Coefficient.rational(half),
-                MONO_ONE,
-                TimeMonomial.var(a) * TimeMonomial.var(m - a),
-            )
-    return op
+        # (1/2) d_a d_b, a + b = m
+        for a in range(1, m // 2 + 1):
+            n, dm = _pair(a, m - a)
+            terms.append((QQ(n, 2), MONO_ONE, dm))
+    return terms
 
 
-def cubic(k: int, bound: int) -> DiffOperator:
-    """M_k materialized to derivative weight <= bound."""
-    op = DiffOperator({})
-    third = QQ(1, 3)
+def cubic(k: int, bound: int) -> list:
+    """M_k's terms to derivative weight <= bound."""
+    terms = []
     if k <= -3:
-        for a in range(1, -k - 1):
-            for b in range(1, -k - a):
+        # (1/3) a b c t_a t_b t_c, a + b + c = -k
+        for a in range(1, -k // 3 + 1):
+            for b in range(a, (-k - a) // 2 + 1):
                 c = -k - a - b
-                op.add_term(
-                    Coefficient.rational(third * a * b * c),
-                    TimeMonomial.var(a) * TimeMonomial.var(b) * TimeMonomial.var(c),
-                    MONO_ONE,
-                )
-    # a b t_a t_b d_c with c = a + b + k
+                n, tm = _triple(a, b, c)
+                terms.append((QQ(n * a * b * c, 3), tm, MONO_ONE))
+    # a b t_a t_b d_c, a + b = c - k
     for c in range(1, bound + 1):
-        s = c - k  # = a + b
-        for a in range(1, s):
-            b = s - a
-            op.add_term(
-                Coefficient.rational(a * b),
-                TimeMonomial.var(a) * TimeMonomial.var(b),
-                TimeMonomial.var(c),
-            )
-    # a t_a d_b d_c with a = b + c - k
-    for b in range(1, bound):
-        for c in range(1, bound - b + 1):
-            a = b + c - k
-            if a >= 1:
-                op.add_term(
-                    Coefficient.rational(a),
-                    TimeMonomial.var(a),
-                    TimeMonomial.var(b) * TimeMonomial.var(c),
-                )
+        s = c - k
+        dm = TimeMonomial.var(c)
+        for a in range(1, s // 2 + 1):
+            n, tm = _pair(a, s - a)
+            terms.append((n * a * (s - a), tm, dm))
+    # a t_a d_b d_c, a = b + c - k
+    for b in range(1, bound // 2 + 1):
+        for c in range(max(b, k + 1 - b), bound - b + 1):
+            n, dm = _pair(b, c)
+            terms.append((n * (b + c - k), TimeMonomial.var(b + c - k), dm))
     if 3 <= k <= bound:
-        for a in range(1, k - 1):
-            for b in range(1, k - a):
-                c = k - a - b
-                op.add_term(
-                    Coefficient.rational(third),
-                    MONO_ONE,
-                    TimeMonomial.var(a) * TimeMonomial.var(b) * TimeMonomial.var(c),
-                )
-    return op
-
-
-def euler(bound: int) -> DiffOperator:
-    """The grading operator sum k t_k d/dt_k (equals L_0)."""
-    return virasoro(0, bound)
+        # (1/3) d_a d_b d_c, a + b + c = k
+        for a in range(1, k // 3 + 1):
+            for b in range(a, (k - a) // 2 + 1):
+                n, dm = _triple(a, b, k - a - b)
+                terms.append((QQ(n, 3), MONO_ONE, dm))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -326,22 +291,23 @@ def constraint(m: int, N, kind: str, k: int, bound: int) -> dict[int, DiffOperat
     w = QQ(1, m + 1)
     n = (m + 1) * k
     cmn, amn = c_constant(m, N), a_constant(m, N)
+    one = [(1, MONO_ONE, MONO_ONE)]
     if kind == "J":
         gens = [(0, w, current(n))]
     elif kind == "L":
         gens = [(0, w, virasoro(n, bound)), (-1, -w, current(n + m)),
-                (0, cmn.scale(w / 2) if k == 0 else 0, DiffOperator.identity())]
+                (0, cmn.scale(w / 2) if k == 0 else 0, one)]
     else:
         const = cmn.scale(QQ(1, 2)) + Coefficient.rational(QQ(m * m + 2 * m, 12))
         gens = [(0, w, cubic(n, bound)), (0, cmn.scale(w), current(n)),
                 (0, amn.scale(-w), virasoro(n, bound)),
                 (-1, -2 * w, virasoro(n + m, bound)), (-1, amn.scale(w), current(n + m)),
                 (-2, w, current(n + 2 * m)),
-                (0, amn.scale(-w / 3) * const if k == 0 else 0, DiffOperator.identity())]
+                (0, amn.scale(-w / 3) * const if k == 0 else 0, one)]
     parts: dict[int, DiffOperator] = {}
-    for e, c, gen in gens:
+    for e, c, terms in gens:
         if c:
-            parts.setdefault(e, DiffOperator({})).add_scaled(c, gen)
+            parts.setdefault(e, DiffOperator({})).add_scaled(c, terms)
     return {e: part for e, part in parts.items() if part}
 
 

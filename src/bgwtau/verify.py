@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .algebra import TimeMonomial, TimePolynomial, parse_polynomial
+from .algebra import TimeMonomial, TimePolynomial, mul_into, parse_polynomial
 from .cutjoin import TauExpansion, check_expansion_invariants, free_energy, tau_expand
 from .operators import DerivativeTable, constraint, constraint_index_bound
 from .report import Report
@@ -186,7 +186,14 @@ def hirota_suite(T: TauExpansion) -> Report:
       tau tau_1111 - 4 tau_1 tau_111 + 3 tau_11^2
         + 3 (tau tau_22 - tau_2^2) - 4 (tau tau_13 - tau_1 tau_3) = 0
 
-    order by order in h (subscripts are t-derivatives)."""
+    order by order in h (subscripts are t-derivatives).  The h^p residual is
+    taken in grouped products over a + b = p,
+
+      tau[a] A[b] + tau_1[a] B[b] + 3 (tau_11[a] tau_11[b] - tau_2[a] tau_2[b])
+
+    with A = tau_1111 + 3 tau_22 - 4 tau_13 and B = 4 (tau_3 - tau_111) formed
+    once per order; the symmetric part is taken once per unordered pair,
+    weight 6 off the diagonal and 3 on it."""
     rep = Report()
     if T.order < 2:
         raise ValueError("hirota suite needs order K >= 2")
@@ -200,20 +207,21 @@ def hirota_suite(T: TauExpansion) -> Report:
 
     d1, d11, d111, d1111 = dd((1, 1)), dd((1, 2)), dd((1, 3)), dd((1, 4))
     d2, d22, d3, d13 = dd((2, 1)), dd((2, 2)), dd((3, 1)), dd((1, 1), (3, 1))
+    A = [(x + y.scale(3) - z.scale(4)).terms for x, y, z in zip(d1111, d22, d13)]
+    B = [(x - y).scale(4).terms for x, y in zip(d3, d111)]
+    sym = {w: [(x.scale(w).terms, y.scale(-w).terms) for x, y in zip(d11, d2)] for w in (3, 6)}
     for p in range(0, K + 1):
-        acc = TimePolynomial.zero()
+        acc = {}
         for a in range(0, p + 1):
-            b = p - a
-            acc = acc + cs[a] * d1111[b]
-            acc = acc - d1[a] * d111[b].scale(4)
-            acc = acc + d11[a] * d11[b].scale(3)
-            acc = acc + cs[a] * d22[b].scale(3)
-            acc = acc - d2[a] * d2[b].scale(3)
-            acc = acc - cs[a] * d13[b].scale(4)
-            acc = acc + d1[a] * d3[b].scale(4)
+            mul_into(acc, cs[a].terms, A[p - a])
+            mul_into(acc, d1[a].terms, B[p - a])
+        for a in range(0, p // 2 + 1):
+            x, y = sym[3 if 2 * a == p else 6][a]
+            mul_into(acc, x, d11[p - a].terms)
+            mul_into(acc, y, d2[p - a].terms)
         bad = ""
-        if not acc.is_zero():
-            mono = sorted(acc.terms, key=lambda mm: (mm.degree, mm))[0]
+        if acc:
+            mono = sorted(acc, key=lambda mm: (mm.degree, mm))[0]
             bad = f"residual at {mono!r}"
         rep.add(suite, f"h^{p}", not bad, bad)
     return rep

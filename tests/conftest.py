@@ -1,7 +1,8 @@
 """Shared helpers: monomial enumeration, the linear-independence marker
 trick for checking operator identities on a whole degree window at once, the
-whole constraint operator from its h-graded parts, and the paper's odd-index
-BGW cut-and-join operator as a reference."""
+whole constraint operator from its h-graded parts, a generator's operator
+from its term list, the Euler operator and commutators, and the paper's
+odd-index BGW cut-and-join operator as a reference."""
 
 from __future__ import annotations
 
@@ -39,6 +40,27 @@ def whole(parts: dict) -> DiffOperator:
     for e, part in parts.items():
         op = op + part.scale(Coefficient.monomial(1, h=e))
     return op
+
+
+def op_of(terms) -> DiffOperator:
+    """The operator of a generator's (weight, tpart, dpart) term list."""
+    op = DiffOperator({})
+    op.add_scaled(1, terms)
+    return op
+
+
+def euler(bound: int) -> DiffOperator:
+    """The grading operator sum k t_k d/dt_k (equals L_0), written out."""
+    op = DiffOperator({})
+    for k in range(1, bound + 1):
+        op.add_term(Coefficient.rational(k), TimeMonomial.var(k), TimeMonomial.var(k))
+    return op
+
+
+def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
+    """a b - b a; correct on polynomials of weighted degree <= d whenever both
+    factors are materialized to d plus the other's creation shift."""
+    return a.compose(b) - b.compose(a)
 
 
 def ops_agree_on(a, b, probe: TimePolynomial) -> bool:

@@ -1,5 +1,6 @@
 """Command line front end: output determinism, exit codes, cache behavior."""
 
+import hashlib
 import io
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bgwtau.cli import cache_load, cache_store, main
+from bgwtau.cli import _cache_header, _cache_path, cache_load, cache_store, main, parse_n
 from bgwtau.cutjoin import tau_expand
 from bgwtau.rational import QQ
 
@@ -210,6 +211,25 @@ def test_cache_recomputes_non_utf8_file(tmp_path):
     assert cache_load(2, 0, 3, tmp_path) is None
 
 
+def write_unparseable_entry(directory: Path, m: int, N, K: int, line: str) -> None:
+    """A cache file for (m, N, K) whose checksum matches its own body, every
+    body line of which is line."""
+    header = _cache_header(m, N, K)
+    text = "\n".join([header] + [line] * (K + 1))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    _cache_path(directory, header).write_text(f"{text}\nchecksum={digest}\n")
+
+
+@pytest.mark.parametrize("line", ["1/0*t1", "t1^"])
+def test_cache_entry_that_does_not_parse_is_a_miss(tmp_path, capsys, line):
+    write_unparseable_entry(tmp_path, 1, QQ(0), 2, line)
+    assert cache_load(1, QQ(0), 2, tmp_path) is None
+    args = ("expand", "--m", "1", "--order", "2")
+    _, want, _ = run_cli(capsys, *args, "--no-cache")
+    assert run_cli(capsys, *args, "--cache-dir", str(tmp_path)) == (0, want, "")
+    assert cache_load(1, QQ(0), 2, tmp_path) is not None  # recomputed and stored
+
+
 def test_cache_store_uses_a_private_temporary_file(tmp_path):
     """A second writer's fixed-name temporary file (here a directory in its
     way) must not disturb a store; nothing is left behind."""
@@ -331,7 +351,7 @@ POOLS = {
     "--suite": ("all", "checksums", "golden-A", "golden-B", "golden-C", "golden-inline",
                 "constraints", "hirota", "crosscheck", "ks", "invariants",
                 "constraints,hirota", "ks,all", ",", " "),
-    "--cache-dir": ("DIR", "FILE", "MISSING", "FILE/sub", "NUL"),
+    "--cache-dir": ("DIR", "FILE", "MISSING", "FILE/sub", "NUL", "UNPARSEABLE"),
     "--oracle": None,
     "--no-cache": None,
 }
@@ -368,16 +388,27 @@ def cli_argvs(draw):
 @pytest.fixture(scope="module")
 def cli_paths(tmp_path_factory):
     """Placeholder -> path: a cache directory, a regular file, a missing
-    path, a path below a file and one with an embedded NUL.  The
-    environment's cache is private too, and junk relative cache paths land
-    in the temporary directory."""
+    path, a path below a file, one with an embedded NUL, and a directory of
+    entries that do not parse (see fill_unparseable).  The environment's
+    cache is private too, and junk relative cache paths land in the
+    temporary directory."""
     root = tmp_path_factory.mktemp("cli-grammar")
     (root / "DIR").mkdir()
+    (root / "UNPARSEABLE").mkdir()
     (root / "FILE").write_text("not a directory")
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("BGWTAU_CACHE_DIR", str(root / "env-cache"))
         mp.chdir(root)
         yield {p: str(root / p.replace("NUL", "a\x00b")) for p in POOLS["--cache-dir"]}
+
+
+def fill_unparseable(directory: str) -> None:
+    """(Re)write an entry that does not parse for each (m, N, K) the grammar
+    can ask the cache for: a miss stores a good entry over it."""
+    for m in (1, 2):
+        for N in ("0", "1/2", "-2/3", "-1/2", "-3/2", "3", "symbolic"):
+            for K in range(7):
+                write_unparseable_entry(Path(directory), m, parse_n(N), K, ("1/0*t1", "t1^")[K % 2])
 
 
 def run_in_process(argv):
@@ -399,7 +430,10 @@ def run_in_process(argv):
 @example(["expand", "--m", "1", "--order", "1", "--cache-dir", "NUL"])
 @example(["cache", "clear", "--cache-dir", "FILE"])
 @example(["schur", "--degree", "6", "--points", "2"])
+@example(["expand", "--m", "1", "--order", "2", "--cache-dir", "UNPARSEABLE"])
 def test_cli_never_prints_a_traceback(cli_paths, argv):
+    if "UNPARSEABLE" in argv:
+        fill_unparseable(cli_paths["UNPARSEABLE"])
     argv = [cli_paths.get(a, a) for a in argv]
     code, out, err = run_in_process(argv)
     assert code in (0, 1, 2), (argv, code)

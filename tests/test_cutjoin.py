@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import marker_poly, monomials_up_to, w_bgw
+from conftest import commutator, euler, marker_poly, monomials_up_to, op_of, w_bgw
 from bgwtau.algebra import (
     MONO_ONE,
     Coefficient,
@@ -19,7 +19,7 @@ from bgwtau.cutjoin import (
     w1_w2,
     w_gen,
 )
-from bgwtau.operators import DiffOperator, commutator, cubic, n_coeff, virasoro
+from bgwtau.operators import DiffOperator, cubic, n_coeff, virasoro
 from bgwtau.rational import QQ
 
 P = parse_polynomial
@@ -153,8 +153,6 @@ def test_m1_recursions_agree():
 
 
 def test_homogeneity_eigenvalue():
-    from bgwtau.operators import euler
-
     T = tau_expand(2, 0, 4)
     for k in range(1, 5):
         assert euler(10).apply(T.coeffs[k]) == T.coeffs[k].scale(2 * k)
@@ -213,7 +211,8 @@ def test_recursion_never_differentiates_by_reduced_times(monkeypatch, m, N):
     assert seen or (m, N) == (1, QQ(1, 2))
 
 
-def _premul(mono, op):
+def _premul(mono, terms):
+    op = op_of(terms)
     return DiffOperator({(mono * tm, dm): c for (tm, dm), c in op.terms.items()})
 
 

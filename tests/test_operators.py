@@ -1,27 +1,28 @@
 """Normal-ordered operators: generator families, commutation relations,
 constraint operators."""
 
+import re
+
 import pytest
 
-from conftest import marker_poly, monomials_up_to, w_bgw, whole
+from conftest import commutator, euler, marker_poly, monomials_up_to, op_of, w_bgw, whole
 from bgwtau.algebra import (
+    MONO_ONE,
     Coefficient,
     TimeMonomial,
     TimePolynomial,
     parse_polynomial,
+    split_terms,
 )
 from bgwtau.operators import (
     DiffOperator,
     a_constant,
     c_constant,
-    commutator,
     constraint,
     constraint_index_bound,
     cubic,
     current,
-    euler,
     operator_text,
-    parse_operator,
     virasoro,
 )
 from bgwtau.cutjoin import w1_w2, w_gen
@@ -32,7 +33,7 @@ PROBE8 = marker_poly(monomials_up_to(8))
 
 
 def test_apply_basics():
-    ddt1 = current(1)
+    ddt1 = op_of(current(1))
     assert ddt1.apply(P("1/1*t1^2")) == P("2/1*t1")
     tau23 = P("-13/36*t1^4*t2+91/162*t2^3-4/3*t1^2*t4")
     assert euler(8).apply(tau23) == tau23.scale(6)
@@ -68,7 +69,8 @@ def test_apply_matches_leibniz_reference():
     """apply skips derivative parts heavier than p's top degree: the probes
     include the zero polynomial, a constant and inhomogeneous polynomials
     below the heaviest part; identities and L_0, M_0 carry d-free parts."""
-    ops = [virasoro(k, 10) for k in range(-4, 5)] + [cubic(k, 10) for k in range(-4, 5)]
+    ops = [op_of(virasoro(k, 10)) for k in range(-4, 5)]
+    ops += [op_of(cubic(k, 10)) for k in range(-4, 5)]
     for kind, k_lo in (("J", 1), ("L", 0), ("M", -1)):
         ops += [whole(constraint(2, "symbolic", kind, k, 10)) for k in range(k_lo, 4)]
     ops += [w_bgw(9), w_gen("symbolic", 9), *w1_w2("symbolic", 10)]
@@ -86,29 +88,84 @@ def test_apply_differentiates_only_by_light_enough_parts(monkeypatch):
     monkeypatch.setattr(TimePolynomial, "derivative",
                         lambda p, d: seen.append(d.degree) or derivative(p, d))
     p = P("1/1*t1^2+1/1*t2")
-    assert virasoro(0, 10).apply(p) == p.scale(2)
+    assert op_of(virasoro(0, 10)).apply(p) == p.scale(2)
     assert sorted(seen) == [1, 2]
 
 
 def test_currents():
-    assert current(3) == DiffOperator({(TimeMonomial(), TimeMonomial.var(3)): Coefficient.one()})
-    assert current(-2) == DiffOperator(
+    assert op_of(current(3)) == DiffOperator(
+        {(TimeMonomial(), TimeMonomial.var(3)): Coefficient.one()})
+    assert op_of(current(-2)) == DiffOperator(
         {(TimeMonomial.var(2), TimeMonomial()): Coefficient.rational(2)}
     )
-    assert current(0) == DiffOperator.zero()
+    assert current(0) == []
 
 
 def test_virasoro_l0_is_euler():
-    assert virasoro(0, 10) == euler(10)
+    assert op_of(virasoro(0, 10)) == euler(10)
 
 
 def test_virasoro_raising_witness():
     # the mixed sum of L_{-1} sends t_1 to 2 t_2
-    assert virasoro(-1, 6).apply(P("1/1*t1")) == P("2/1*t2")
+    assert op_of(virasoro(-1, 6)).apply(P("1/1*t1")) == P("2/1*t2")
 
 
 def test_cubic_creation():
-    assert cubic(-3, 8).apply(TimePolynomial.one()) == P("1/3*t1^3")
+    assert op_of(cubic(-3, 8)).apply(TimePolynomial.one()) == P("1/3*t1^3")
+
+
+def _ordered_monomial(*ks) -> TimeMonomial:
+    """t_k1 t_k2 ... for indexes in any order, by monomial products."""
+    out = MONO_ONE
+    for k in ks:
+        out = out * TimeMonomial.var(k)
+    return out
+
+
+GENERATOR_INDEXES = range(-9, 10)
+GENERATOR_BOUNDS = (0, 1, 2, 3, 4, 6, 9)
+
+
+def test_term_list_monomials_are_canonical():
+    """Every tpart and dpart of every generator term is the sorted monomial
+    of its exponents, each (tpart, dpart) comes once, and the weight is a
+    plain rational.  The generators include the creation sums of L_m,
+    m <= -2, and M_k, k <= -3, where the pairs a = b and the repeated
+    triples a = b, b = c and a = b = c occur."""
+    seen_powers = set()
+    for k in GENERATOR_INDEXES:
+        for bound in GENERATOR_BOUNDS:
+            for terms in (current(k), virasoro(k, bound), cubic(k, bound)):
+                keys = [(tm, dm) for _, tm, dm in terms]
+                assert len(set(keys)) == len(keys), (k, bound)
+                for w, tm, dm in terms:
+                    assert not isinstance(w, Coefficient) and w
+                    for mono in (tm, dm):
+                        assert type(mono) is TimeMonomial
+                        assert mono == TimeMonomial.from_dict(dict(mono)), (k, bound, mono)
+                        seen_powers.update(e for _, e in mono)
+    assert seen_powers == {1, 2, 3}
+    assert (QQ(8, 3), _ordered_monomial(2, 2, 2), MONO_ONE) in cubic(-6, 0)
+    assert (4, _ordered_monomial(4, 1, 1), MONO_ONE) in cubic(-6, 0)
+    assert (QQ(1, 3), MONO_ONE, _ordered_monomial(2, 2, 2)) in cubic(6, 6)
+    assert (QQ(1, 1), MONO_ONE, _ordered_monomial(3, 1, 3)) in cubic(7, 7)
+    assert (QQ(2, 1), _ordered_monomial(2, 2), MONO_ONE) in virasoro(-4, 0)
+
+
+def brute_virasoro(m: int, bound: int) -> DiffOperator:
+    """Independent double-sum enumeration of the Virasoro generator, one
+    term per ordered index pair."""
+    op = DiffOperator({})
+    rng = range(1, 2 * bound + abs(m) + 2)
+    for a in rng:
+        for b in rng:
+            if a + b == -m:
+                op.add_term(Coefficient.rational(QQ(a * b, 2)), _ordered_monomial(a, b), MONO_ONE)
+            if a + b == m and m <= bound:
+                op.add_term(Coefficient.rational(QQ(1, 2)), MONO_ONE, _ordered_monomial(a, b))
+        if a + m >= 1 and a + m <= bound:
+            op.add_term(Coefficient.rational(a), TimeMonomial.var(a), TimeMonomial.var(a + m))
+    return op
 
 
 def brute_cubic(k: int, bound: int) -> DiffOperator:
@@ -146,20 +203,28 @@ def brute_cubic(k: int, bound: int) -> DiffOperator:
 
 
 def test_cubic_against_brute_enumeration():
-    probe = marker_poly(monomials_up_to(6))
-    for k in (-3, 0, 3):
-        lhs = cubic(k, 6).apply(probe)
-        rhs = brute_cubic(k, 6).apply(probe)
-        assert lhs == rhs, f"cubic({k}) disagrees with brute enumeration"
+    """The operator of M_k's term list, built with add_scaled, equals the
+    ordered-index enumeration term for term (brute_cubic's indexes reach
+    3 bound + 3, all of M_k's indexes when -k <= 2 bound + 3)."""
+    for k in GENERATOR_INDEXES:
+        for bound in GENERATOR_BOUNDS:
+            if -k <= 2 * bound + 3:
+                assert op_of(cubic(k, bound)) == brute_cubic(k, bound), (k, bound)
+
+
+def test_virasoro_against_brute_enumeration():
+    for k in GENERATOR_INDEXES:
+        for bound in GENERATOR_BOUNDS:
+            assert op_of(virasoro(k, bound)) == brute_virasoro(k, bound), (k, bound)
 
 
 def test_commutator_jj():
-    assert commutator(current(1), current(-1)) == DiffOperator.identity()
+    assert commutator(op_of(current(1)), op_of(current(-1))) == DiffOperator.identity()
     probe = PROBE8
     for k in range(-4, 5):
         for m in range(-4, 5):
             expect = DiffOperator.identity(k) if k == -m else DiffOperator.zero()
-            got = commutator(current(k), current(m))
+            got = commutator(op_of(current(k)), op_of(current(m)))
             assert got.apply(probe) == expect.apply(probe)
 
 
@@ -168,9 +233,9 @@ def test_w3_commutation_relations():
     weighted degree <= 10 for indexes in [-5, 5]."""
     probe = marker_poly(monomials_up_to(10))
     d = 16
-    J = {k: current(k) for k in range(-11, 12)}
-    L = {k: virasoro(k, d) for k in range(-11, 12)}
-    M = {k: cubic(k, d) for k in range(-11, 12)}
+    J = {k: op_of(current(k)) for k in range(-11, 12)}
+    L = {k: op_of(virasoro(k, d)) for k in range(-11, 12)}
+    M = {k: op_of(cubic(k, d)) for k in range(-11, 12)}
     JP = {k: J[k].apply(probe) for k in range(-11, 12)}
     LP = {k: L[k].apply(probe) for k in range(-11, 12)}
     MP = {k: M[k].apply(probe) for k in range(-11, 12)}
@@ -199,17 +264,17 @@ def test_w3_commutation_relations():
 def test_family_materialization_stability():
     probe = marker_poly(monomials_up_to(6))
     for k in (-4, -1, 0, 2, 5):
-        small = virasoro(k, 6)
-        large = virasoro(k, 14)
+        small = op_of(virasoro(k, 6))
+        large = op_of(virasoro(k, 14))
         assert small.apply(probe) == large.apply(probe)
     for k in (-3, 1, 4):
-        assert cubic(k, 6).apply(probe) == cubic(k, 12).apply(probe)
+        assert op_of(cubic(k, 6)).apply(probe) == op_of(cubic(k, 12)).apply(probe)
 
 
 def test_constraint_l0():
     lit = (
-        virasoro(0, 10)
-        - current(2).scale(Coefficient.monomial(1, h=-1))
+        op_of(virasoro(0, 10))
+        - op_of(current(2)).scale(Coefficient.monomial(1, h=-1))
         + DiffOperator.identity(QQ(1, 3))
     ).scale(QQ(1, 3))
     assert whole(constraint(2, 0, "L", 0, 10)) == lit
@@ -218,7 +283,7 @@ def test_constraint_l0():
 def test_constraint_m1_matches_displayed_virasoro():
     """At m=1 the L-family is (1/2) L_{2k} - (1/2h) d/dt_{2k+1} + delta/16."""
     for k in range(0, 4):
-        lit = virasoro(2 * k, 12).scale(QQ(1, 2)) - current(2 * k + 1).scale(
+        lit = op_of(virasoro(2 * k, 12)).scale(QQ(1, 2)) - op_of(current(2 * k + 1)).scale(
             Coefficient.monomial(QQ(1, 2), h=-1)
         )
         if k == 0:
@@ -231,12 +296,12 @@ def test_constraint_m2n_literal():
     for k in (-1, 0, 1):
         nsym = Coefficient.monomial(1, n=1)
         c2n = Coefficient.rational(QQ(2, 3)) - (nsym * nsym).scale(2)
-        lit = cubic(3 * k, 12)
-        lit = lit - virasoro(3 * k + 2, 12).scale(Coefficient.monomial(2, h=-1))
-        lit = lit + current(3 * k + 4).scale(Coefficient.monomial(1, h=-2))
-        lit = lit - (virasoro(3 * k, 12) - current(3 * k + 2).scale(
+        lit = op_of(cubic(3 * k, 12))
+        lit = lit - op_of(virasoro(3 * k + 2, 12)).scale(Coefficient.monomial(2, h=-1))
+        lit = lit + op_of(current(3 * k + 4)).scale(Coefficient.monomial(1, h=-2))
+        lit = lit - (op_of(virasoro(3 * k, 12)) - op_of(current(3 * k + 2)).scale(
             Coefficient.monomial(1, h=-1))).scale(nsym)
-        lit = lit + current(3 * k).scale(c2n)
+        lit = lit + op_of(current(3 * k)).scale(c2n)
         if k == 0:
             lit = lit + DiffOperator.identity(
                 (nsym ** 3 - nsym).scale(QQ(1, 3))
@@ -251,16 +316,17 @@ def literal_constraint(m: int, N, kind: str, k: int, bound: int) -> DiffOperator
     hinv = Coefficient.monomial(1, h=-1)
     cmn, amn = c_constant(m, N), a_constant(m, N)
     n = (m + 1) * k
+    J, L = (lambda i: op_of(current(i))), (lambda i: op_of(virasoro(i, bound)))
     if kind == "J":
-        op = current(n)
+        op = J(n)
     elif kind == "L":
-        op = virasoro(n, bound) - current(n + m).scale(hinv)
+        op = L(n) - J(n + m).scale(hinv)
         if k == 0:
             op = op + DiffOperator.identity(cmn.scale(QQ(1, 2)))
     else:
-        op = cubic(n, bound) - virasoro(n + m, bound).scale(hinv.scale(2))
-        op = op + current(n + 2 * m).scale(hinv * hinv) + current(n).scale(cmn)
-        op = op - (virasoro(n, bound) - current(n + m).scale(hinv)).scale(amn)
+        op = op_of(cubic(n, bound)) - L(n + m).scale(hinv.scale(2))
+        op = op + J(n + 2 * m).scale(hinv * hinv) + J(n).scale(cmn)
+        op = op - (L(n) - J(n + m).scale(hinv)).scale(amn)
         if k == 0:
             op = op + DiffOperator.identity(amn.scale(QQ(-1, 3)) * (
                 cmn.scale(QQ(1, 2)) + Coefficient.rational(QQ(m * m + 2 * m, 12))))
@@ -326,10 +392,33 @@ def test_constraint_family_commutators_with_deformation():
             assert lhs == rhs, f"[L_{k}, L_{kp}]"
 
 
+_DPART_RE = re.compile(r"^(.*?)((?:\*d\d+(?:\^\d+)?)*)$")
+_DFACTOR_RE = re.compile(r"\*d(\d+)(?:\^(\d+))?")
+
+
+def parse_operator(text: str) -> DiffOperator:
+    """Parse the operator text grammar (inverse of operator_text)."""
+    s = "".join(text.split())
+    if s == "0":
+        return DiffOperator.zero()
+    op = DiffOperator({})
+    for piece in split_terms(s):
+        mt = _DPART_RE.match(piece)
+        poly = parse_polynomial(mt.group(1))
+        dvars: dict[int, int] = {}
+        for fm in _DFACTOR_RE.finditer(mt.group(2)):
+            k = int(fm.group(1))
+            dvars[k] = dvars.get(k, 0) + int(fm.group(2) or 1)
+        dm = TimeMonomial.from_dict(dvars)
+        for tm, c in poly.terms.items():
+            op.add_term(c, tm, dm)
+    return op
+
+
 def test_operator_text_round_trip():
     for op in (
-        virasoro(-2, 6),
-        cubic(3, 6),
+        op_of(virasoro(-2, 6)),
+        op_of(cubic(3, 6)),
         whole(constraint(2, "symbolic", "M", -1, 8)),
         DiffOperator.zero(),
     ):

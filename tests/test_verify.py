@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import whole
+from conftest import op_of, whole
 from bgwtau.algebra import (
     Coefficient,
     TimeMonomial,
@@ -88,7 +88,7 @@ def test_defect_is_constraint_forced():
     tau5 = golden.entries["tau2[5]"]
     T = tau_expand(2, 0, 6)
     assert T.coeffs[5] == tau5  # the input of the forcing identity is golden
-    forced = virasoro(9, 12).apply(tau5)
+    forced = op_of(virasoro(9, 12)).apply(tau5)
     mono = TimeMonomial.from_dict({1: 1, 11: 1})
     lhs = T.coeffs[6].derivative(TimeMonomial.var(11))
     assert lhs == forced
@@ -332,6 +332,51 @@ def test_constraint_suite_differentiates_each_tau_part_once_per_derivative_part(
     for T in bench_expansions:
         assert constraint_suite(T.m, T.N, T).ok
     assert calls and max(calls.values()) == 1
+
+
+def seven_product_hirota_suite(T: TauExpansion) -> Report:
+    """Reference for hirota_suite: the identity's seven products formed for
+    every (a, b) with a + b = p and added to the residual one at a time."""
+    rep = Report()
+    suite = f"hirota[m={T.m},N={T.N}]"
+    cs = T.coeffs
+
+    def dd(*exps) -> list[TimePolynomial]:
+        dm = TimeMonomial(exps)
+        return [c.derivative(dm) for c in cs]
+
+    d1, d11, d111, d1111 = dd((1, 1)), dd((1, 2)), dd((1, 3)), dd((1, 4))
+    d2, d22, d3, d13 = dd((2, 1)), dd((2, 2)), dd((3, 1)), dd((1, 1), (3, 1))
+    for p in range(0, T.order + 1):
+        acc = TimePolynomial.zero()
+        for a in range(0, p + 1):
+            b = p - a
+            acc = acc + cs[a] * d1111[b]
+            acc = acc - d1[a] * d111[b].scale(4)
+            acc = acc + d11[a] * d11[b].scale(3)
+            acc = acc + cs[a] * d22[b].scale(3)
+            acc = acc - d2[a] * d2[b].scale(3)
+            acc = acc - cs[a] * d13[b].scale(4)
+            acc = acc + d1[a] * d3[b].scale(4)
+        bad = ""
+        if not acc.is_zero():
+            mono = sorted(acc.terms, key=lambda mm: (mm.degree, mm))[0]
+            bad = f"residual at {mono!r}"
+        rep.add(suite, f"h^{p}", not bad, bad)
+    return rep
+
+
+def test_hirota_suite_matches_the_seven_product_reference(bench_expansions):
+    """The grouped-product suite prints the reference's lines, FAIL details
+    included, on each expansion and on copies corrupted at each order
+    k = 1..K: 39 inputs, 29 of them FAIL."""
+    fails = 0
+    for T in bench_expansions:
+        for bad in [T] + [_mutate(T, k) for k in range(1, T.order + 1)]:
+            want = seven_product_hirota_suite(bad).lines()
+            assert hirota_suite(bad).lines() == want
+            fails += any(line.startswith("FAIL ") for line in want)
+    assert fails == 29
 
 
 def test_run_suites_dispatch():

@@ -49,6 +49,9 @@ COMMANDS = (
     "verify --suite ks --m 2 --N symbolic --depth 8",
     "verify --suite constraints --m 3 --N symbolic --order 3",
     "verify --suite constraints,hirota --m 2 --N=-1/2 --order 6",
+    "verify --suite hirota --m 1 --N symbolic --order 10",
+    "verify --suite constraints,hirota --m 2 --N 7/13 --order 7",
+    "verify --suite hirota,constraints --m 3 --N symbolic --order 3",
 )
 
 
