@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .rational import QQ, QQ0, QQ1
+from .rational import QQ, QQ0
 
 INHOMOGENEOUS = "inhomogeneous"
 
@@ -510,18 +510,6 @@ class TimePolynomial:
         for m, c in self.terms.items():
             add_into(out, m, c.substitute(n=n, j=j, h=h))
         return TimePolynomial(out)
-
-    def eval_times(self, values: dict[int, object]) -> Coefficient:
-        """Evaluate at rational time values (all variables must be bound)."""
-        out = Coefficient.zero()
-        for m, c in self.terms.items():
-            q = QQ1
-            for k, e in m:
-                if k not in values:
-                    raise KeyError(f"no value for t{k}")
-                q = q * QQ(values[k]) ** e
-            out = out + c.scale(q)
-        return out
 
     def __repr__(self):
         return canonical_text(self)

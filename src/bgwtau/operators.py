@@ -17,14 +17,12 @@ into an operator with one coefficient scaling per term.
 from __future__ import annotations
 
 from .algebra import (
-    COEFF_ONE,
     Coefficient,
     MONO_ONE,
     TimeMonomial,
     TimePolynomial,
     add_into,
     join_terms,
-    merged,
     term_texts,
 )
 from .rational import QQ
@@ -49,32 +47,8 @@ class DiffOperator:
             terms if terms is not None else {}
         )
 
-    @classmethod
-    def zero(cls) -> "DiffOperator":
-        return cls({})
-
-    @classmethod
-    def identity(cls, coeff=None) -> "DiffOperator":
-        c = coeff if coeff is not None else COEFF_ONE
-        c = c if isinstance(c, Coefficient) else Coefficient.rational(c)
-        return cls({(MONO_ONE, MONO_ONE): c} if c else {})
-
     def add_term(self, coeff: Coefficient, tpart: TimeMonomial, dpart: TimeMonomial) -> None:
         add_into(self.terms, (tpart, dpart), coeff)
-
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        return DiffOperator(merged(self.terms, other.terms))
-
-    def __neg__(self) -> "DiffOperator":
-        return DiffOperator({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "DiffOperator") -> "DiffOperator":
-        return self + (-other)
-
-    def scale(self, c) -> "DiffOperator":
-        """Multiply by a coefficient; a nonzero c cannot cancel a term."""
-        c = c if isinstance(c, Coefficient) else Coefficient.rational(c)
-        return DiffOperator({k: c0 * c for k, c0 in self.terms.items()} if c else {})
 
     def __bool__(self):
         return bool(self.terms)
@@ -101,46 +75,6 @@ class DiffOperator:
             for pm, pc in table[dm]:
                 add_into(out, tm * pm, c * pc)
         return TimePolynomial(out)
-
-    def compose(self, other: "DiffOperator") -> "DiffOperator":
-        """self after other, normal-ordered (self's derivatives Leibniz across
-        other's t-part)."""
-        out: dict[tuple[TimeMonomial, TimeMonomial], Coefficient] = {}
-        for (tA, dA), cA in self.terms.items():
-            for (tB, dB), cB in other.terms.items():
-                c0 = cA * cB
-                # distribute each derivative of dA over tB or pass it through
-                splits = [(1, dict(tB), {})]
-                for k, a in dA:
-                    new = []
-                    for fac, texps, dpass in splits:
-                        e = texps.get(k, 0)
-                        top = min(a, e)
-                        binom = 1
-                        ffac = 1
-                        for i in range(top + 1):
-                            if i:
-                                binom = binom * (a - i + 1) // i
-                                ffac *= e - i + 1
-                            t2 = dict(texps)
-                            if i:
-                                if e == i:
-                                    del t2[k]
-                                else:
-                                    t2[k] = e - i
-                            d2 = dict(dpass)
-                            if a - i:
-                                d2[k] = a - i
-                            new.append((fac * binom * ffac, t2, d2))
-                    splits = new
-                for fac, texps, dpass in splits:
-                    tpart = tA * TimeMonomial(sorted(texps.items()))
-                    dd = dict(dB)
-                    for k, o in dpass.items():
-                        dd[k] = dd.get(k, 0) + o
-                    dpart = TimeMonomial(sorted(dd.items()))
-                    add_into(out, (tpart, dpart), c0.scale(fac))
-        return DiffOperator(out)
 
     def __repr__(self):
         return operator_text(self)

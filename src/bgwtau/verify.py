@@ -227,12 +227,6 @@ def hirota_suite(T: TauExpansion) -> Report:
     return rep
 
 
-def crosscheck_suite(m: int, N, degree: int) -> Report:
-    """Oracle vs recursion equality through weighted degree m * (degree // m)
-    for m in {1,2}; the oracle's invariant and constraint checks for m >= 3."""
-    return _crosscheck(SuiteArgs(m, N, degree // m, 0))
-
-
 def _crosscheck(a: SuiteArgs) -> Report:
     """The crosscheck cases; without a recursion (m >= 3) they are the
     oracle's invariant and constraint checks, run at most once per SuiteArgs."""

@@ -22,29 +22,24 @@ phi[m,k] are polynomials in j produced by the Gaussian steepest-descent
 expansion: expand (1 + i*phi*u)^(-j) with generalized binomials, expand
 exp(sum_{l>=3} tstar_l phi^l) with tstar_l = ((-i)^l / l!) *
 ((m+l-1)!/(m+1)!) * u^(l-2), replace phi^(2r) by (2r-1)!! and odd powers by
-zero, then substitute u^2 -> h z^(-m).  Intermediate bookkeeping tracks
-powers of i mod 4; finalization rejects odd u-powers or imaginary residue
-("parity violation"), which would signal an internal bug.
+zero, then substitute u^2 -> h z^(-m).  Two parity facts make the result
+real and even in u: every exp-table entry u^p phi^q has p = q (mod 2), and
+only binomial terms with r = q (mod 2) survive the moments, so the u-power
+p + r and the i-power r + 3q are both even.  The coefficients are built
+in two stages: the table's scalar weights are summed per (k, r) first, then
+each binomial j-polynomial is scaled once per (k, r).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .algebra import COEFF_ONE, Coefficient, add_into, merged
 from .operators import n_coeff
 from .rational import QQ
 from .report import Report
-
-
-class ParityViolation(Exception):
-    pass
-
-
-class InsufficientPrecision(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +150,6 @@ class LaurentSeries:
         """(exponent, coefficient) of the highest nonzero term, or None."""
         t = self.top()
         return None if t is None else (t, self.coeffs[t])
-
-    def assert_floor_at_most(self, needed: int) -> None:
-        if self.floor is not None and self.floor > needed:
-            raise InsufficientPrecision(
-                f"insufficient precision: need exactness down to z^{needed}, "
-                f"series floor is z^{self.floor}"
-            )
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -334,19 +322,19 @@ def _double_factorial(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
 def _exp_table(m: int, K: int) -> tuple:
     """exp(sum_{l>=3} tstar_l phi^l) truncated at u-power 2K.
 
     Returns entries ((p, q) -> rational) with u^p phi^q; the i-power of every
     entry at phi-degree q is 3q mod 4 (each factor carries (-i)^l), so only
-    the rational part is stored.
+    the rational part is stored.  Each factor adds s(l-2) to p and s*l to q,
+    so p = q (mod 2).
     """
     cap = 2 * K
     table, den = {(0, 0): 1}, 1  # integer numerators over one denominator
     for l in range(3, cap + 3):
         # factor exp(tstar_l phi^l): sum_s (c_l phi^l u^(l-2))^s / s!
-        cl = QQ(factorial(m + l - 1), factorial(m + 1) * factorial(l))
+        cl = QQ(prod(range(m + 2, m + l)), factorial(l))  # (m+l-1)! / ((m+1)! l!)
         cn, cd = int(cl.numerator), int(cl.denominator)
         smax = cap // (l - 2)
         if smax == 0:
@@ -365,39 +353,6 @@ def _exp_table(m: int, K: int) -> tuple:
     return tuple((key, QQ(v, den)) for key, v in table.items())
 
 
-class PhiRingElement:
-    """Map (i-power mod 4, u-power) -> Coefficient (polynomial in j)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self):
-        self.terms: dict[tuple[int, int], Coefficient] = {}
-
-    def add(self, i4: int, u: int, c: Coefficient) -> None:
-        add_into(self.terms, (i4 & 3, u), c)
-
-    def finalize(self, K: int) -> list[Coefficient]:
-        """Collapse i^2 -> -1 and map u^(2k) to slot k; odd u-powers or a
-        nonzero imaginary part signal an internal inconsistency."""
-        out = [Coefficient.zero() for _ in range(K + 1)]
-        by_u: dict[int, list[Coefficient]] = {}
-        for (i4, u), c in self.terms.items():
-            slot = by_u.setdefault(u, [Coefficient.zero()] * 4)
-            slot[i4] = slot[i4] + c
-        for u, (c0, c1, c2, c3) in sorted(by_u.items()):
-            real = c0 - c2
-            imag = c1 - c3
-            if imag:
-                raise ParityViolation(f"parity violation: imaginary residue at u^{u}")
-            if not real:
-                continue
-            if u % 2:
-                raise ParityViolation(f"parity violation: odd u-power {u}")
-            if u // 2 <= K:
-                out[u // 2] = real
-        return out
-
-
 _PHI_STORE: dict[int, tuple] = {}
 
 
@@ -414,7 +369,6 @@ def _phi_coefficients(m: int, K: int) -> tuple:
     if m < 1:
         raise ValueError("m must be a positive integer")
     cap = 2 * K
-    elem = PhiRingElement()
     # generalized binomial expansion of (1 + i u phi)^(-j):
     # term r: C(-j, r) (i u)^r phi^r with C(-j, r) = (-1)^r j(j+1)...(j+r-1)/r!
     binoms = [COEFF_ONE]
@@ -423,13 +377,18 @@ def _phi_coefficients(m: int, K: int) -> tuple:
         jshift = Coefficient.monomial(1, j=1) + Coefficient.rational(r - 1)
         cur = (cur * jshift).scale(QQ(-1, r))
         binoms.append(cur)
+    # stage 1: the scalar weight of binoms[r] at u^(p+r) = h^k z^(-mk); odd
+    # Gaussian moments vanish, so r = q (mod 2) and i^(r+3q) = (-1)^((r+3q)/2)
+    weight: dict[tuple[int, int], object] = {}
     for (p, q), v in _exp_table(m, K):
-        for r in range(0, cap - p + 1):
-            if (q + r) % 2:
-                continue
-            moment = _double_factorial(q + r - 1)
-            elem.add(r + 3 * q, p + r, binoms[r].scale(v * moment))
-    return tuple(elem.finalize(K))
+        for r in range(q % 2, cap - p + 1, 2):
+            w = v * _double_factorial(q + r - 1)
+            add_into(weight, ((p + r) // 2, r), -w if (r + 3 * q) & 2 else w)
+    # stage 2: one scaling of each binomial per (k, r)
+    out = [Coefficient.zero() for _ in range(K + 1)]
+    for (k, r), w in weight.items():
+        out[k] = out[k] + binoms[r].scale(w)
+    return tuple(out)
 
 
 def phi_terms(m: int, K: int, j) -> list[Coefficient]:

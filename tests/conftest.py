@@ -1,12 +1,21 @@
 """Shared helpers: monomial enumeration, the linear-independence marker
-trick for checking operator identities on a whole degree window at once, the
-whole constraint operator from its h-graded parts, a generator's operator
-from its term list, the Euler operator and commutators, and the paper's
-odd-index BGW cut-and-join operator as a reference."""
+trick for checking operator identities on a whole degree window at once,
+operator sums, scalings and products (Op), the whole constraint operator
+from its h-graded parts, a generator's operator from its term list, the
+Euler operator and commutators, and the paper's odd-index BGW cut-and-join
+operator as a reference."""
 
 from __future__ import annotations
 
-from bgwtau.algebra import MONO_ONE, Coefficient, TimeMonomial, TimePolynomial
+from bgwtau.algebra import (
+    COEFF_ONE,
+    MONO_ONE,
+    Coefficient,
+    TimeMonomial,
+    TimePolynomial,
+    add_into,
+    merged,
+)
 from bgwtau.operators import DiffOperator
 from bgwtau.rational import QQ
 from bgwtau.schur import partitions
@@ -34,17 +43,92 @@ def marker_poly(monomials) -> TimePolynomial:
     return p
 
 
-def whole(parts: dict) -> DiffOperator:
+class Op(DiffOperator):
+    """A DiffOperator with the operator algebra that only tests use: sums,
+    scalings and the normal-ordered product."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, op: DiffOperator) -> "Op":
+        return cls(op.terms)
+
+    @classmethod
+    def zero(cls) -> "Op":
+        return cls({})
+
+    @classmethod
+    def identity(cls, coeff=None) -> "Op":
+        c = coeff if coeff is not None else COEFF_ONE
+        c = c if isinstance(c, Coefficient) else Coefficient.rational(c)
+        return cls({(MONO_ONE, MONO_ONE): c} if c else {})
+
+    def __add__(self, other: DiffOperator) -> "Op":
+        return Op(merged(self.terms, other.terms))
+
+    def __neg__(self) -> "Op":
+        return Op({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: DiffOperator) -> "Op":
+        return self + (-Op.of(other))
+
+    def scale(self, c) -> "Op":
+        """Multiply by a coefficient; a nonzero c cannot cancel a term."""
+        c = c if isinstance(c, Coefficient) else Coefficient.rational(c)
+        return Op({k: c0 * c for k, c0 in self.terms.items()} if c else {})
+
+    def compose(self, other: DiffOperator) -> "Op":
+        """self after other, normal-ordered (self's derivatives Leibniz across
+        other's t-part)."""
+        out: dict[tuple[TimeMonomial, TimeMonomial], Coefficient] = {}
+        for (tA, dA), cA in self.terms.items():
+            for (tB, dB), cB in other.terms.items():
+                c0 = cA * cB
+                # distribute each derivative of dA over tB or pass it through
+                splits = [(1, dict(tB), {})]
+                for k, a in dA:
+                    new = []
+                    for fac, texps, dpass in splits:
+                        e = texps.get(k, 0)
+                        top = min(a, e)
+                        binom = 1
+                        ffac = 1
+                        for i in range(top + 1):
+                            if i:
+                                binom = binom * (a - i + 1) // i
+                                ffac *= e - i + 1
+                            t2 = dict(texps)
+                            if i:
+                                if e == i:
+                                    del t2[k]
+                                else:
+                                    t2[k] = e - i
+                            d2 = dict(dpass)
+                            if a - i:
+                                d2[k] = a - i
+                            new.append((fac * binom * ffac, t2, d2))
+                    splits = new
+                for fac, texps, dpass in splits:
+                    tpart = tA * TimeMonomial(sorted(texps.items()))
+                    dd = dict(dB)
+                    for k, o in dpass.items():
+                        dd[k] = dd.get(k, 0) + o
+                    dpart = TimeMonomial(sorted(dd.items()))
+                    add_into(out, (tpart, dpart), c0.scale(fac))
+        return Op(out)
+
+
+def whole(parts: dict) -> Op:
     """sum_e h^e parts[e]: a constraint operator from its h-graded parts."""
-    op = DiffOperator({})
+    op = Op()
     for e, part in parts.items():
-        op = op + part.scale(Coefficient.monomial(1, h=e))
+        op = op + Op.of(part).scale(Coefficient.monomial(1, h=e))
     return op
 
 
-def op_of(terms) -> DiffOperator:
+def op_of(terms) -> Op:
     """The operator of a generator's (weight, tpart, dpart) term list."""
-    op = DiffOperator({})
+    op = Op()
     op.add_scaled(1, terms)
     return op
 
@@ -60,7 +144,7 @@ def euler(bound: int) -> DiffOperator:
 def commutator(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     """a b - b a; correct on polynomials of weighted degree <= d whenever both
     factors are materialized to d plus the other's creation shift."""
-    return a.compose(b) - b.compose(a)
+    return Op.of(a).compose(b) - Op.of(b).compose(a)
 
 
 def ops_agree_on(a, b, probe: TimePolynomial) -> bool:

@@ -110,6 +110,18 @@ def test_phi_concrete_j(capsys):
     assert "z^-2: -1/2*h*N^2-1/2*h*N+1/6*h" in out
 
 
+def test_phi_at_a_very_large_m_finishes():
+    """The exp-table constants (m+l-1)!/((m+1)! l!) are products of l-2
+    factors, not ratios of factorials of m: at m = 10^9 the table is built at
+    once.  Run in a subprocess, so a slow build fails by its timeout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "bgwtau.cli", "phi", "--m", "1000000000", "--depth", "2"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0
+    assert "phi[m=1000000000,k=1] = -1/2*j^2+1000000001/2*j-333333334166666667/4" in proc.stdout
+
+
 def test_schur_lines(capsys):
     code, out, _ = run_cli(capsys, "schur", "--m", "2", "--N", "0", "--degree", "2")
     assert code == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import commutator, euler, marker_poly, monomials_up_to, op_of, w_bgw
+from conftest import Op, commutator, euler, marker_poly, monomials_up_to, op_of, w_bgw
 from bgwtau.algebra import (
     MONO_ONE,
     Coefficient,
@@ -19,7 +19,7 @@ from bgwtau.cutjoin import (
     w1_w2,
     w_gen,
 )
-from bgwtau.operators import DiffOperator, cubic, n_coeff, virasoro
+from bgwtau.operators import cubic, n_coeff, virasoro
 from bgwtau.rational import QQ
 
 P = parse_polynomial
@@ -213,12 +213,12 @@ def test_recursion_never_differentiates_by_reduced_times(monkeypatch, m, N):
 
 def _premul(mono, terms):
     op = op_of(terms)
-    return DiffOperator({(mono * tm, dm): c for (tm, dm), c in op.terms.items()})
+    return Op({(mono * tm, dm): c for (tm, dm), c in op.terms.items()})
 
 
 def merged_w_gen(N, bound):
     nc = n_coeff(N)
-    op = DiffOperator({})
+    op = Op()
     for k in range(0, bound // 2 + 1):
         op = op + _premul(TimeMonomial.var(2 * k + 1), virasoro(2 * k, bound)).scale(2 * k + 1)
     const = Coefficient.rational(QQ(1, 8)) - (nc * nc).scale(QQ(1, 2))
@@ -229,7 +229,7 @@ def merged_w_gen(N, bound):
 def merged_w1_w2(N, bound):
     nc = n_coeff(N)
     nsq = nc * nc
-    w1 = DiffOperator({})
+    w1 = Op()
     for k in range(0, bound // 3 + 2):
         w1 = w1 + _premul(TimeMonomial.var(3 * k + 2), virasoro(3 * k, bound)).scale(3 * k + 2)
         w1 = w1 + _premul(TimeMonomial.var(3 * k + 1), virasoro(3 * k - 1, bound)).scale(
@@ -238,7 +238,7 @@ def merged_w1_w2(N, bound):
     w1.add_term(Coefficient.rational(QQ(2, 3)) - nsq.scale(2), TimeMonomial.var(2), MONO_ONE)
     w1.add_term(-nc, TimeMonomial.var(1, 2), MONO_ONE)
     w1.add_term(nc.scale(-4), TimeMonomial.var(4), TimeMonomial.var(2))
-    w2 = DiffOperator({})
+    w2 = Op()
     for k in range(0, bound // 3 + 2):
         w2 = w2 - _premul(TimeMonomial.var(3 * k + 1), cubic(3 * k - 3, bound)).scale(3 * k + 1)
     w2.add_term(

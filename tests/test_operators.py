@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from conftest import commutator, euler, marker_poly, monomials_up_to, op_of, w_bgw, whole
+from conftest import Op, commutator, euler, marker_poly, monomials_up_to, op_of, w_bgw, whole
 from bgwtau.algebra import (
     MONO_ONE,
     Coefficient,
@@ -74,7 +74,7 @@ def test_apply_matches_leibniz_reference():
     for kind, k_lo in (("J", 1), ("L", 0), ("M", -1)):
         ops += [whole(constraint(2, "symbolic", kind, k, 10)) for k in range(k_lo, 4)]
     ops += [w_bgw(9), w_gen("symbolic", 9), *w1_w2("symbolic", 10)]
-    ops += [DiffOperator.identity(), DiffOperator.identity(QQ(-3, 4))]
+    ops += [Op.identity(), Op.identity(QQ(-3, 4))]
     probes = [PROBE8, TimePolynomial.zero(), TimePolynomial.one(),
               marker_poly(monomials_up_to(4)), P("2/1*t3+1/1*j*t1*t6-1/3*N*t1^2")]
     for op in ops:
@@ -219,11 +219,11 @@ def test_virasoro_against_brute_enumeration():
 
 
 def test_commutator_jj():
-    assert commutator(op_of(current(1)), op_of(current(-1))) == DiffOperator.identity()
+    assert commutator(op_of(current(1)), op_of(current(-1))) == Op.identity()
     probe = PROBE8
     for k in range(-4, 5):
         for m in range(-4, 5):
-            expect = DiffOperator.identity(k) if k == -m else DiffOperator.zero()
+            expect = Op.identity(k) if k == -m else Op.zero()
             got = commutator(op_of(current(k)), op_of(current(m)))
             assert got.apply(probe) == expect.apply(probe)
 
@@ -275,7 +275,7 @@ def test_constraint_l0():
     lit = (
         op_of(virasoro(0, 10))
         - op_of(current(2)).scale(Coefficient.monomial(1, h=-1))
-        + DiffOperator.identity(QQ(1, 3))
+        + Op.identity(QQ(1, 3))
     ).scale(QQ(1, 3))
     assert whole(constraint(2, 0, "L", 0, 10)) == lit
 
@@ -287,7 +287,7 @@ def test_constraint_m1_matches_displayed_virasoro():
             Coefficient.monomial(QQ(1, 2), h=-1)
         )
         if k == 0:
-            lit = lit + DiffOperator.identity(QQ(1, 16))
+            lit = lit + Op.identity(QQ(1, 16))
         assert whole(constraint(1, 0, "L", k, 12)) == lit
 
 
@@ -303,7 +303,7 @@ def test_constraint_m2n_literal():
             Coefficient.monomial(1, h=-1))).scale(nsym)
         lit = lit + op_of(current(3 * k)).scale(c2n)
         if k == 0:
-            lit = lit + DiffOperator.identity(
+            lit = lit + Op.identity(
                 (nsym ** 3 - nsym).scale(QQ(1, 3))
             )
         lit = lit.scale(QQ(1, 3))
@@ -322,13 +322,13 @@ def literal_constraint(m: int, N, kind: str, k: int, bound: int) -> DiffOperator
     elif kind == "L":
         op = L(n) - J(n + m).scale(hinv)
         if k == 0:
-            op = op + DiffOperator.identity(cmn.scale(QQ(1, 2)))
+            op = op + Op.identity(cmn.scale(QQ(1, 2)))
     else:
         op = op_of(cubic(n, bound)) - L(n + m).scale(hinv.scale(2))
         op = op + J(n + 2 * m).scale(hinv * hinv) + J(n).scale(cmn)
         op = op - (L(n) - J(n + m).scale(hinv)).scale(amn)
         if k == 0:
-            op = op + DiffOperator.identity(amn.scale(QQ(-1, 3)) * (
+            op = op + Op.identity(amn.scale(QQ(-1, 3)) * (
                 cmn.scale(QQ(1, 2)) + Coefficient.rational(QQ(m * m + 2 * m, 12))))
     return op.scale(QQ(1, m + 1))
 
@@ -400,7 +400,7 @@ def parse_operator(text: str) -> DiffOperator:
     """Parse the operator text grammar (inverse of operator_text)."""
     s = "".join(text.split())
     if s == "0":
-        return DiffOperator.zero()
+        return Op.zero()
     op = DiffOperator({})
     for piece in split_terms(s):
         mt = _DPART_RE.match(piece)
@@ -420,6 +420,6 @@ def test_operator_text_round_trip():
         op_of(virasoro(-2, 6)),
         op_of(cubic(3, 6)),
         whole(constraint(2, "symbolic", "M", -1, 8)),
-        DiffOperator.zero(),
+        Op.zero(),
     ):
         assert parse_operator(operator_text(op)) == op

@@ -31,7 +31,6 @@ from bgwtau.verify import (
     SUITE_RUNNERS,
     SuiteArgs,
     constraint_suite,
-    crosscheck_suite,
     golden_suite,
     hirota_suite,
     load_golden,
@@ -165,9 +164,9 @@ def test_hirota_small():
 
 
 def test_crosscheck_suite():
-    assert crosscheck_suite(2, 0, 8).ok
-    assert crosscheck_suite(1, QQ(1, 2), 6).ok
-    assert crosscheck_suite(3, 0, 6).ok
+    assert run_suites(["crosscheck"], m=2, N=0, order=8 // 2).ok
+    assert run_suites(["crosscheck"], m=1, N=QQ(1, 2), order=6 // 1).ok
+    assert run_suites(["crosscheck"], m=3, N=0, order=6 // 3).ok
 
 
 def _mutate(T, k=2):

@@ -1,17 +1,21 @@
 """Laurent series, Phi series, Kac-Schwarz operators and their identities."""
 
-import pytest
-
 from bgwtau import zcalculus
-from bgwtau.algebra import Coefficient, TimePolynomial, canonical_text, parse_polynomial
+from bgwtau.algebra import (
+    COEFF_ONE,
+    Coefficient,
+    TimePolynomial,
+    add_into,
+    canonical_text,
+    parse_polynomial,
+)
 from bgwtau.rational import QQ
-from bgwtau.algebra import add_into
 from bgwtau.zcalculus import (
-    InsufficientPrecision,
     LaurentSeries,
-    ParityViolation,
-    PhiRingElement,
     ZOperator,
+    _double_factorial,
+    _exp_table,
+    _phi_coefficients,
     canonical_pair,
     check_canonical_pair,
     check_commutation,
@@ -96,15 +100,74 @@ def test_phi_j_degree_is_2k():
             assert max(degs) == 2 * k, f"j-degree of phi[{m},{k}]"
 
 
-def test_parity_violation_signals():
-    bad = PhiRingElement()
-    bad.add(0, 3, Coefficient.one())  # odd u-power
-    with pytest.raises(ParityViolation, match="odd u-power"):
-        bad.finalize(2)
-    bad2 = PhiRingElement()
-    bad2.add(1, 2, Coefficient.one())  # imaginary residue
-    with pytest.raises(ParityViolation, match="imaginary"):
-        bad2.finalize(2)
+def test_exp_table_entries_have_equal_u_and_phi_parity():
+    """Each factor exp(tstar_l phi^l) adds s(l-2) to the u-power p and s*l
+    to the phi-power q, so every entry has p = q (mod 2): with the moments'
+    r = q (mod 2) this makes the u-power p + r and the i-power r + 3q even,
+    which is why the Phi coefficients come out real and even in u."""
+    for m in range(1, 7):
+        for K in range(13):
+            assert all((p - q) % 2 == 0 for (p, q), _ in _exp_table(m, K)), (m, K)
+
+
+class PhiRingElement:
+    """Map (i-power mod 4, u-power) -> Coefficient (polynomial in j)."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self):
+        self.terms: dict[tuple[int, int], Coefficient] = {}
+
+    def add(self, i4: int, u: int, c: Coefficient) -> None:
+        add_into(self.terms, (i4 & 3, u), c)
+
+    def finalize(self, K: int) -> list[Coefficient]:
+        """Collapse i^2 -> -1 and map u^(2k) to slot k; odd u-powers or a
+        nonzero imaginary part signal an internal inconsistency."""
+        out = [Coefficient.zero() for _ in range(K + 1)]
+        by_u: dict[int, list[Coefficient]] = {}
+        for (i4, u), c in self.terms.items():
+            slot = by_u.setdefault(u, [Coefficient.zero()] * 4)
+            slot[i4] = slot[i4] + c
+        for u, (c0, c1, c2, c3) in sorted(by_u.items()):
+            real = c0 - c2
+            imag = c1 - c3
+            assert not imag, f"parity violation: imaginary residue at u^{u}"
+            if not real:
+                continue
+            assert u % 2 == 0, f"parity violation: odd u-power {u}"
+            if u // 2 <= K:
+                out[u // 2] = real
+        return out
+
+
+def phi_coefficients_per_entry(m: int, K: int) -> tuple:
+    """Reference for _phi_coefficients: every (exp-table entry, r) pair
+    scales its binomial j-polynomial and lands at its (i-power, u-power)
+    slot; the slots then collapse i^2 -> -1 and u^2 -> h."""
+    cap = 2 * K
+    elem = PhiRingElement()
+    binoms = [COEFF_ONE]
+    cur = COEFF_ONE
+    for r in range(1, cap + 1):
+        jshift = Coefficient.monomial(1, j=1) + Coefficient.rational(r - 1)
+        cur = (cur * jshift).scale(QQ(-1, r))
+        binoms.append(cur)
+    for (p, q), v in _exp_table(m, K):
+        for r in range(0, cap - p + 1):
+            if (q + r) % 2:
+                continue
+            moment = _double_factorial(q + r - 1)
+            elem.add(r + 3 * q, p + r, binoms[r].scale(v * moment))
+    return tuple(elem.finalize(K))
+
+
+def test_phi_coefficients_match_the_per_entry_reference():
+    for m in range(1, 7):
+        for K in range(16 if m <= 2 else 12):
+            got, want = _phi_coefficients(m, K), phi_coefficients_per_entry(m, K)
+            assert [repr(c) for c in got] == [repr(c) for c in want], (m, K)
+            assert got == want, (m, K)
 
 
 def test_laurent_floor_rules():
@@ -131,8 +194,6 @@ def test_zop_apply_basics():
     dz = ZOperator.ddz()
     s = LaurentSeries.z_power(2)
     assert dz.apply(s).coeffs == {1: Coefficient.rational(2)}
-    with pytest.raises(InsufficientPrecision):
-        phi_series(2, 1, 2).assert_floor_at_most(-10)
 
 
 def test_ks_action_single():

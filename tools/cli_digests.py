@@ -5,8 +5,9 @@ sha256 of each one's stdout and its exit code with tools/cli_digests.json.
     python tools/cli_digests.py --record   # (re)write tools/cli_digests.json
 
 The commands cover every verify suite at m = 1, 2, 3, the basis-vector
-table, the cut-and-join expansions and free energies at m = 1, 2 (rational
-and symbolic N) and one Schur table, so a change that must keep the CLI
+tables (symbolic j at m = 1, 2, 4, bound j at rational and symbolic N),
+the cut-and-join expansions and free energies at m = 1, 2 (rational and
+symbolic N) and Schur tables at m = 2, 3, so a change that must keep the CLI
 output byte-identical can be checked against digests recorded before it.  Each command runs as
 `python -m bgwtau.cli ...` from the root of the checkout with `src` on
 PYTHONPATH; none of them reads or writes the disk cache (expand and
@@ -52,6 +53,11 @@ COMMANDS = (
     "verify --suite hirota --m 1 --N symbolic --order 10",
     "verify --suite constraints,hirota --m 2 --N 7/13 --order 7",
     "verify --suite hirota,constraints --m 3 --N symbolic --order 3",
+    "phi --m 1 --depth 16",
+    "phi --m 4 --depth 6 --format json",
+    "phi --m 3 --N 7/11 --j 2 --depth 8",
+    "phi --m 2 --N symbolic --j 5 --depth 6",
+    "schur --m 3 --N symbolic --degree 9",
 )
 
 
