@@ -15,7 +15,15 @@ Propagation is conservative:
               bound)
 
 so recomputing at greater depth never changes previously asserted
-coefficients.
+coefficients.  Every series product is one call of _product_sum, which
+computes nothing below the result's floor.
+
+The KS operator d = sum_{k<=k_max} T^k z, T = -h z^-m (theta - m/2 - N),
+theta = z d/dz, has T^k z = (-h)^k z^(1-mk) prod_{i<k} (theta + alpha_i)
+with alpha_i = 1 - m i - m/2 - N.  In the basis theta(theta-1)...(theta-o+1)
+= z^o d^o a factor (theta + alpha) maps coefficients e[o] to
+e[o-1] + (o + alpha) e[o]; ks_operators builds d by this recurrence.  The
+ladder check applies d by steps: k_max applications of T to z Phi_j.
 
 Phi_j series.  Phi_j = z^(j-1)(1 + sum_k phi[m,k](j) h^k z^(-mk)) where the
 phi[m,k] are polynomials in j produced by the Gaussian steepest-descent
@@ -34,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, inf, prod
 
 from .algebra import COEFF_ONE, Coefficient, add_into, merged
 from .operators import n_coeff
@@ -118,24 +126,8 @@ class LaurentSeries:
                 out[n - 1] = c.scale(n)
         return LaurentSeries(out, None if self.floor is None else self.floor - 1)
 
-    def __mul__(self, other: "LaurentSeries", cut=None) -> "LaurentSeries":
-        """The product; a cut truncates it there: no coefficient below z^cut
-        is computed and the floor is at least cut."""
-        e1, e2 = self.reach(), other.reach()
-        f1, f2 = self.floor, other.floor
-        if f1 is None:
-            fl = None if f2 is None or e1 is None else f2 + e1
-        elif f2 is None:
-            fl = None if e2 is None else f1 + e2
-        else:
-            fl = max(f1 + e2, f2 + e1)
-        fl = _max_known(fl, cut)
-        out: dict[int, Coefficient] = {}
-        for n1, c1 in self.coeffs.items():
-            for n2, c2 in other.coeffs.items():
-                if fl is None or n1 + n2 >= fl:
-                    add_into(out, n1 + n2, c1 * c2)
-        return LaurentSeries(out, fl)
+    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
+        return _product_sum([((self, self.reach()), (other, other.reach()))])
 
     def truncate(self, floor: int) -> "LaurentSeries":
         return LaurentSeries(
@@ -186,10 +178,6 @@ class ZOperator:
     def __init__(self, terms=None, tail_shift=None):
         self.terms: dict[int, LaurentSeries] = terms if terms is not None else {}
         self.tail_shift = tail_shift
-
-    @classmethod
-    def zero(cls) -> "ZOperator":
-        return cls({})
 
     @classmethod
     def identity(cls, coeff=None) -> "ZOperator":
@@ -244,37 +232,31 @@ class ZOperator:
         t = s.reach()
         cut = None if self.tail_shift is None or t is None else t + self.tail_shift + 1
         ds = _derivatives(s, max(self.terms, default=0))
-        out = LaurentSeries.zero()
-        for order, c in self.terms.items():
-            out = out + c.__mul__(ds[order], cut)
-        return out if cut is None else out.truncate(cut)
+        return _product_sum([((c, c.reach()), ds[o]) for o, c in self.terms.items()], cut)
 
     def compose(self, other: "ZOperator") -> "ZOperator":
         """self after other (operator product)."""
         # fold truncation tails: missing factors only act with small shifts,
         # so order o of the product is exact only above z^(o + tail)
         tail = None
-        if self.tail_shift is not None:
-            ms = other.max_shift()
-            if ms is not None:
-                tail = _max_known(tail, self.tail_shift + ms)
-            if other.tail_shift is not None:
-                tail = _max_known(tail, self.tail_shift + other.tail_shift)
-        if other.tail_shift is not None:
-            ms = self.max_shift()
-            if ms is not None:
-                tail = _max_known(tail, ms + other.tail_shift)
+        for t1, t2 in ((self.tail_shift, other.max_shift()), (self.tail_shift, other.tail_shift),
+                       (self.max_shift(), other.tail_shift)):
+            if t1 is not None and t2 is not None:
+                tail = _max_known(tail, t1 + t2)
         top = max(self.terms, default=0)
         derivs = {l: _derivatives(bl, top) for l, bl in other.terms.items()}
-        out: dict[int, LaurentSeries] = {}
+        pairs: dict[int, list] = {}
         for i, ci in self.terms.items():
             # c_i d^i (b_l d^l) = c_i sum_s C(i,s) (d^s b_l) d^(i+l-s)
-            cis = [ci if s in (0, i) else ci.scale(comb(i, s)) for s in range(i + 1)]
+            e = ci.reach()
+            cis = [(ci if s in (0, i) else ci.scale(comb(i, s)), e) for s in range(i + 1)]
             for l, ds in derivs.items():
                 for s in range(i + 1):
-                    o = i + l - s
-                    add_into(out, o, cis[s].__mul__(ds[s], None if tail is None else o + tail + 1))
-        return ZOperator(out, tail)
+                    pairs.setdefault(i + l - s, []).append((cis[s], ds[s]))
+        return ZOperator(
+            {o: _product_sum(ps, None if tail is None else o + tail + 1) for o, ps in pairs.items()},
+            tail,
+        )
 
     def power(self, e: int) -> "ZOperator":
         if e < 0:
@@ -298,12 +280,39 @@ class ZOperator:
         return s
 
 
-def _derivatives(s: LaurentSeries, n: int) -> list[LaurentSeries]:
-    """[s, s', ..., s^(n)]: the z-derivatives of s up to order n."""
-    out = [s]
+def _derivatives(s: LaurentSeries, n: int) -> list[tuple]:
+    """[s, s', ..., s^(n)], the z-derivatives of s up to order n, each
+    paired with its reach."""
+    out = [(s, s.reach())]
     for _ in range(n):
-        out.append(out[-1].dz())
+        ds = out[-1][0].dz()
+        out.append((ds, ds.reach()))
     return out
+
+
+def _product_sum(pairs: list, cut=None) -> LaurentSeries:
+    """sum a*b over pairs ((a, reach of a), (b, reach of b)): the one
+    product loop of the module.  Its floor is the largest of cut and the
+    product floors (module docstring), and no coefficient below it is
+    computed."""
+    fl = cut
+    for (a, e1), (b, e2) in pairs:
+        if a.floor is not None and e2 is not None:
+            fl = _max_known(fl, a.floor + e2)
+        if b.floor is not None and e1 is not None:
+            fl = _max_known(fl, b.floor + e1)
+    lo = -inf if fl is None else fl
+    out: dict[int, Coefficient] = {}
+    get = out.get
+    for (a, _), (b, _) in pairs:
+        bitems = list(b.coeffs.items())
+        for n1, c1 in a.coeffs.items():
+            for n2, c2 in bitems:
+                n = n1 + n2
+                if n >= lo:
+                    c = get(n)
+                    out[n] = c1 * c2 if c is None else c + c1 * c2
+    return LaurentSeries({n: c for n, c in out.items() if c}, fl)
 
 
 def z_commutator(a: ZOperator, b: ZOperator) -> ZOperator:
@@ -314,21 +323,13 @@ def z_commutator(a: ZOperator, b: ZOperator) -> ZOperator:
 # Phi series (steepest-descent expansion of the basis vectors)
 
 
-def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 def _exp_table(m: int, K: int) -> tuple:
     """exp(sum_{l>=3} tstar_l phi^l) truncated at u-power 2K.
 
-    Returns entries ((p, q) -> rational) with u^p phi^q; the i-power of every
-    entry at phi-degree q is 3q mod 4 (each factor carries (-i)^l), so only
-    the rational part is stored.  Each factor adds s(l-2) to p and s*l to q,
-    so p = q (mod 2).
+    Returns (table, den): table maps (p, q) to the integer numerator over
+    den of the entry u^p phi^q; the i-power of every entry at phi-degree q
+    is 3q mod 4 (each factor carries (-i)^l), so only the rational part is
+    stored.  Each factor adds s(l-2) to p and s*l to q, so p = q (mod 2).
     """
     cap = 2 * K
     table, den = {(0, 0): 1}, 1  # integer numerators over one denominator
@@ -350,7 +351,7 @@ def _exp_table(m: int, K: int) -> tuple:
                     break
                 add_into(new, (pp, q + s * l), v * weights[s])
         table, den = new, den * S
-    return tuple((key, QQ(v, den)) for key, v in table.items())
+    return table, den
 
 
 _PHI_STORE: dict[int, tuple] = {}
@@ -377,17 +378,22 @@ def _phi_coefficients(m: int, K: int) -> tuple:
         jshift = Coefficient.monomial(1, j=1) + Coefficient.rational(r - 1)
         cur = (cur * jshift).scale(QQ(-1, r))
         binoms.append(cur)
-    # stage 1: the scalar weight of binoms[r] at u^(p+r) = h^k z^(-mk); odd
-    # Gaussian moments vanish, so r = q (mod 2) and i^(r+3q) = (-1)^((r+3q)/2)
-    weight: dict[tuple[int, int], object] = {}
-    for (p, q), v in _exp_table(m, K):
+    # stage 1: the integer weight (over den) of binoms[r] at u^(p+r) =
+    # h^k z^(-mk); odd Gaussian moments vanish, so r = q (mod 2) and
+    # i^(r+3q) = (-1)^((r+3q)/2)
+    table, den = _exp_table(m, K)
+    moments = [1, 1]  # moments[n] = (n-1)!!
+    for n in range(2, max(q for _, q in table) + cap + 1):
+        moments.append(moments[n - 2] * (n - 1))
+    weight: dict[tuple[int, int], int] = {}
+    for (p, q), v in table.items():
         for r in range(q % 2, cap - p + 1, 2):
-            w = v * _double_factorial(q + r - 1)
+            w = v * moments[q + r]
             add_into(weight, ((p + r) // 2, r), -w if (r + 3 * q) & 2 else w)
     # stage 2: one scaling of each binomial per (k, r)
     out = [Coefficient.zero() for _ in range(K + 1)]
     for (k, r), w in weight.items():
-        out[k] = out[k] + binoms[r].scale(w)
+        out[k] = out[k] + binoms[r].scale(QQ(w, den))
     return tuple(out)
 
 
@@ -438,6 +444,21 @@ class KSOperators:
     c: ZOperator
     d: ZOperator
     d_inv: ZOperator
+    step: ZOperator
+    k_max: int
+
+    def d_apply(self, s: LaurentSeries) -> LaurentSeries:
+        """d s by steps: the sum of T^k (z s) for k <= k_max, each term and
+        the sum cut where d.apply cuts, so the result equals d.apply(s)."""
+        t = s.reach()
+        if t is None:  # a known zero
+            return LaurentSeries.zero()
+        cut = t + self.d.tail_shift + 1
+        term = out = s.shift(1).truncate(cut)
+        for _ in range(self.k_max):
+            term = self.step.apply(term).truncate(cut)
+            out = out + term
+        return out
 
 
 @lru_cache(maxsize=256)
@@ -446,9 +467,10 @@ def ks_operators(m: int, N, depth: int) -> KSOperators:
 
     a = z d/dz - m/2 + z^m/h and b = z^(m+1) are exact; c is the exact
     normal-ordered form of h z^-(m+1) (a-N)(a+Nm); d is the geometric series
-    sum_k (-h z^-m (z d/dz - m/2 - N))^k z truncated so that its order-i
-    coefficient is exact above z^(i+1-m*ceil((depth+2)/m+1)); d_inv is the
-    exact two-term inverse z^-1 (1 + h z^-m (z d/dz - m/2 - N))."""
+    sum_k T^k z with step T = -h z^-m (z d/dz - m/2 - N), truncated at
+    k_max so that its order-i coefficient is exact above
+    z^(i+1-m*ceil((depth+2)/m+1)); d_inv is the exact two-term inverse
+    z^-1 (1 + h z^-m (z d/dz - m/2 - N))."""
     nc = n_coeff(N)
     half_m = QQ(m, 2)
 
@@ -466,9 +488,9 @@ def ks_operators(m: int, N, depth: int) -> KSOperators:
     a_plus = a + ZOperator.identity(nc.scale(m))
     c = (a_minus.compose(a_plus)).shift(-(m + 1)).scale(Coefficient.monomial(1, h=1))
 
-    # d: truncated geometric series; step T = -h z^-m (z d/dz - m/2 - N).
-    # Every term of step^k z shifts z-degree by exactly 1 - m k, so the
-    # omitted k > k_max tail has action shift <= 1 - m (k_max + 1).
+    # d from the theta-recurrence (module docstring).  Every term T^k z
+    # shifts z-degree by exactly 1 - m k, so the omitted k > k_max tail has
+    # action shift <= 1 - m (k_max + 1).
     k_max = (depth + 2 + m) // m + 1
     hmn = (Coefficient.rational(half_m) + nc).times_h(1)  # h (m/2 + N), zero at N = -m/2
     step = ZOperator(
@@ -477,12 +499,19 @@ def ks_operators(m: int, N, depth: int) -> KSOperators:
             0: LaurentSeries.z_power(-m, hmn),
         }
     )
-    term = ZOperator({0: LaurentSeries.z_power(1)})
-    d = ZOperator({0: LaurentSeries.z_power(1)})
-    for _ in range(k_max):
-        term = step.compose(term)
-        d = d + term
-    d = ZOperator(d.terms, 1 - m * (k_max + 1))
+    e = [[COEFF_ONE]]  # e[k][o]: the z^(1-mk+o) d^o coefficient of T^k z
+    zero = Coefficient.zero()
+    for k in range(k_max):
+        # one more factor -h z^-m (theta + alpha_k): -h (e[o-1] + (o + alpha_k) e[o])
+        alpha = Coefficient.rational(1 - m * k - half_m) - nc
+        ek = e[-1]
+        e.append([-(lower + (alpha + Coefficient.rational(o)) * same).times_h(1)
+                  for o, (lower, same) in enumerate(zip([zero] + ek, ek + [zero]))])
+    d = ZOperator(
+        {o: LaurentSeries({1 - m * k + o: ek[o] for k, ek in enumerate(e[o:], o) if ek[o]}, None)
+         for o in range(k_max + 1)},
+        1 - m * (k_max + 1),
+    )
 
     d_inv = ZOperator(
         {
@@ -490,7 +519,7 @@ def ks_operators(m: int, N, depth: int) -> KSOperators:
             0: LaurentSeries.z_power(-1) + LaurentSeries.z_power(-m - 1, -hmn),
         }
     )
-    return KSOperators(m, a, b, c, d, d_inv)
+    return KSOperators(m, a, b, c, d, d_inv, step, k_max)
 
 
 def canonical_pair(m: int, N, depth: int) -> tuple[ZOperator, ZOperator, KSOperators]:
@@ -549,7 +578,7 @@ def check_ks_actions(m: int, N, j_max: int, depth: int) -> Report:
             rep, suite, f"c.Phi_{j}", ks.c.apply(phis[j]),
             phis[j - 1].scale((j - 1) * (m + 1)) + phis[j + m - 1].scale(hinv),
         )
-        _series_eq_case(rep, suite, f"d.Phi_{j}", ks.d.apply(phis[j]), phis[j + 1])
+        _series_eq_case(rep, suite, f"d.Phi_{j}", ks.d_apply(phis[j]), phis[j + 1])
         _series_eq_case(rep, suite, f"d_inv.Phi_{j+1}", ks.d_inv.apply(phis[j + 1]), phis[j])
     return rep
 

@@ -1,5 +1,7 @@
 """Laurent series, Phi series, Kac-Schwarz operators and their identities."""
 
+from itertools import product
+
 from bgwtau import zcalculus
 from bgwtau.algebra import (
     COEFF_ONE,
@@ -9,11 +11,11 @@ from bgwtau.algebra import (
     canonical_text,
     parse_polynomial,
 )
+from bgwtau.operators import n_coeff
 from bgwtau.rational import QQ
 from bgwtau.zcalculus import (
     LaurentSeries,
     ZOperator,
-    _double_factorial,
     _exp_table,
     _phi_coefficients,
     canonical_pair,
@@ -107,7 +109,7 @@ def test_exp_table_entries_have_equal_u_and_phi_parity():
     which is why the Phi coefficients come out real and even in u."""
     for m in range(1, 7):
         for K in range(13):
-            assert all((p - q) % 2 == 0 for (p, q), _ in _exp_table(m, K)), (m, K)
+            assert all((p - q) % 2 == 0 for p, q in _exp_table(m, K)[0]), (m, K)
 
 
 class PhiRingElement:
@@ -141,6 +143,14 @@ class PhiRingElement:
         return out
 
 
+def _double_factorial(n: int) -> int:
+    out = 1
+    while n > 1:
+        out *= n
+        n -= 2
+    return out
+
+
 def phi_coefficients_per_entry(m: int, K: int) -> tuple:
     """Reference for _phi_coefficients: every (exp-table entry, r) pair
     scales its binomial j-polynomial and lands at its (i-power, u-power)
@@ -153,7 +163,9 @@ def phi_coefficients_per_entry(m: int, K: int) -> tuple:
         jshift = Coefficient.monomial(1, j=1) + Coefficient.rational(r - 1)
         cur = (cur * jshift).scale(QQ(-1, r))
         binoms.append(cur)
-    for (p, q), v in _exp_table(m, K):
+    table, den = _exp_table(m, K)
+    for (p, q), num in table.items():
+        v = QQ(num, den)
         for r in range(0, cap - p + 1):
             if (q + r) % 2:
                 continue
@@ -271,20 +283,66 @@ def test_truncated_products_match_the_full_product_reference():
     """compose and apply compute no coefficient below a tail's cut; floors,
     tail shifts and every coefficient (repr) equal the full-product
     reference's, for the products the KS suites form."""
-    for m in (1, 2, 3):
-        for N in (0, QQ(-1, 2), "symbolic"):
-            ks = ks_operators(m, N, 6)
-            pairs = [(ks.c, ks.d), (ks.d, ks.c), (ks.d, ks.d_inv), (ks.d_inv, ks.d),
-                     (ks.d, ks.d), (ks.d_inv, ks.d_inv), (ks.b, ks.d_inv)]
-            if m >= 2:
-                p, q, _ = canonical_pair(m, N, 6)
-                pairs += [(p, q), (q, p)]
-            for a, b in pairs:
-                assert repr(a.compose(b)) == repr(full_product_compose(a, b)), (m, N)
-            for j in (1, 2):
-                phi = phi_series_gen(m, N, j, 4)
-                for op in (ks.a, ks.c, ks.d, ks.d_inv, ks.d.compose(ks.d)):
-                    assert repr(op.apply(phi)) == repr(full_product_apply(op, phi)), (m, N, j)
+    for m, N, depth in product((1, 2, 3), (0, QQ(-1, 2), QQ(7, 11), "symbolic"), (6, 12)):
+        ks = ks_operators(m, N, depth)
+        pairs = [(ks.c, ks.d), (ks.d, ks.c), (ks.d, ks.d_inv), (ks.d_inv, ks.d),
+                 (ks.d_inv, ks.d_inv), (ks.b, ks.d_inv)]
+        ops = [ks.a, ks.c, ks.d, ks.d_inv]
+        # the suites form d.d only at m >= 3 (in d^(m-1)); at m = 1 its full
+        # product reference takes seconds at depth 12, so it runs at depth 6
+        if m >= 2 or depth == 6:
+            pairs.append((ks.d, ks.d))
+            ops.append(ks.d.compose(ks.d))
+        if m >= 2:
+            p, q, _ = canonical_pair(m, N, depth)
+            pairs += [(p, q), (q, p)]
+        for a, b in pairs:
+            assert repr(a.compose(b)) == repr(full_product_compose(a, b)), (m, N, depth)
+        for j in (1, 2):
+            phi = phi_series_gen(m, N, j, 4)
+            for op in ops:
+                assert repr(op.apply(phi)) == repr(full_product_apply(op, phi)), (m, N, depth, j)
+
+
+def d_by_composition(m: int, N, depth: int) -> ZOperator:
+    """Reference for ks_operators' d: the geometric series sum_k T^k z,
+    each term composed from the previous one, summed, and given the tail
+    shift 1 - m (k_max + 1)."""
+    k_max = (depth + 2 + m) // m + 1
+    hmn = (Coefficient.rational(QQ(m, 2)) + n_coeff(N)).times_h(1)
+    step = ZOperator({1: LaurentSeries.z_power(1 - m, Coefficient.monomial(-1, h=1)),
+                      0: LaurentSeries.z_power(-m, hmn)})
+    term = d = ZOperator({0: LaurentSeries.z_power(1)})
+    for _ in range(k_max):
+        term = step.compose(term)
+        d = d + term
+    return ZOperator(d.terms, 1 - m * (k_max + 1))
+
+
+KS_GRID_N = (0, QQ(7, 11), "symbolic", QQ(-1, 2), "-m/2", QQ(1, 2), 1, -3)
+
+
+def test_d_matches_the_composed_geometric_series():
+    """d from the theta-recurrence equals the composed series: same orders,
+    coefficients, floors and tail shift."""
+    for m, N, depth in product((1, 2, 3, 4), KS_GRID_N, (3, 8, 12, 30)):
+        N = QQ(-m, 2) if N == "-m/2" else N
+        got, want = ks_operators(m, N, depth).d, d_by_composition(m, N, depth)
+        assert sorted(got.terms) == sorted(want.terms), (m, N, depth)
+        assert repr(got) == repr(want), (m, N, depth)
+
+
+def test_d_by_steps_matches_the_dense_action():
+    """KSOperators.d_apply (k_max steps T on z s) equals d.apply(s), floors
+    included, on basis vectors and on the edge series: a known zero, an
+    exact single term and an empty series with a floor."""
+    edge = [LaurentSeries.zero(), LaurentSeries.z_power(3, QQ(2, 5)), LaurentSeries({}, -4)]
+    for m, N, depth in product((1, 2, 3, 4), KS_GRID_N, (3, 8)):
+        N = QQ(-m, 2) if N == "-m/2" else N
+        ks = ks_operators(m, N, depth)
+        series = [phi_series_gen(m, N, j, K) for j in range(6) for K in (2, 5, 9)] + edge
+        for s in series:
+            assert repr(ks.d_apply(s)) == repr(ks.d.apply(s)), (m, N, depth, s)
 
 
 def test_ks_series_store_no_zero():
@@ -318,7 +376,7 @@ def test_canonical_pair_reports():
 def test_shape_cases_fail_on_the_zero_operator(monkeypatch):
     # a missing lead must fail the shape check, not pass it vacuously
     def zero_pair(m, N, depth):
-        return ZOperator.zero(), ZOperator.zero(), ks_operators(m, N, depth)
+        return ZOperator(), ZOperator(), ks_operators(m, N, depth)
 
     monkeypatch.setattr(zcalculus, "canonical_pair", zero_pair)
     lines = check_canonical_pair(2, 0, 6).lines()

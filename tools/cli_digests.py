@@ -4,10 +4,12 @@ sha256 of each one's stdout and its exit code with tools/cli_digests.json.
     python tools/cli_digests.py            # compare; exit 1 on any difference
     python tools/cli_digests.py --record   # (re)write tools/cli_digests.json
 
-The commands cover every verify suite at m = 1, 2, 3, the basis-vector
-tables (symbolic j at m = 1, 2, 4, bound j at rational and symbolic N),
-the cut-and-join expansions and free energies at m = 1, 2 (rational and
-symbolic N) and Schur tables at m = 2, 3, so a change that must keep the CLI
+The commands cover every verify suite at m = 1, 2, 3, the ks suite at
+m = 1..4 (N = 0, -1/2, -1, symbolic; the quantum Bessel and closing
+identity cases included), the basis-vector tables (symbolic j at
+m = 1, 2, 4, bound j at rational and symbolic N), the cut-and-join
+expansions and free energies at m = 1, 2 (rational and symbolic N) and
+Schur tables at m = 2, 3, so a change that must keep the CLI
 output byte-identical can be checked against digests recorded before it.  Each command runs as
 `python -m bgwtau.cli ...` from the root of the checkout with `src` on
 PYTHONPATH; none of them reads or writes the disk cache (expand and
@@ -58,6 +60,10 @@ COMMANDS = (
     "phi --m 3 --N 7/11 --j 2 --depth 8",
     "phi --m 2 --N symbolic --j 5 --depth 6",
     "schur --m 3 --N symbolic --degree 9",
+    "verify --suite ks --m 1 --N 0 --depth 12",
+    "verify --suite ks --m 2 --N 0 --depth 10",
+    "verify --suite ks --m 2 --N=-1 --depth 8",
+    "verify --suite ks --m 4 --N symbolic --depth 6",
 )
 
 
