@@ -15,6 +15,11 @@ Representation:
                   monomial.  weighted degree is sum k*e.
   TimePolynomial  dict TimeMonomial -> Coefficient, no zero coefficients.
 
+Binding.  Coefficient.substitute binds N to a rational.  j is bound once
+per basis-vector series: zcalculus.phi_terms builds the powers J^0..J^(2K)
+of the bound value once and evaluates every coefficient from that table by
+Coefficient.at_j.
+
 All arithmetic is exact; there is no floating point anywhere in this module.
 
 Canonical text grammar (also the golden-file format):
@@ -207,18 +212,6 @@ class Coefficient:
             return Coefficient({})
         return _scaled(self.terms, self.den, p, r, 0)
 
-    def __pow__(self, e: int) -> "Coefficient":
-        if e < 0:
-            raise ValueError("negative powers of coefficients are not defined")
-        out = Coefficient.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
     def times_h(self, k: int) -> "Coefficient":
         """Multiply by h^k (k may be negative)."""
         off = k << 32
@@ -242,49 +235,31 @@ class Coefficient:
             raise ValueError("coefficient is not a plain rational: %r" % self)
         return QQ(self.terms[_KEY1], self.den)
 
-    def substitute(self, n=None, j=None, h=None) -> "Coefficient":
-        """Bind N, j, h.  n and h bind to rationals; j to a rational or a
-        Coefficient (polynomial in N).  h=0 with a stored negative h-power
-        raises (pole at h=0).
-
-        Every atom's numerator is brought over one denominator: h^e and N^e
-        are numerators over a shared power of the bound value's denominator
-        (_powers), j^e over jden^jmax."""
-        atoms = [(_cunpack(k), v) for k, v in self.terms.items()]
-        hs, ns, js = zip((0, 0, 0), *(e for e, _ in atoms))  # exponent ranges, 0 included
-        den = self.den
-        if h is not None:
-            lo = min(hs)
-            hnum, hden = _powers(h, lo, max(hs))
-            den *= hden
-        if n is not None:
-            nnum, nden = _powers(n, 0, max(ns))
-            den *= nden
-        if j is not None:
-            if not isinstance(j, Coefficient):
-                j = Coefficient.rational(j)
-            jpowers = [COEFF_ONE]
-            for _ in range(max(js)):
-                jpowers.append(jpowers[-1] * j)
-            jden = j.den ** max(js)
-            den *= jden
+    def substitute(self, n) -> "Coefficient":
+        """The value at N = n, a rational: every N^e numerator over the
+        common denominator of the powers of n (_powers)."""
+        nnum, nden = _powers(n, max((k >> 16 & _MASK16 for k in self.terms), default=0))
         out: dict[int, int] = {}
-        for (he, ne, je), v in atoms:
-            if h is not None:
-                v *= hnum[he - lo]
-                he = 0
-            if n is not None:
-                v *= nnum[ne]
-                ne = 0
-            if j is None:
-                add_into(out, _ckey(he, ne, je), v)
-                continue
-            jp = jpowers[je]
-            v *= jden // jp.den
-            off = _ckey(he, ne, 0) - _HBASE
-            for k, w in jp.terms.items():
-                add_into(out, k + off, v * w)
-        return _canonical(out, den)
+        for k, v in self.terms.items():
+            e = k >> 16 & _MASK16
+            add_into(out, k - (e << 16), v * nnum[e])
+        return _canonical(out, self.den * nden)
+
+    def at_j(self, powers: list) -> "Coefficient":
+        """The value at j = J, given powers = [J^0, J^1, ...] up to at least
+        the j-degree of self.  Every numerator is brought over the
+        denominator of the top power used: for J = (c/d) f with f primitive,
+        J^e has denominator exactly d^e, so each lower one divides it."""
+        den = powers[max((k & _MASK16 for k in self.terms), default=0)].den
+        out: dict[int, int] = {}
+        for k, v in self.terms.items():
+            e = k & _MASK16
+            jp = powers[e]
+            v *= den // jp.den
+            off = k - e - _HBASE
+            for kj, w in jp.terms.items():
+                add_into(out, kj + off, v * w)
+        return _canonical(out, self.den * den)
 
     def __repr__(self):
         return join_terms([_atom_text(v, self.den, *_cunpack(k))
@@ -336,15 +311,11 @@ def _scaled(terms: dict, den: int, p: int, r: int, off: int) -> Coefficient:
     return Coefficient({k + off: v * p for k, v in terms.items()}, den * r)
 
 
-def _powers(q, lo: int, hi: int) -> tuple[list[int], int]:
-    """Numerators of q^e for e = lo..hi (lo <= 0 <= hi) over one common
-    denominator d > 0: with q = p/r, q^e = s p^(e-lo) r^(hi-e) / d where
-    d = s r^hi p^-lo and the sign s makes d positive."""
+def _powers(q, hi: int) -> tuple[list[int], int]:
+    """Numerators of q^e for e = 0..hi over the common denominator r^hi,
+    q = p/r: q^e = p^e r^(hi-e) / r^hi."""
     p, r = _ratio(q)
-    if not p and lo < 0:
-        raise ValueError("pole at h=0")
-    s = -1 if p < 0 and lo % 2 else 1
-    return [s * p ** (e - lo) * r ** (hi - e) for e in range(lo, hi + 1)], s * r ** hi * p ** -lo
+    return [p ** e * r ** (hi - e) for e in range(hi + 1)], r ** hi
 
 
 COEFF_ONE = Coefficient.one()
@@ -505,10 +476,11 @@ class TimePolynomial:
             out.update(k for k, _ in m)
         return out
 
-    def substitute(self, n=None, j=None, h=None) -> "TimePolynomial":
+    def substitute(self, n) -> "TimePolynomial":
+        """The polynomial at N = n, a rational."""
         out: dict[TimeMonomial, Coefficient] = {}
         for m, c in self.terms.items():
-            add_into(out, m, c.substitute(n=n, j=j, h=h))
+            add_into(out, m, c.substitute(n))
         return TimePolynomial(out)
 
     def __repr__(self):
@@ -526,14 +498,6 @@ def weighted_degree(p: TimePolynomial):
         raise ValueError("undefined degree: zero polynomial")
     degs = {m.degree for m in p.terms}
     return degs.pop() if len(degs) == 1 else INHOMOGENEOUS
-
-
-def substitute(p: TimePolynomial, bindings: dict) -> TimePolynomial:
-    """Bind any of {"N": rational, "j": rational or Coefficient, "h": rational}."""
-    unknown = set(bindings) - {"N", "j", "h"}
-    if unknown:
-        raise ValueError(f"unknown binding(s): {sorted(unknown)}")
-    return p.substitute(n=bindings.get("N"), j=bindings.get("j"), h=bindings.get("h"))
 
 
 def _atoms(p: TimePolynomial):

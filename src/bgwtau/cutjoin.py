@@ -92,7 +92,7 @@ def w1_w2(N, bound: int) -> tuple[DiffOperator, DiffOperator]:
     )
     w2.add_scaled(nc.scale(4), virasoro(0, bound), TimeMonomial.var(4))
     w2.add_scaled(nc, virasoro(-3, bound), TimeMonomial.var(1))
-    w2.add_term((nc ** 3 - nc).scale(QQ(-4, 3)), TimeMonomial.var(4), MONO_ONE)
+    w2.add_term((nc * nsq - nc).scale(QQ(-4, 3)), TimeMonomial.var(4), MONO_ONE)
     return w1, w2
 
 

@@ -397,28 +397,23 @@ def _phi_coefficients(m: int, K: int) -> tuple:
     return tuple(out)
 
 
-def phi_terms(m: int, K: int, j) -> list[Coefficient]:
+def phi_terms(m: int, K: int, j: Coefficient) -> list[Coefficient]:
     """[phi[m,k](j) h^k for k = 0..K], the h^k z^(-mk) coefficients of the
-    normalized basis vector.  j=None keeps j symbolic; otherwise j binds to
-    a rational or to a Coefficient (j - N for the generalized vectors)."""
-    out = []
-    for k, c in enumerate(phi_coefficients(m, K)):
-        if j is not None:
-            c = c.substitute(j=j)
-        out.append(c.times_h(k))
-    return out
+    normalized basis vector, with j bound to a Coefficient: a rational, or
+    j - N for the generalized vectors.  The powers j^0..j^(2K) are built
+    once per call; the stored coefficients are read on every call."""
+    powers = [COEFF_ONE]
+    for _ in range(2 * K):
+        powers.append(powers[-1] * j)
+    return [c.at_j(powers).times_h(k) for k, c in enumerate(phi_coefficients(m, K))]
 
 
 @lru_cache(maxsize=4096)
-def phi_series(m: int, j, K: int) -> LaurentSeries:
-    """Basis vector Phi_j^(m) to depth K (exact down to z^(j-1-mK)).
-
-    Integer j gives the true series z^(j-1)(1 + ...); j=None keeps j symbolic
-    and returns the normalized series with leading exponent 0 and coefficients
-    in QQ[j]."""
-    lead = 0 if j is None else j - 1
-    terms = phi_terms(m, K, None if j is None else QQ(j))
-    return LaurentSeries({lead - m * k: c for k, c in enumerate(terms) if c}, lead - m * K)
+def phi_series(m: int, j: int, K: int) -> LaurentSeries:
+    """Basis vector Phi_j^(m) = z^(j-1)(1 + ...) to depth K, exact down to
+    z^(j-1-mK)."""
+    terms = phi_terms(m, K, Coefficient.rational(j))
+    return LaurentSeries({j - 1 - m * k: c for k, c in enumerate(terms) if c}, j - 1 - m * K)
 
 
 @lru_cache(maxsize=4096)

@@ -65,7 +65,8 @@ def test_criterion_3_appendix_a_reproduction():
     from bgwtau.algebra import Coefficient
 
     coeffs = phi_coefficients(1, 4)
-    base = ((Coefficient.monomial(1, j=1) - Coefficient.rational(1)) ** 2).scale(4)
+    jm1 = Coefficient.monomial(1, j=1) - Coefficient.rational(1)
+    base = (jm1 * jm1).scale(4)
     acc = Coefficient.one()
     fact = 1
     for k in range(1, 5):

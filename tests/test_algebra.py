@@ -18,11 +18,11 @@ from bgwtau.algebra import (
     canonical_text,
     merged,
     parse_polynomial,
-    substitute,
     weighted_degree,
 )
+from bgwtau.operators import n_coeff
 from bgwtau.rational import QQ
-from bgwtau.zcalculus import LaurentSeries
+from bgwtau.zcalculus import LaurentSeries, phi_coefficients, phi_series_gen, phi_terms
 
 P = parse_polynomial
 
@@ -76,23 +76,16 @@ def test_weighted_degree():
 
 
 def test_substitute():
-    assert substitute(P("1/1*N*t1^2"), {"N": 0}).is_zero()
+    assert P("1/1*N*t1^2").substitute(n=0).is_zero()
     # basis-vector coefficient at j -> 1-N
     phi = Coefficient.monomial(QQ(-1, 2), j=2) + Coefficient.monomial(QQ(3, 2), j=1) \
         + Coefficient.rational(QQ(-5, 6))
-    shifted = phi.substitute(j=Coefficient.rational(1) - Coefficient.monomial(1, n=1))
+    shifted = phi.at_j(powers_of(Coefficient.rational(1) - Coefficient.monomial(1, n=1), 2))
     expect = Coefficient.rational(QQ(1, 6)) + Coefficient.monomial(QQ(-1, 2), n=1) \
         + Coefficient.monomial(QQ(-1, 2), n=2)
     assert shifted == expect
     p = P("1/8*t1-1/2*N^2*t1")
-    assert substitute(p, {"N": 0}) == P("1/8*t1")
-
-
-def test_substitute_pole():
-    p = TimePolynomial.constant(Coefficient.monomial(1, h=-2))
-    with pytest.raises(ValueError, match="pole at h=0"):
-        substitute(p, {"h": 0})
-    assert substitute(p, {"h": QQ(1, 2)}) == P("4/1")
+    assert p.substitute(n=0) == P("1/8*t1")
 
 
 def test_canonical_text_basics():
@@ -140,8 +133,8 @@ def test_parse_print_round_trip(p):
 @settings(max_examples=50, deadline=None)
 @given(polynomials(), polynomials(), st.fractions(min_value=-4, max_value=4, max_denominator=3))
 def test_substitute_is_multiplicative(a, b, nval):
-    lhs = substitute(a * b, {"N": nval})
-    rhs = substitute(a, {"N": nval}) * substitute(b, {"N": nval})
+    lhs = (a * b).substitute(n=nval)
+    rhs = a.substitute(n=nval) * b.substitute(n=nval)
     assert lhs == rhs
 
 
@@ -292,14 +285,12 @@ def ref_mul(a: dict, b: dict) -> dict:
                      for (h1, n1, j1), q1 in a.items() for (h2, n2, j2), q2 in b.items()))
 
 
-def ref_substitute(a: dict, n=None, j=None, h=None) -> dict:
-    """j binds to a Fraction or to a reference dict."""
+def ref_substitute(a: dict, n=None, j=None) -> dict:
+    """N binds to a Fraction, j to a Fraction or to a reference dict."""
     if j is not None and not isinstance(j, dict):
         j = {(0, 0, 0): Fraction(j)} if j else {}
     out = []
     for (he, ne, je), q in a.items():
-        if h is not None:
-            q, he = q * Fraction(h) ** he, 0
         if n is not None:
             q, ne = q * Fraction(n) ** ne, 0
         term = {(he, ne, je if j is None else 0): q}
@@ -338,26 +329,49 @@ def test_coefficient_ring_matches_fraction_reference(ra, rb, q, k, p):
         assert ref_of(c) == ref
 
 
+def powers_of(j: Coefficient, top: int) -> list:
+    """[j^0, ..., j^top]."""
+    out = [Coefficient.one()]
+    for _ in range(top):
+        out.append(out[-1] * j)
+    return out
+
+
 @settings(max_examples=150, deadline=None)
-@given(ref_coefficients, small_fractions, small_fractions, small_fractions,
+@given(ref_coefficients, small_fractions, small_fractions,
        st.dictionaries(st.tuples(st.integers(-1, 1), st.integers(0, 2), st.just(0)),
-                       small_fractions.filter(bool), max_size=3))
-def test_coefficient_substitute_matches_fraction_reference(ra, nq, jq, hq, rj):
+                       small_fractions.filter(bool), max_size=3), st.integers(0, 3))
+def test_coefficient_substitute_matches_fraction_reference(ra, nq, jq, rj, extra):
+    """substitute binds N; at_j binds j, rational or a polynomial, from a
+    power table that may run past the j-degree (phi_terms passes one table
+    to every coefficient of a series)."""
     a = build(ra)
-    pole = not hq and any(h < 0 for h, _, _ in ra)
-    cases = [({"n": nq}, {"n": nq}), ({"j": jq}, {"j": jq}), ({"j": build(rj)}, {"j": rj}),
-             ({"n": nq, "j": build(rj), "h": hq}, {"n": nq, "j": rj, "h": hq}),
-             ({"n": nq, "j": jq}, {"n": nq, "j": jq})]
-    if not pole:
-        cases.append(({"h": hq}, {"h": hq}))
-    for kwargs, ref_kwargs in cases:
-        if "h" in kwargs and pole:
-            with pytest.raises(ValueError, match="pole at h=0"):
-                a.substitute(**kwargs)
-            continue
-        c = a.substitute(**kwargs)
+    top = max((j for _, _, j in ra), default=0) + extra
+    rational_j, poly_j = powers_of(Coefficient.rational(jq), top), powers_of(build(rj), top)
+    for c, ref in [(a.substitute(n=nq), ref_substitute(ra, n=nq)),
+                   (a.at_j(rational_j), ref_substitute(ra, j=jq)),
+                   (a.at_j(poly_j), ref_substitute(ra, j=rj)),
+                   (a.substitute(n=nq).at_j(poly_j), ref_substitute(ra, n=nq, j=rj))]:
         assert_canonical(c)
-        assert ref_of(c) == ref_substitute(ra, **ref_kwargs)
+        assert ref_of(c) == ref
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_phi_binding_matches_per_coefficient_reference(m):
+    """phi_terms and phi_series_gen bind j = j - N from one power table per
+    series; the reference binds each stored phi[m,k] on its own."""
+    for K in (0, 1, 3, 6):
+        coeffs = [ref_of(c) for c in phi_coefficients(m, K)]
+        for N in (0, QQ(7, 11), "symbolic", QQ(-1, 2)):
+            for j in range(-2, 5):
+                J = Coefficient.rational(j) - n_coeff(N)
+                want = [build(ref_substitute(c, j=ref_of(J))).times_h(k)
+                        for k, c in enumerate(coeffs)]
+                assert repr(phi_terms(m, K, J)) == repr(want)
+                lead = j - 1
+                series = LaurentSeries({lead - m * k: c for k, c in enumerate(want) if c},
+                                       lead - m * K)
+                assert repr(phi_series_gen(m, N, j, K)) == repr(series)
 
 
 @settings(max_examples=100, deadline=None)

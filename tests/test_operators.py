@@ -304,7 +304,7 @@ def test_constraint_m2n_literal():
         lit = lit + op_of(current(3 * k)).scale(c2n)
         if k == 0:
             lit = lit + Op.identity(
-                (nsym ** 3 - nsym).scale(QQ(1, 3))
+                (nsym * nsym * nsym - nsym).scale(QQ(1, 3))
             )
         lit = lit.scale(QQ(1, 3))
         assert whole(constraint(2, "symbolic", "M", k, 12)) == lit

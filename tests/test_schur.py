@@ -22,7 +22,7 @@ from bgwtau.schur import (
     schur_in_times,
     tau_from_schur,
 )
-from bgwtau.zcalculus import phi_coefficients
+from bgwtau.zcalculus import phi_terms
 
 P = parse_polynomial
 
@@ -241,8 +241,9 @@ def test_miwa_point_consistency():
         coeff = c.h_part(w // m).as_rational()
         lhs[w] += coeff * val
 
-    coeffs = phi_coefficients(m, D // m)
-    cj = [[c.substitute(j=QQ(j + 1)).as_rational() for c in coeffs] for j in range(M)]
+    cj = [[c.h_part(k).as_rational()
+           for k, c in enumerate(phi_terms(m, D // m, Coefficient.rational(j + 1)))]
+          for j in range(M)]
     vdm_degree = M * (M - 1) // 2
     order = D + vdm_degree
     rows = []

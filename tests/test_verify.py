@@ -13,7 +13,6 @@ from bgwtau.algebra import (
     TimeMonomial,
     TimePolynomial,
     parse_polynomial,
-    substitute,
 )
 from bgwtau.cutjoin import (
     TauExpansion,
@@ -126,9 +125,7 @@ def test_f6_defect_matches_b_defect_at_n0():
     golden_c = load_golden("AppendixC")
     golden_b = load_golden("AppendixB")
     mono = TimeMonomial.from_dict({1: 1, 11: 1})
-    f6_at_0 = substitute(
-        TimePolynomial({mono: golden_c.entries["F[6]"].terms[mono]}), {"N": 0}
-    )
+    f6_at_0 = TimePolynomial({mono: golden_c.entries["F[6]"].terms[mono]}).substitute(n=0)
     assert f6_at_0.terms[mono] == golden_b.entries["tau2[6]"].terms[mono]
 
 

@@ -7,9 +7,10 @@ sha256 of each one's stdout and its exit code with tools/cli_digests.json.
 The commands cover every verify suite at m = 1, 2, 3, the ks suite at
 m = 1..4 (N = 0, -1/2, -1, symbolic; the quantum Bessel and closing
 identity cases included), the basis-vector tables (symbolic j at
-m = 1, 2, 4, bound j at rational and symbolic N), the cut-and-join
-expansions and free energies at m = 1, 2 (rational and symbolic N) and
-Schur tables at m = 2, 3, so a change that must keep the CLI
+m = 1, 2, 4; bound j at N = 0, rational and symbolic N, negative j
+included), the cut-and-join expansions and free energies at m = 1, 2
+(rational and symbolic N), the oracle expansions at m = 3, 4 and Schur
+tables at m = 2, 3, so a change that must keep the CLI
 output byte-identical can be checked against digests recorded before it.  Each command runs as
 `python -m bgwtau.cli ...` from the root of the checkout with `src` on
 PYTHONPATH; none of them reads or writes the disk cache (expand and
@@ -64,6 +65,11 @@ COMMANDS = (
     "verify --suite ks --m 2 --N 0 --depth 10",
     "verify --suite ks --m 2 --N=-1 --depth 8",
     "verify --suite ks --m 4 --N symbolic --depth 6",
+    "phi --m 2 --j=-3 --depth 9",
+    "phi --m 1 --j 1 --depth 20",
+    "phi --m 5 --N=-1/2 --j 0 --depth 8 --format json",
+    "expand --m 3 --N 7/11 --oracle --degree 12 --no-cache",
+    "expand --m 4 --N symbolic --oracle --degree 8 --no-cache",
 )
 
 
