@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .rational import QQ, QQ0
+from .rational import QQ
 
 INHOMOGENEOUS = "inhomogeneous"
 
@@ -115,8 +115,8 @@ class Coefficient:
     Canonical form, so == and hash are structural: no zero numerator,
     den > 0, gcd(den, *numerators) == 1, and zero is {} over 1.  Every
     operation below returns a canonical Coefficient; rationals (rational.QQ)
-    appear only at the boundaries: the rational/monomial/scale arguments,
-    items_hnj and as_rational."""
+    appear only at the boundaries: the rational/monomial/scale arguments
+    and items_hnj."""
 
     __slots__ = ("terms", "den")
 
@@ -227,13 +227,6 @@ class Coefficient:
     def h_range(self) -> tuple[int, int]:
         hs = [(k >> 32) - _HOFF for k in self.terms]
         return (min(hs), max(hs)) if hs else (0, 0)
-
-    def as_rational(self):
-        if not self.terms:
-            return QQ0
-        if set(self.terms) != {_KEY1}:
-            raise ValueError("coefficient is not a plain rational: %r" % self)
-        return QQ(self.terms[_KEY1], self.den)
 
     def substitute(self, n) -> "Coefficient":
         """The value at N = n, a rational: every N^e numerator over the
@@ -385,15 +378,6 @@ class TimePolynomial:
     def constant(cls, c) -> "TimePolynomial":
         c = c if isinstance(c, Coefficient) else Coefficient.rational(c)
         return cls({MONO_ONE: c} if c else {})
-
-    @classmethod
-    def var(cls, k: int, e: int = 1) -> "TimePolynomial":
-        return cls({TimeMonomial.var(k, e): Coefficient.one()})
-
-    @classmethod
-    def term(cls, coeff, mono: TimeMonomial) -> "TimePolynomial":
-        c = coeff if isinstance(coeff, Coefficient) else Coefficient.rational(coeff)
-        return cls({mono: c} if c else {})
 
     def __bool__(self):
         return bool(self.terms)

@@ -23,6 +23,7 @@ import os
 import re
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from . import ENGINE_VERSION
@@ -40,12 +41,15 @@ from .zcalculus import phi_coefficients, phi_series_gen
 
 
 def parse_n(text: str):
+    """The --N value: "symbolic", or a rational read by the fractions.Fraction
+    grammar, so that what --N accepts does not depend on the QQ backend."""
     if text == "symbolic":
         return "symbolic"
     try:
-        return QQ(text)
+        q = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad N value {text!r}") from exc
+    return QQ(q.numerator, q.denominator)
 
 
 def int_at_least(lo: int):

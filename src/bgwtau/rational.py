@@ -4,8 +4,8 @@ QQ is gmpy2.mpq when available, else fractions.Fraction.  Polynomial
 arithmetic does not use it: algebra.Coefficient keeps integer numerators
 over one common denominator.  QQ appears only where a single rational goes
 in or comes out: the arguments of Coefficient.rational/monomial/scale,
-Coefficient.items_hnj and as_rational, parsed N values, and scalar tables
-such as zcalculus._exp_table.  Only the API shared by both types is used:
+Coefficient.items_hnj, parsed N values, and scalar tables such as
+zcalculus._exp_table.  Only the API shared by both types is used:
 construction from ints/strings, arithmetic, comparison, hashing,
 .numerator/.denominator (read through int(), so an mpq works too).
 """
@@ -14,9 +14,6 @@ try:
     from gmpy2 import mpq as QQ
 except ImportError:  # pragma: no cover
     from fractions import Fraction as QQ
-
-QQ0 = QQ(0)
-QQ1 = QQ(1)
 
 
 def rat_str(q) -> str:

@@ -9,9 +9,27 @@ the Miwa parametrization t_k = (1/k) sum_i x_i^k equals
 
 and multilinear column expansion turns the ratio into a Schur-function sum:
 an exponent tuple (l_1..l_M) with all b_j = M - j + l_j distinct contributes
-sign * prod_j c_{j,l_j} to C_mu where mu_j = b_j^(sorted desc) - (M - j).
-Tuples with colliding exponents contribute zero.  Only l_j in m*Z appear
-(the Phi support), so |mu| is a multiple of m and C_mu carries h^(|mu|/m).
+sign * prod_j c_{j,l_j} to C_mu where mu_j = b_j^(sorted desc) - (M - j),
+the sign being that of the sorting permutation.  Tuples with colliding
+exponents contribute zero.  Only l_j in m*Z appear (the Phi support), so
+|mu| is a multiple of m and C_mu carries h^(|mu|/m).
+
+plucker_expansion sums these terms in one pass over the columns, numbered
+j = 0..M-1 from here on.  After columns 0..j-1 the chosen exponents, sorted
+in descending order, are nu_i + M - 1 - i for a partition nu (zero parts
+dropped), so the state is {nu: signed sum of the column products that reach
+nu}.  Column j with exponent M - 1 - j + l keeps nu when l = 0.  For l > 0,
+with r = len(nu) and x = l - j, the exponent collides with one already
+chosen unless l > j - r (above the j - r columns still at their base) and
+x is none of the nu_i - i; it then lands at sorted position
+k = #{i: nu_i - i > x}, giving
+
+    nu' = (nu_0, .., nu_(k-1), x + k, nu_k + 1, .., nu_(r-1) + 1, 1^(j-r))
+
+with sign (-1)^(j-k), one factor for each chosen exponent below the new
+one.  Which placements are allowed later, and their signs, depend only on
+the set of chosen exponents, that is on nu, so merging the tuples that
+reach one nu before the next column is exact.
 """
 
 from __future__ import annotations
@@ -99,61 +117,28 @@ def plucker_expansion(m: int, N, degree: int, points: int | None = None) -> Plue
         raise ValueError("insufficient Miwa points for requested degree")
     K = degree // m
     nc = n_coeff(N)
-    # column j: c_{j, m*k} = phi[m,k](j-N) h^k, the x^(mk) coefficients of f_j
+    # column j: c_{j, m*k} = phi[m,k](j+1-N) h^k, the x^(mk) coefficients of f_(j+1)
     cols = [phi_terms(m, K, Coefficient.rational(j) - nc) for j in range(1, M + 1)]
-    table: dict[Partition, Coefficient] = {}
-    used: list[int] = []  # exponents b_i chosen for the columns i < len(used)
-
-    def children(j: int, budget: int, coeff: Coefficient):
-        # column j contributes exponent b_j = M - j + l_j, l_j in {0, m, 2m, ...};
-        # coeff is the product of the chosen c_{i, l_i}, i < j
-        if j == M:
-            order = sorted(range(M), key=lambda i: -used[i])
-            mu = tuple(p for p in (used[i] - (M - 1 - pos) for pos, i in enumerate(order)) if p)
-            moved = [(i, e) for i, e in enumerate(used) if e != M - 1 - i]
-            add_into(table, mu, coeff.scale(_inversion_sign(M, moved)))
-            return
-        base = M - 1 - j
-        for l in range(0, budget + 1, m):
-            e = base + l
-            if e in used:
-                continue  # colliding exponents: alternating determinant
-            c = cols[j][l // m]
-            if c:
-                yield e, budget - l, coeff * c
-
-    # depth-first over the columns with an explicit stack: M may exceed the
-    # interpreter's recursion limit
-    stack = [children(0, degree, Coefficient.one())]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if used:
-                used.pop()
-        else:
-            e, budget, coeff = step
-            used.append(e)
-            stack.append(children(len(used), budget, coeff))
+    table: dict[Partition, Coefficient] = {(): Coefficient.one()}
+    for j, col in enumerate(cols):
+        step: dict[Partition, Coefficient] = {}
+        for nu, coeff in table.items():
+            r = len(nu)
+            xs = [p - i for i, p in enumerate(nu)]
+            for l in range(0, degree - sum(nu) + 1, m):
+                c = col[l // m]
+                x = l - j
+                if not c or 0 < l <= j - r or x in xs:
+                    continue  # a zero entry, or colliding exponents (alternating determinant)
+                term = coeff * c
+                if l == 0:
+                    add_into(step, nu, term)
+                    continue
+                k = sum(y > x for y in xs)
+                mu = nu[:k] + (x + k,) + tuple(p + 1 for p in nu[k:]) + (1,) * (j - r)
+                add_into(step, mu, -term if (j - k) % 2 else term)
+        table = step
     return PlueckerTable(m, N, degree, table)
-
-
-def _inversion_sign(M: int, moved: list[tuple[int, int]]) -> int:
-    """Sign of the permutation that sorts the distinct exponents
-    b_i = M - 1 - i + l_i (i < M, l_i >= 0) into descending order, from the
-    moved columns alone: moved lists (i, b_i) for the l_i > 0, by i.
-
-    With every l_i = 0 the b_i already descend, so an inversion needs a
-    moved column k: an unmoved i < k with b_i = M - 1 - i < b_k, i.e.
-    i >= M - b_k, or a moved i < k with b_i < b_k.  An unmoved i > k has
-    b_i < M - 1 - k < b_k and never inverts."""
-    inv = 0
-    for a, (k, b) in enumerate(moved):
-        lo = max(0, M - b)
-        inv += k - lo  # every i in [lo, k), moved ones corrected below
-        for i, bi in moved[:a]:
-            inv += (bi < b) - (i >= lo)
-    return -1 if inv % 2 else 1
 
 
 def tau_from_schur(table: PlueckerTable) -> TauExpansion:

@@ -1,5 +1,6 @@
 """Shared helpers: monomial enumeration, the linear-independence marker
 trick for checking operator identities on a whole degree window at once,
+one-term polynomials and the value of a plain rational coefficient,
 operator sums, scalings and products (Op), the whole constraint operator
 from its h-graded parts, a generator's operator from its term list, the
 Euler operator and commutators, and the paper's odd-index BGW cut-and-join
@@ -31,6 +32,22 @@ def monomials_up_to(maxdeg: int, variable_filter=None) -> list[TimeMonomial]:
             for p in mu:
                 d[p] = d.get(p, 0) + 1
             out.append(TimeMonomial.from_dict(d))
+    return out
+
+
+def poly_term(coeff, mono: TimeMonomial) -> TimePolynomial:
+    """The polynomial coeff * mono (zero when coeff is zero)."""
+    c = coeff if isinstance(coeff, Coefficient) else Coefficient.rational(coeff)
+    return TimePolynomial({mono: c} if c else {})
+
+
+def as_rational(c: Coefficient):
+    """The value of a coefficient free of h, N and j, as a QQ."""
+    out = QQ(0)
+    for hnj, q in c.items_hnj():
+        if hnj != (0, 0, 0):
+            raise ValueError(f"coefficient is not a plain rational: {c!r}")
+        out = q
     return out
 
 

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import as_rational, poly_term
 from bgwtau.algebra import (
     MONO_ONE,
     Coefficient,
@@ -39,7 +40,7 @@ def convolution_oracle(a: TimePolynomial, b: TimePolynomial) -> TimePolynomial:
             for (h1, n1, j1), q1 in c1.items_hnj():
                 for (h2, n2, j2), q2 in c2.items_hnj():
                     prod = prod + Coefficient.monomial(q1 * q2, h=h1 + h2, n=n1 + n2, j=j1 + j2)
-            out = out + TimePolynomial.term(prod, TimeMonomial.from_dict(d))
+            out = out + poly_term(prod, TimeMonomial.from_dict(d))
     return out
 
 
@@ -111,7 +112,7 @@ def polynomials(draw, max_terms=5):
             st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=3)
         )
         c = draw(coeff_strategy)
-        p = p + TimePolynomial.term(c, TimeMonomial.from_dict(exps))
+        p = p + poly_term(c, TimeMonomial.from_dict(exps))
     return p
 
 
@@ -166,12 +167,12 @@ def test_mul_matches_convolution_oracle_random():
         a = TimePolynomial.zero()
         b = TimePolynomial.zero()
         for _ in range(rng.randint(1, 4)):
-            a = a + TimePolynomial.term(
+            a = a + poly_term(
                 Coefficient.monomial(QQ(rng.randint(-5, 5), rng.randint(1, 4)),
                                      h=rng.randint(-1, 1), n=rng.randint(0, 2)),
                 TimeMonomial.from_dict({rng.randint(1, 5): rng.randint(1, 3)}),
             )
-            b = b + TimePolynomial.term(
+            b = b + poly_term(
                 Coefficient.monomial(QQ(rng.randint(-5, 5), rng.randint(1, 4)),
                                      j=rng.randint(0, 2)),
                 TimeMonomial.from_dict({rng.randint(1, 5): rng.randint(1, 2)}),
@@ -392,7 +393,7 @@ def test_zero_and_rationals_are_canonical():
     assert (zero.terms, zero.den) == ({}, 1)
     assert zero == Coefficient.zero() == 0 and hash(zero) == hash(Coefficient.zero())
     third = Coefficient.rational(QQ(1, 3))
-    assert third == QQ(1, 3) and third.as_rational() == QQ(1, 3)
+    assert third == QQ(1, 3) and as_rational(third) == QQ(1, 3)
     assert (third.scale(3).terms, third.scale(3).den) == (Coefficient.one().terms, 1)
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bgwtau import cli
 from bgwtau.cli import _cache_header, _cache_path, cache_load, cache_store, main, parse_n
 from bgwtau.cutjoin import tau_expand
 from bgwtau.rational import QQ
@@ -344,6 +345,24 @@ def test_negative_n_reads_the_same_spaced_or_with_equals(capsys, argv, n):
     spaced = run_cli(capsys, *argv, "--N", n)
     assert spaced == run_cli(capsys, *argv, f"--N={n}")
     assert spaced[0] == 0 and spaced[1]
+
+
+def test_n_grammar_does_not_depend_on_the_qq_backend(capsys, monkeypatch):
+    """--N is read by the fractions.Fraction grammar and then converted, so a
+    QQ constructor that parses no strings (as gmpy2's mpq parses its own
+    way) still reads "1e3", "1_000" and " 1/2" as before."""
+    expand = ("expand", "--m", "2", "--order", "2", "--no-cache")
+    want = {text: run_cli(capsys, *expand, "--N", text) for text in ("1000", "1/2")}
+    assert all(code == 0 and out for code, out, _ in want.values())
+
+    def qq_without_strings(*args):
+        if any(isinstance(a, str) for a in args):
+            raise ValueError(f"no string parsing: {args!r}")
+        return QQ(*args)
+
+    monkeypatch.setattr(cli, "QQ", qq_without_strings)
+    for text, value in (("1e3", "1000"), ("1_000", "1000"), (" 1/2", "1/2")):
+        assert run_cli(capsys, *expand, "--N", text) == want[value], text
 
 
 # "never a traceback": every argv of the CLI grammar, drawn with tiny values

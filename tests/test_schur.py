@@ -6,16 +6,20 @@ from itertools import permutations
 
 import pytest
 
+from conftest import as_rational, poly_term
+from bgwtau import schur
 from bgwtau.algebra import (
     Coefficient,
+    TimeMonomial,
     TimePolynomial,
+    add_into,
     parse_polynomial,
     weighted_degree,
 )
 from bgwtau.cutjoin import tau_expand
-from bgwtau.rational import QQ, QQ1
+from bgwtau.operators import n_coeff
+from bgwtau.rational import QQ
 from bgwtau.schur import (
-    _inversion_sign,
     character,
     partitions,
     plucker_expansion,
@@ -41,7 +45,7 @@ def complete_homogeneous(n: int) -> TimePolynomial:
         return TimePolynomial.one()
     acc = TimePolynomial.zero()
     for k in range(1, n + 1):
-        acc = acc + TimePolynomial.var(k).scale(QQ(k, n)) * complete_homogeneous(n - k)
+        acc = acc + poly_term(QQ(k, n), TimeMonomial.var(k)) * complete_homogeneous(n - k)
     return acc
 
 
@@ -99,7 +103,7 @@ def test_generating_function_inverse():
         neg[n] = TimePolynomial.zero()
         for mono, c in complete_homogeneous(n).terms.items():
             sign = (-1) ** sum(e for _, e in mono.exps)
-            neg[n] = neg[n] + TimePolynomial.term(c.scale(sign), mono)
+            neg[n] = neg[n] + poly_term(c.scale(sign), mono)
     for n in range(1, 9):
         acc = TimePolynomial.zero()
         for a in range(n + 1):
@@ -163,10 +167,11 @@ def test_oracle_matches_recursion_m1():
 
 
 def test_oracle_matches_recursion_m1_symbolic():
-    T = tau_from_schur(plucker_expansion(1, "symbolic", 3))
-    R = tau_expand(1, "symbolic", 3)
-    for k in range(4):
-        assert T.coeffs[k] == R.coeffs[k]
+    for D in (3, 12):
+        T = tau_from_schur(plucker_expansion(1, "symbolic", D))
+        R = tau_expand(1, "symbolic", D)
+        for k in range(D + 1):
+            assert T.coeffs[k] == R.coeffs[k], f"D={D} k={k}"
 
 
 def test_oracle_matches_recursion_rational_n():
@@ -214,7 +219,7 @@ def eval_times(p: TimePolynomial, values: dict[int, object]) -> Coefficient:
     """Evaluate p at rational time values (all variables must be bound)."""
     out = Coefficient.zero()
     for m, c in p.terms.items():
-        q = QQ1
+        q = QQ(1)
         for k, e in m:
             if k not in values:
                 raise KeyError(f"no value for t{k}")
@@ -237,11 +242,11 @@ def test_miwa_point_consistency():
         if w > D or len(mu) > M:
             continue
         tvals = {k: sum(x ** k for x in xs) / k for k in range(1, w + 1)}
-        val = eval_times(schur_in_times(mu), tvals).as_rational() if mu else QQ1
-        coeff = c.h_part(w // m).as_rational()
+        val = as_rational(eval_times(schur_in_times(mu), tvals)) if mu else QQ(1)
+        coeff = as_rational(c.h_part(w // m))
         lhs[w] += coeff * val
 
-    cj = [[c.h_part(k).as_rational()
+    cj = [[as_rational(c.h_part(k))
            for k, c in enumerate(phi_terms(m, D // m, Coefficient.rational(j + 1)))]
           for j in range(M)]
     vdm_degree = M * (M - 1) // 2
@@ -328,6 +333,69 @@ def test_giambelli_detects_a_corrupted_hook():
     assert (2, 2) in giambelli_failures(table)
 
 
+# ---------------------------------------------------------------------------
+# The depth-first walk over column exponent tuples: the reference for the
+# column pass of plucker_expansion
+
+
+def plucker_dfs(m: int, N, degree: int, points: int | None = None) -> dict:
+    """C_mu for |mu| <= degree, term by term: every tuple of column
+    exponents b_j = M - 1 - j + l_j (l_j in {0, m, 2m, ...}, all distinct)
+    adds the sign of its sorting permutation times prod_j c_{j, l_j} to C_mu,
+    mu_i = b_(i) - (M - 1 - i) over the b_j sorted in descending order."""
+    M = degree if points is None else points
+    nc = n_coeff(N)
+    cols = [phi_terms(m, degree // m, Coefficient.rational(j) - nc) for j in range(1, M + 1)]
+    table: dict = {}
+    used: list[int] = []  # exponents b_i chosen for the columns i < len(used)
+
+    def children(j: int, budget: int, coeff: Coefficient):
+        # coeff is the product of the chosen c_{i, l_i}, i < j
+        if j == M:
+            order = sorted(range(M), key=lambda i: -used[i])
+            mu = tuple(p for p in (used[i] - (M - 1 - pos) for pos, i in enumerate(order)) if p)
+            moved = [(i, e) for i, e in enumerate(used) if e != M - 1 - i]
+            add_into(table, mu, coeff.scale(_inversion_sign(M, moved)))
+            return
+        for l in range(0, budget + 1, m):
+            e = M - 1 - j + l
+            c = cols[j][l // m]
+            if e not in used and c:
+                yield e, budget - l, coeff * c
+
+    # an explicit stack: M may exceed the interpreter's recursion limit
+    stack = [children(0, degree, Coefficient.one())]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if used:
+                used.pop()
+        else:
+            e, budget, coeff = step
+            used.append(e)
+            stack.append(children(len(used), budget, coeff))
+    return table
+
+
+def _inversion_sign(M: int, moved: list[tuple[int, int]]) -> int:
+    """Sign of the permutation that sorts the distinct exponents
+    b_i = M - 1 - i + l_i (i < M, l_i >= 0) into descending order, from the
+    moved columns alone: moved lists (i, b_i) for the l_i > 0, by i.
+
+    With every l_i = 0 the b_i already descend, so an inversion needs a
+    moved column k: an unmoved i < k with b_i = M - 1 - i < b_k, i.e.
+    i >= M - b_k, or a moved i < k with b_i < b_k.  An unmoved i > k has
+    b_i < M - 1 - k < b_k and never inverts."""
+    inv = 0
+    for a, (k, b) in enumerate(moved):
+        lo = max(0, M - b)
+        inv += k - lo  # every i in [lo, k), moved ones corrected below
+        for i, bi in moved[:a]:
+            inv += (bi < b) - (i >= lo)
+    return -1 if inv % 2 else 1
+
+
 def test_inversion_sign_from_moved_columns_matches_brute_force():
     """The leaf sign of the Pluecker descent, read off the moved columns,
     against a full inversion count of the sorting permutation."""
@@ -344,3 +412,27 @@ def test_inversion_sign_from_moved_columns_matches_brute_force():
         inv = sum(order[x] > order[y] for x in range(M) for y in range(x + 1, M))
         moved = [(i, e) for i, e in enumerate(b) if l[i]]
         assert _inversion_sign(M, moved) == (-1) ** inv
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [0, QQ(7, 11), "symbolic", QQ(-1, 2)])
+def test_column_pass_matches_the_tuple_walk(m, N):
+    for degree in range(9):
+        for points in (None, degree + 3):
+            got = plucker_expansion(m, N, degree, points).table
+            assert got == plucker_dfs(m, N, degree, points), (degree, points)
+
+
+def test_column_pass_sees_a_corrupted_column(monkeypatch):
+    """One bumped basis-vector coefficient moves the table off the
+    reference built on the true columns."""
+    true_terms = schur.phi_terms
+
+    def bumped(m, K, J):
+        col = list(true_terms(m, K, J))
+        if J == Coefficient.rational(3) and K >= 1:
+            col[1] = col[1] + Coefficient.monomial(1, h=1)
+        return col
+
+    monkeypatch.setattr(schur, "phi_terms", bumped)
+    assert plucker_expansion(2, 0, 8).table != plucker_dfs(2, 0, 8)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import op_of, whole
+from conftest import op_of, poly_term, whole
 from bgwtau.algebra import (
     Coefficient,
     TimeMonomial,
@@ -169,7 +169,7 @@ def test_crosscheck_suite():
 def _mutate(T, k=2):
     coeffs = [TimePolynomial(dict(c.terms)) for c in T.coeffs]
     mono = sorted(coeffs[k].terms, key=lambda m: m.exps)[0]
-    coeffs[k] = coeffs[k] + TimePolynomial.term(QQ(1, 7), mono)
+    coeffs[k] = coeffs[k] + poly_term(QQ(1, 7), mono)
     return TauExpansion(T.m, T.N, coeffs, T.provenance)
 
 

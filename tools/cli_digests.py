@@ -9,9 +9,11 @@ m = 1..4 (N = 0, -1/2, -1, symbolic; the quantum Bessel and closing
 identity cases included), the basis-vector tables (symbolic j at
 m = 1, 2, 4; bound j at N = 0, rational and symbolic N, negative j
 included), the cut-and-join expansions and free energies at m = 1, 2
-(rational and symbolic N), the oracle expansions at m = 3, 4 and Schur
-tables at m = 2, 3, so a change that must keep the CLI
-output byte-identical can be checked against digests recorded before it.  Each command runs as
+(rational and symbolic N), the oracle expansions at m = 1..4 (symbolic N
+at m = 1, 2) and the crosscheck suite at m = 3, and Schur tables at
+m = 1..4 (more Miwa points than the degree included), so a change that
+must keep the CLI output byte-identical can be checked against digests
+recorded before it.  Each command runs as
 `python -m bgwtau.cli ...` from the root of the checkout with `src` on
 PYTHONPATH; none of them reads or writes the disk cache (expand and
 free-energy run with --no-cache).
@@ -70,6 +72,12 @@ COMMANDS = (
     "phi --m 5 --N=-1/2 --j 0 --depth 8 --format json",
     "expand --m 3 --N 7/11 --oracle --degree 12 --no-cache",
     "expand --m 4 --N symbolic --oracle --degree 8 --no-cache",
+    "schur --m 1 --N symbolic --degree 10",
+    "schur --m 2 --N 0 --degree 8 --points 14",
+    "schur --m 4 --N 7/11 --degree 12 --format json",
+    "expand --m 1 --N symbolic --oracle --degree 10 --no-cache",
+    "expand --m 2 --N symbolic --oracle --degree 10 --no-cache",
+    "verify --suite crosscheck --m 3 --order 3",
 )
 
 
