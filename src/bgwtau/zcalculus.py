@@ -3,8 +3,7 @@ vector series Phi_j, and the Kac-Schwarz operator identities.
 
 Validity floors.  A LaurentSeries asserts nothing below its floor: the
 stored coefficients of z^n for n >= floor are exact, everything below is
-unknown (not necessarily zero).  floor=None means exact everywhere.
-Propagation is conservative:
+unknown (not necessarily zero).  Propagation is conservative:
 
   add:        floor = max(floors)
   d/dz:       floor - 1
@@ -17,6 +16,12 @@ Propagation is conservative:
 so recomputing at greater depth never changes previously asserted
 coefficients.  Every series product is one call of _product_sum, which
 computes nothing below the result's floor.
+
+No bound.  A bound is an int or -inf, and -inf means "no bound": a floor
+of -inf is exact everywhere, the top and reach of a known zero are -inf, and
+so are the max shift of an operator with no stored content and the tail
+shift of an operator with no missing content.  -inf absorbs every sum and
+loses every max, so the rules above are plain arithmetic on every bound.
 
 The KS operator d = sum_{k<=k_max} T^k z, T = -h z^-m (theta - m/2 - N),
 theta = z d/dz, has T^k z = (-h)^k z^(1-mk) prod_{i<k} (theta + alpha_i)
@@ -54,51 +59,40 @@ from .report import Report
 # Laurent series
 
 
-def _max_known(a, b):
-    """max of two optional bounds; None (no bound) loses to any int."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
-
-
 class LaurentSeries:
     """coeffs: dict z-exponent -> Coefficient, exact at and above floor."""
 
     __slots__ = ("coeffs", "floor")
 
-    def __init__(self, coeffs=None, floor=None):
+    def __init__(self, coeffs=None, floor=-inf):
         self.coeffs: dict[int, Coefficient] = coeffs if coeffs is not None else {}
         self.floor = floor
-        if floor is not None:
-            for n in list(self.coeffs):
-                if n < floor:
-                    del self.coeffs[n]
+        for n in list(self.coeffs):
+            if n < floor:
+                del self.coeffs[n]
 
     @classmethod
     def zero(cls) -> "LaurentSeries":
-        return cls({}, None)
+        return cls()
 
     @classmethod
     def z_power(cls, n: int, coeff=None) -> "LaurentSeries":
         c = coeff if coeff is not None else COEFF_ONE
         c = c if isinstance(c, Coefficient) else Coefficient.rational(c)
-        return cls({n: c} if c else {}, None)
+        return cls({n: c} if c else {})
 
     def top(self):
-        """Highest exponent with a nonzero coefficient; None for (known) zero."""
-        return max((n for n, c in self.coeffs.items() if c), default=None)
+        """Highest exponent with a nonzero coefficient; -inf for none."""
+        return max((n for n, c in self.coeffs.items() if c), default=-inf)
 
     def reach(self):
         """Highest exponent the series may reach, junk below its floor
-        included: top(), or floor - 1 when nothing nonzero is stored at or
-        above a set floor; None for a known zero."""
-        t = self.top()
-        return self.floor - 1 if t is None and self.floor is not None else t
+        included: top(), or floor - 1 when nothing nonzero is stored; -inf
+        for a known zero."""
+        return max(self.top(), self.floor - 1)
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return LaurentSeries(merged(self.coeffs, other.coeffs), _max_known(self.floor, other.floor))
+        return LaurentSeries(merged(self.coeffs, other.coeffs), max(self.floor, other.floor))
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries({n: -c for n, c in self.coeffs.items()}, self.floor)
@@ -114,34 +108,25 @@ class LaurentSeries:
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by z^k."""
-        return LaurentSeries(
-            {n + k: c for n, c in self.coeffs.items()},
-            None if self.floor is None else self.floor + k,
-        )
+        return LaurentSeries({n + k: c for n, c in self.coeffs.items()}, self.floor + k)
 
     def dz(self) -> "LaurentSeries":
         out: dict[int, Coefficient] = {}
         for n, c in self.coeffs.items():
             if n != 0:
                 out[n - 1] = c.scale(n)
-        return LaurentSeries(out, None if self.floor is None else self.floor - 1)
+        return LaurentSeries(out, self.floor - 1)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         return _product_sum([((self, self.reach()), (other, other.reach()))])
 
     def truncate(self, floor: int) -> "LaurentSeries":
         return LaurentSeries(
-            {n: c for n, c in self.coeffs.items() if n >= floor},
-            _max_known(self.floor, floor),
+            {n: c for n, c in self.coeffs.items() if n >= floor}, max(self.floor, floor)
         )
 
     def is_zero(self) -> bool:
         return not any(self.coeffs.values())
-
-    def first_violation(self):
-        """(exponent, coefficient) of the highest nonzero term, or None."""
-        t = self.top()
-        return None if t is None else (t, self.coeffs[t])
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -151,7 +136,7 @@ class LaurentSeries:
     def __repr__(self):
         bits = [f"({c!r})*z^{n}" for n, c in sorted(self.coeffs.items(), reverse=True) if c]
         s = " + ".join(bits) if bits else "0"
-        if self.floor is not None:
+        if self.floor > -inf:
             s += f"  (floor z^{self.floor})"
         return s
 
@@ -167,7 +152,7 @@ class ZOperator:
 
     tail_shift expresses truncation in the action filtration: the operator
     may be missing content (at any d-order) whose action on z^n only reaches
-    exponents <= n + tail_shift.  None means no missing content.  The
+    exponents <= n + tail_shift.  -inf means no missing content.  The
     geometric series for the KS operator d is the one producer of tails;
     compose/apply fold them into result floors, so identity checks stay
     honest at every order.
@@ -175,7 +160,7 @@ class ZOperator:
 
     __slots__ = ("terms", "tail_shift")
 
-    def __init__(self, terms=None, tail_shift=None):
+    def __init__(self, terms=None, tail_shift=-inf):
         self.terms: dict[int, LaurentSeries] = terms if terms is not None else {}
         self.tail_shift = tail_shift
 
@@ -184,30 +169,19 @@ class ZOperator:
         return cls({0: LaurentSeries.z_power(0, coeff)})
 
     @classmethod
-    def mul_by(cls, s: LaurentSeries) -> "ZOperator":
-        return cls({0: s})
-
-    @classmethod
     def ddz(cls, order: int = 1) -> "ZOperator":
         return cls({order: LaurentSeries.z_power(0)})
 
     def max_shift(self):
         """Upper bound on the action shift of the stored content (junk below
-        series floors included); None if there is no stored content."""
-        out = None
-        for i, s in self.terms.items():
-            t = s.reach()
-            if t is not None:
-                out = _max_known(out, t - i)
-        return out
+        series floors included); -inf if there is no stored content."""
+        return max((s.reach() - i for i, s in self.terms.items()), default=-inf)
 
     def __add__(self, other: "ZOperator") -> "ZOperator":
-        out = merged(self.terms, other.terms)
-        tail = _max_known(self.tail_shift, other.tail_shift)
-        if tail is not None:
-            # one side's tail may cancel the other side's stored content:
-            # nothing at order o is assertable at or below exponent o + tail
-            out = {o: s.truncate(o + tail + 1) for o, s in out.items()}
+        tail = max(self.tail_shift, other.tail_shift)
+        # one side's tail may cancel the other side's stored content:
+        # nothing at order o is assertable at or below exponent o + tail
+        out = {o: s.truncate(o + tail + 1) for o, s in merged(self.terms, other.terms).items()}
         return ZOperator(out, tail)
 
     def __neg__(self) -> "ZOperator":
@@ -221,28 +195,21 @@ class ZOperator:
 
     def shift(self, k: int) -> "ZOperator":
         """Left-multiply by z^k."""
-        return ZOperator(
-            {o: s.shift(k) for o, s in self.terms.items()},
-            None if self.tail_shift is None else self.tail_shift + k,
-        )
+        return ZOperator({o: s.shift(k) for o, s in self.terms.items()}, self.tail_shift + k)
 
     def apply(self, s: LaurentSeries) -> "LaurentSeries":
         """The action on s; with a tail, the result is exact only above
         z^(reach + tail_shift), and nothing below that is computed."""
-        t = s.reach()
-        cut = None if self.tail_shift is None or t is None else t + self.tail_shift + 1
         ds = _derivatives(s, max(self.terms, default=0))
-        return _product_sum([((c, c.reach()), ds[o]) for o, c in self.terms.items()], cut)
+        return _product_sum([((c, c.reach()), ds[o]) for o, c in self.terms.items()],
+                            s.reach() + self.tail_shift + 1)
 
     def compose(self, other: "ZOperator") -> "ZOperator":
         """self after other (operator product)."""
         # fold truncation tails: missing factors only act with small shifts,
         # so order o of the product is exact only above z^(o + tail)
-        tail = None
-        for t1, t2 in ((self.tail_shift, other.max_shift()), (self.tail_shift, other.tail_shift),
-                       (self.max_shift(), other.tail_shift)):
-            if t1 is not None and t2 is not None:
-                tail = _max_known(tail, t1 + t2)
+        ta, tb = self.tail_shift, other.tail_shift
+        tail = max(ta + other.max_shift(), ta + tb, self.max_shift() + tb)
         top = max(self.terms, default=0)
         derivs = {l: _derivatives(bl, top) for l, bl in other.terms.items()}
         pairs: dict[int, list] = {}
@@ -253,10 +220,7 @@ class ZOperator:
             for l, ds in derivs.items():
                 for s in range(i + 1):
                     pairs.setdefault(i + l - s, []).append((cis[s], ds[s]))
-        return ZOperator(
-            {o: _product_sum(ps, None if tail is None else o + tail + 1) for o, ps in pairs.items()},
-            tail,
-        )
+        return ZOperator({o: _product_sum(ps, o + tail + 1) for o, ps in pairs.items()}, tail)
 
     def power(self, e: int) -> "ZOperator":
         if e < 0:
@@ -266,16 +230,10 @@ class ZOperator:
             out = out.compose(self)
         return out
 
-    def drop_zero(self) -> "ZOperator":
-        return ZOperator(
-            {o: s for o, s in self.terms.items() if s.coeffs or s.floor is not None},
-            self.tail_shift,
-        )
-
     def __repr__(self):
         bits = [f"[{s!r}] d^{o}" for o, s in sorted(self.terms.items())]
         s = " + ".join(bits) if bits else "0"
-        if self.tail_shift is not None:
+        if self.tail_shift > -inf:
             s += f"  (tail shift {self.tail_shift})"
         return s
 
@@ -290,18 +248,14 @@ def _derivatives(s: LaurentSeries, n: int) -> list[tuple]:
     return out
 
 
-def _product_sum(pairs: list, cut=None) -> LaurentSeries:
+def _product_sum(pairs: list, cut=-inf) -> LaurentSeries:
     """sum a*b over pairs ((a, reach of a), (b, reach of b)): the one
     product loop of the module.  Its floor is the largest of cut and the
     product floors (module docstring), and no coefficient below it is
     computed."""
     fl = cut
     for (a, e1), (b, e2) in pairs:
-        if a.floor is not None and e2 is not None:
-            fl = _max_known(fl, a.floor + e2)
-        if b.floor is not None and e1 is not None:
-            fl = _max_known(fl, b.floor + e1)
-    lo = -inf if fl is None else fl
+        fl = max(fl, a.floor + e2, b.floor + e1)
     out: dict[int, Coefficient] = {}
     get = out.get
     for (a, _), (b, _) in pairs:
@@ -309,7 +263,7 @@ def _product_sum(pairs: list, cut=None) -> LaurentSeries:
         for n1, c1 in a.coeffs.items():
             for n2, c2 in bitems:
                 n = n1 + n2
-                if n >= lo:
+                if n >= fl:
                     c = get(n)
                     out[n] = c1 * c2 if c is None else c + c1 * c2
     return LaurentSeries({n: c for n, c in out.items() if c}, fl)
@@ -445,10 +399,7 @@ class KSOperators:
     def d_apply(self, s: LaurentSeries) -> LaurentSeries:
         """d s by steps: the sum of T^k (z s) for k <= k_max, each term and
         the sum cut where d.apply cuts, so the result equals d.apply(s)."""
-        t = s.reach()
-        if t is None:  # a known zero
-            return LaurentSeries.zero()
-        cut = t + self.d.tail_shift + 1
+        cut = s.reach() + self.d.tail_shift + 1
         term = out = s.shift(1).truncate(cut)
         for _ in range(self.k_max):
             term = self.step.apply(term).truncate(cut)
@@ -472,9 +423,7 @@ def ks_operators(m: int, N, depth: int) -> KSOperators:
     a = ZOperator(
         {
             1: LaurentSeries.z_power(1),
-            0: LaurentSeries(
-                {0: Coefficient.rational(-half_m), m: Coefficient.monomial(1, h=-1)}, None
-            ),
+            0: LaurentSeries({0: Coefficient.rational(-half_m), m: Coefficient.monomial(1, h=-1)}),
         }
     )
     b = ZOperator({0: LaurentSeries.z_power(m + 1)})
@@ -503,7 +452,7 @@ def ks_operators(m: int, N, depth: int) -> KSOperators:
         e.append([-(lower + (alpha + Coefficient.rational(o)) * same).times_h(1)
                   for o, (lower, same) in enumerate(zip([zero] + ek, ek + [zero]))])
     d = ZOperator(
-        {o: LaurentSeries({1 - m * k + o: ek[o] for k, ek in enumerate(e[o:], o) if ek[o]}, None)
+        {o: LaurentSeries({1 - m * k + o: ek[o] for k, ek in enumerate(e[o:], o) if ek[o]})
          for o in range(k_max + 1)},
         1 - m * (k_max + 1),
     )
@@ -537,9 +486,8 @@ def canonical_pair(m: int, N, depth: int) -> tuple[ZOperator, ZOperator, KSOpera
 
 
 def _series_eq_case(rep: Report, suite: str, name: str, lhs: LaurentSeries, rhs: LaurentSeries):
-    resid = lhs - rhs
-    v = resid.first_violation()
-    rep.add(suite, name, v is None, f"first residual at z^{v[0]}" if v else "")
+    t = (lhs - rhs).top()
+    rep.add(suite, name, t == -inf, f"first residual at z^{t}" if t > -inf else "")
 
 
 def check_ks_actions(m: int, N, j_max: int, depth: int) -> Report:
@@ -579,13 +527,9 @@ def check_ks_actions(m: int, N, j_max: int, depth: int) -> Report:
 
 
 def _op_residual_case(rep: Report, suite: str, name: str, op: ZOperator):
-    bad = None
-    for order, s in sorted(op.drop_zero().terms.items()):
-        v = s.first_violation()
-        if v is not None:
-            bad = f"order d^{order}, first residual at z^{v[0]}"
-            break
-    rep.add(suite, name, bad is None, bad or "")
+    bad = next((f"order d^{order}, first residual at z^{s.top()}"
+                for order, s in sorted(op.terms.items()) if s.top() > -inf), "")
+    rep.add(suite, name, not bad, bad)
 
 
 def check_commutation(m: int, N, depth: int) -> Report:
@@ -610,12 +554,12 @@ def _shape_case(rep: Report, suite: str, name: str, op: ZOperator, lead_order: i
     """op must equal lead at d^lead_order plus strictly negative z-orders;
     the lead order is checked even where op stores nothing."""
     ok, why = True, ""
-    terms = op.drop_zero().terms
+    terms = dict(op.terms)
     terms.setdefault(lead_order, LaurentSeries.zero())
     for order, s in terms.items():
         probe = s - lead if order == lead_order else s
         t = probe.top()
-        if t is not None and t >= 0:
+        if t >= 0:
             ok, why = False, f"order d^{order} has z^{t} term"
             break
     rep.add(suite, name, ok, why)
@@ -667,7 +611,7 @@ def check_spectral_curve(m: int, N, j_max: int, depth: int) -> Report:
         bessel = (
             ZOperator.ddz(2)
             + ZOperator.ddz(1).scale(Coefficient.monomial(2, h=-1))
-            + ZOperator.mul_by(LaurentSeries.z_power(-2, QQ(1, 4)))
+            + ZOperator({0: LaurentSeries.z_power(-2, QQ(1, 4))})
         )
         phi1 = phi_series(1, 1, K)
         _series_eq_case(rep, suite, "quantum Bessel", bessel.apply(phi1), LaurentSeries.zero())

@@ -2,7 +2,10 @@
 mutation controls, and the characterization of the defective source-table
 entries (see notes in the README)."""
 
+import dataclasses
+import hashlib
 import shutil
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -36,6 +39,7 @@ from bgwtau.verify import (
     run_suites,
     verify_checksums,
 )
+from bgwtau.zcalculus import LaurentSeries, ZOperator
 
 P = parse_polynomial
 
@@ -194,29 +198,65 @@ def test_mutation_controls():
     assert _fails(SUITE_RUNNERS["invariants"](c))
 
 
-def test_ks_mutation_control():
-    """Bumping one stored basis-vector coefficient phi[1,2] (as the bench's
-    negative control does) makes the ks suite print a FAIL line; the stored
-    table is restored and the series caches built from it are cleared."""
+def _ks_run(m: int) -> Report:
+    return SUITE_RUNNERS["ks"](SuiteArgs(m, QQ(7, 11), 2, 3))
+
+
+def _ks_run_with_bumped_phi(m: int) -> Report:
+    """_ks_run(m) with the stored phi[m,2] bumped by 1 (as the bench's
+    negative control does); the stored table is restored and the series
+    caches built from it are cleared."""
     def clear():
         zcalculus.phi_series.cache_clear()
         zcalculus.phi_series_gen.cache_clear()
 
-    def run():
-        return SUITE_RUNNERS["ks"](SuiteArgs(1, QQ(7, 11), 2, 3))
-
-    assert run().ok
-    stored = zcalculus._PHI_STORE[1]  # now long enough for every series run() builds
+    assert _ks_run(m).ok
+    stored = zcalculus._PHI_STORE[m]  # now long enough for every series _ks_run builds
     bumped = stored[2] + Coefficient.rational(1)
-    zcalculus._PHI_STORE[1] = stored[:2] + (bumped,) + stored[3:]
+    zcalculus._PHI_STORE[m] = stored[:2] + (bumped,) + stored[3:]
     clear()
     try:
-        rep = run()
+        return _ks_run(m)
     finally:
-        zcalculus._PHI_STORE[1] = stored
+        zcalculus._PHI_STORE[m] = stored
         clear()
-    assert _fails(rep)
-    assert run().ok
+
+
+def test_ks_mutation_control():
+    """Bumping one stored basis-vector coefficient phi[1,2] makes the ks
+    suite print a FAIL line, and the suite passes again after."""
+    assert _fails(_ks_run_with_bumped_phi(1))
+    assert _ks_run(1).ok
+
+
+KS_FAIL_LINES_SHA256 = "3f3901d8cc3993a7973a42c74f5346e0e8780cc16a56c3ff4370b4dbe533b63e"
+
+
+def test_ks_fail_lines_are_pinned(monkeypatch):
+    """Every PASS/FAIL line of the KS suites under two corruptions, with the
+    d-order and the residual exponent each FAIL line names, against a
+    recorded sha256: (a) the ks suite at m = 1, 2, 3, N = 7/11 with phi[m,2]
+    bumped by 1; (b) the commutation, canonical-pair (m >= 2) and
+    spectral-curve checks at m = 1..3, N in {0, symbolic}, depth 6, with
+    h z^-5 d^2 added to c.  165 lines, 102 of them FAIL."""
+    lines = [line for m in (1, 2, 3) for line in _ks_run_with_bumped_phi(m).lines()]
+    ks_operators = zcalculus.ks_operators
+    extra = ZOperator({2: LaurentSeries.z_power(-5, Coefficient.monomial(1, h=1))})
+
+    def corrupted(m, N, depth):
+        ks = ks_operators(m, N, depth)
+        return dataclasses.replace(ks, c=ks.c + extra)
+
+    monkeypatch.setattr(zcalculus, "ks_operators", corrupted)
+    for m, N in product((1, 2, 3), (0, "symbolic")):
+        lines += zcalculus.check_commutation(m, N, 6).lines()
+        if m >= 2:
+            lines += zcalculus.check_canonical_pair(m, N, 6).lines()
+        lines += zcalculus.check_spectral_curve(m, N, 2, 6).lines()
+    fails = [line for line in lines if line.startswith("FAIL ")]
+    assert (len(lines), len(fails)) == (165, 102), "\n".join(fails)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == KS_FAIL_LINES_SHA256, "\n".join(fails)
 
 
 @pytest.mark.parametrize("source, entry, order", [

@@ -1,6 +1,9 @@
 """Laurent series, Phi series, Kac-Schwarz operators and their identities."""
 
 from itertools import product
+from math import inf
+
+from hypothesis import given, settings, strategies as st
 
 from bgwtau import zcalculus
 from bgwtau.algebra import (
@@ -196,6 +199,16 @@ def test_laurent_floor_rules():
     assert sh.floor == 2
 
 
+def test_an_empty_series_with_a_floor_still_bounds_products():
+    """Nothing stored at or above a floor still leaves unknown content below
+    it: the series reaches floor - 1, so a product with it, and the action
+    shift of an operator holding it, stay bounded."""
+    a, b = LaurentSeries({}, -3), LaurentSeries({}, 1)
+    assert (a.reach(), b.reach(), LaurentSeries.zero().reach()) == (-4, 0, -inf)
+    assert repr(a * b) == "0  (floor z^-3)"
+    assert ZOperator({1: LaurentSeries({}, 2)}).max_shift() == 0
+
+
 def test_floor_conservative_under_depth_increase():
     lo = phi_series(2, 1, 3)
     hi = phi_series(2, 1, 8)
@@ -229,7 +242,7 @@ def test_ks_action_negative_control():
     m, K = 2, 6
     ks = ks_operators(m, 0, 16)
     phi1 = phi_series(m, 1, K)
-    phi2 = phi_series(m, 2, K) + LaurentSeries({-1: Coefficient.rational(QQ(1, 7))}, None)
+    phi2 = phi_series(m, 2, K) + LaurentSeries({-1: Coefficient.rational(QQ(1, 7))})
     phi5 = phi_series(m, 5, K)
     lhs = ks.b.apply(phi1)
     rhs = phi2.scale(Coefficient.monomial(1 * (m + 1), h=1)) + phi5
@@ -255,15 +268,8 @@ def full_product_compose(a: ZOperator, b: ZOperator) -> ZOperator:
                     binom = binom * (i - s + 1) // s
                     ds = ds.dz()
                 add_into(out.terms, i + l - s, ci.scale(binom) * ds)
-    tail = None
-    if a.tail_shift is not None:
-        for ms in (b.max_shift(), b.tail_shift):
-            if ms is not None:
-                tail = zcalculus._max_known(tail, a.tail_shift + ms)
-    if b.tail_shift is not None and a.max_shift() is not None:
-        tail = zcalculus._max_known(tail, a.max_shift() + b.tail_shift)
-    if tail is None:
-        return out
+    tail = max(a.tail_shift + b.max_shift(), a.tail_shift + b.tail_shift,
+               a.max_shift() + b.tail_shift)
     return ZOperator({o: s.truncate(o + tail + 1) for o, s in out.terms.items()}, tail)
 
 
@@ -275,9 +281,7 @@ def full_product_apply(a: ZOperator, s: LaurentSeries) -> LaurentSeries:
         for _ in range(order):
             d = d.dz()
         out = out + c * d
-    if a.tail_shift is not None and s.reach() is not None:
-        out = out.truncate(s.reach() + a.tail_shift + 1)
-    return out
+    return out.truncate(s.reach() + a.tail_shift + 1)
 
 
 def test_truncated_products_match_the_full_product_reference():
@@ -303,6 +307,25 @@ def test_truncated_products_match_the_full_product_reference():
             phi = phi_series_gen(m, N, j, 4)
             for op in ops:
                 assert repr(op.apply(phi)) == repr(full_product_apply(op, phi)), (m, N, depth, j)
+
+
+# small operators and series: coefficients +-1..3 or h, bounds -inf or an int;
+# a series may be empty and still carry a floor
+_coeffs = st.sampled_from([Coefficient.rational(c) for c in (1, 2, 3, -1, -2, -3)]
+                          + [Coefficient.monomial(1, h=1)])
+_bounds = st.just(-inf) | st.integers(-6, 2)
+_series = st.builds(LaurentSeries, st.dictionaries(st.integers(-5, 3), _coeffs, max_size=4),
+                    _bounds)
+_operators = st.builds(ZOperator, st.dictionaries(st.integers(0, 2), _series, max_size=3), _bounds)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_operators, _operators, _series)
+def test_compose_and_apply_match_the_full_product_reference_on_any_operator(a, b, s):
+    """The reference check above on arbitrary small operators, not only the
+    ones the KS suites build: floors, tail shifts and coefficients (repr)."""
+    assert repr(a.compose(b)) == repr(full_product_compose(a, b))
+    assert repr(a.apply(s)) == repr(full_product_apply(a, s))
 
 
 def d_by_composition(m: int, N, depth: int) -> ZOperator:
@@ -396,7 +419,7 @@ def test_quantum_bessel_explicit():
     bessel = (
         ZOperator.ddz(2)
         + ZOperator.ddz(1).scale(Coefficient.monomial(2, h=-1))
-        + ZOperator.mul_by(LaurentSeries.z_power(-2, QQ(1, 4)))
+        + ZOperator({0: LaurentSeries.z_power(-2, QQ(1, 4))})
     )
     resid = bessel.apply(phi1)
     assert resid.is_zero() and resid.floor <= -20
