@@ -1,5 +1,5 @@
-"""Partitions, Schur polynomials of the times, and the Miwa-determinant
-(Pluecker) oracle for tau-functions at any m.
+"""Schur polynomials of the times and the Miwa-determinant (Pluecker)
+oracle for tau-functions at any m.
 
 The oracle works in x = 1/z row-rescaled form.  With f_j(x) = 1 + sum_k
 phi[m,k](j..) h^k x^(mk) (the normalized basis vector) the tau-function in
@@ -48,52 +48,55 @@ from .zcalculus import phi_terms
 Partition = tuple[int, ...]
 
 
-def partitions(n: int, max_part: int | None = None):
-    """Weakly decreasing tuples summing to n."""
-    if n == 0:
-        yield ()
-        return
-    top = n if max_part is None else min(n, max_part)
-    for p in range(top, 0, -1):
-        for rest in partitions(n - p, p):
-            yield (p,) + rest
-
-
 @lru_cache(maxsize=None)
-def character(mu: Partition, lam: Partition) -> int:
-    """Irreducible character chi^mu at cycle type lam (|mu| = |lam|) by
-    Murnaghan-Nakayama: remove a rim hook of length lam[0] from mu in every
-    way, with sign (-1)^height, and recurse on lam[1:].  On the beta-set
-    {mu_i + r - i} a rim hook of length k is a bead moved from b down to an
-    empty place b - k; its height is the number of beads it passes."""
-    if not lam:
-        return 1
-    k, r = lam[0], len(mu)
-    beta = [p + r - 1 - i for i, p in enumerate(mu)]
-    total = 0
-    for b in beta:
-        if b < k or b - k in beta:
+def _hook_moves(nu: Partition, k: int) -> tuple[tuple[Partition, bool], ...]:
+    """Every partition left after removing a rim hook of length k from nu,
+    with whether the hook's height is odd: on the beta-set of nu a bead moves
+    from b down to an empty place b - k, passing the beads between them."""
+    r = len(nu)
+    beta = [p + r - 1 - i for i, p in enumerate(nu)]  # strictly decreasing
+    out = []
+    for i, b in enumerate(beta):
+        if b < k:
+            break
+        j = i + 1
+        while j < r and beta[j] > b - k:
+            j += 1
+        if j < r and beta[j] == b - k:
             continue
-        moved = sorted([x for x in beta if x != b] + [b - k], reverse=True)
-        nu = tuple(p for p in (x - r + 1 + i for i, x in enumerate(moved)) if p)
-        chi = character(nu, lam[1:])
-        total += -chi if sum(b - k < x < b for x in beta) % 2 else chi
-    return total
+        # the bead passes the j - i - 1 beads i+1..j-1 and becomes bead j - 1
+        rest = nu[:i] + tuple(p - 1 for p in nu[i + 1:j]) + (nu[i] - k + j - 1 - i,) + nu[j:]
+        out.append((tuple(p for p in rest if p), (j - i) % 2 == 0))
+    return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def schur_in_times(mu: Partition) -> TimePolynomial:
-    """s_mu with p_k = k t_k: the coefficient of t^lam is
-    chi^mu(lam) prod(lam_i) / z_lam = chi^mu(lam) / prod_k m_k(lam)!,
-    m_k(lam) the multiplicity of k in lam.  Homogeneous of weighted degree |mu|."""
-    out = TimePolynomial.zero()
-    for lam in partitions(sum(mu)):
-        chi = character.__wrapped__(mu, lam)  # asked once per (mu, lam): memoise only below
-        if chi:
+def schur_in_times(vec: dict[Partition, Coefficient]) -> TimePolynomial:
+    """sum_mu vec[mu] s_mu(t) with p_k = k t_k, every mu of one size n: the
+    coefficient of t^lam is sum_mu vec[mu] chi^mu(lam) / prod_k m_k(lam)!,
+    m_k(lam) the multiplicity of k in lam (the vector walk above).
+    Homogeneous of weighted degree n."""
+    n = sum(next(iter(vec), ()))
+    if any(sum(mu) != n for mu in vec):
+        raise ValueError("schur_in_times needs partitions of one size")
+    out: dict[TimeMonomial, Coefficient] = {}
+
+    def walk(v: dict, rest: int, top: int, lam: Partition) -> None:
+        if not rest:
             mult = sorted(Counter(lam).items())
             z = prod(factorial(e) for _, e in mult)
-            out.terms[TimeMonomial(mult)] = Coefficient.rational(QQ(chi, z))
-    return out
+            add_into(out, TimeMonomial(mult), v[()].scale(QQ(1, z)))
+            return
+        for k in range(min(top, rest), 0, -1):
+            child: dict[Partition, Coefficient] = {}
+            for nu, c in v.items():
+                for mu, odd in _hook_moves(nu, k):
+                    add_into(child, mu, -c if odd else c)
+            if child:
+                walk(child, rest - k, k, lam + (k,))
+
+    if vec:
+        walk(vec, n, n, ())
+    return TimePolynomial(out)
 
 
 @dataclass
@@ -142,10 +145,10 @@ def plucker_expansion(m: int, N, degree: int, points: int | None = None) -> Plue
 
 
 def tau_from_schur(table: PlueckerTable) -> TauExpansion:
-    """tau_k = sum_{|mu| = m k} C_mu (h-stripped) s_mu(t)."""
+    """tau_k = sum_{|mu| = m k} C_mu (h-stripped) s_mu(t), one vector walk per k."""
     m = table.m
     K = table.degree // m
-    coeffs = [TimePolynomial.zero() for _ in range(K + 1)]
+    vecs: list[dict[Partition, Coefficient]] = [{} for _ in range(K + 1)]
     for mu, c in table.table.items():
         w = sum(mu)
         if w % m:
@@ -156,7 +159,5 @@ def tau_from_schur(table: PlueckerTable) -> TauExpansion:
         stripped = c.h_part(k)
         if c != stripped.times_h(k):
             raise ValueError(f"h-grading violation at mu={mu}")
-        for mono, c0 in schur_in_times(mu).terms.items():
-            add_into(coeffs[k].terms, mono, c0 * stripped)
-    out = TauExpansion(m, table.N, coeffs, SCHUR_ORACLE)
-    return out
+        vecs[k][mu] = stripped
+    return TauExpansion(m, table.N, [schur_in_times(v) for v in vecs], SCHUR_ORACLE)

@@ -1,10 +1,10 @@
-"""Shared helpers: monomial enumeration, the linear-independence marker
-trick for checking operator identities on a whole degree window at once,
-one-term polynomials and the value of a plain rational coefficient,
-operator sums, scalings and products (Op), the whole constraint operator
-from its h-graded parts, a generator's operator from its term list, the
-Euler operator and commutators, and the paper's odd-index BGW cut-and-join
-operator as a reference."""
+"""Shared helpers: partitions and monomial enumeration, the
+linear-independence marker trick for checking operator identities on a
+whole degree window at once, one-term polynomials and the value of a plain
+rational coefficient, operator sums, scalings and products (Op), the whole
+constraint operator from its h-graded parts, a generator's operator from
+its term list, the Euler operator and commutators, and the paper's
+odd-index BGW cut-and-join operator as a reference."""
 
 from __future__ import annotations
 
@@ -19,7 +19,17 @@ from bgwtau.algebra import (
 )
 from bgwtau.operators import DiffOperator
 from bgwtau.rational import QQ
-from bgwtau.schur import partitions
+
+
+def partitions(n: int, max_part: int | None = None):
+    """Weakly decreasing tuples summing to n."""
+    if n == 0:
+        yield ()
+        return
+    top = n if max_part is None else min(n, max_part)
+    for p in range(top, 0, -1):
+        for rest in partitions(n - p, p):
+            yield (p,) + rest
 
 
 def monomials_up_to(maxdeg: int, variable_filter=None) -> list[TimeMonomial]:

@@ -1,12 +1,15 @@
 """Schur polynomials and the Miwa-determinant oracle."""
 
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import as_rational, poly_term
+from conftest import as_rational, partitions, poly_term
 from bgwtau import schur
 from bgwtau.algebra import (
     Coefficient,
@@ -16,16 +19,11 @@ from bgwtau.algebra import (
     parse_polynomial,
     weighted_degree,
 )
-from bgwtau.cutjoin import tau_expand
+from bgwtau.cutjoin import check_expansion_invariants, tau_expand
 from bgwtau.operators import n_coeff
 from bgwtau.rational import QQ
-from bgwtau.schur import (
-    character,
-    partitions,
-    plucker_expansion,
-    schur_in_times,
-    tau_from_schur,
-)
+from bgwtau.schur import plucker_expansion, schur_in_times, tau_from_schur
+from bgwtau.verify import constraint_suite
 from bgwtau.zcalculus import phi_terms
 
 P = parse_polynomial
@@ -70,10 +68,84 @@ def jacobi_trudi(mu) -> TimePolynomial:
     return minor(frozenset(range(r)))
 
 
+# ---------------------------------------------------------------------------
+# Characters and one Schur polynomial per mu: the reference for the vector
+# walk of schur_in_times
+
+
+@lru_cache(maxsize=None)
+def character(mu, lam) -> int:
+    """Irreducible character chi^mu at cycle type lam (|mu| = |lam|) by
+    Murnaghan-Nakayama: remove a rim hook of length lam[0] from mu in every
+    way, with sign (-1)^height, and recurse on lam[1:].  On the beta-set
+    {mu_i + r - i} a rim hook of length k is a bead moved from b down to an
+    empty place b - k; its height is the number of beads it passes."""
+    if not lam:
+        return 1
+    k, r = lam[0], len(mu)
+    beta = [p + r - 1 - i for i, p in enumerate(mu)]
+    total = 0
+    for b in beta:
+        if b < k or b - k in beta:
+            continue
+        moved = sorted([x for x in beta if x != b] + [b - k], reverse=True)
+        nu = tuple(p for p in (x - r + 1 + i for i, x in enumerate(moved)) if p)
+        chi = character(nu, lam[1:])
+        total += -chi if sum(b - k < x < b for x in beta) % 2 else chi
+    return total
+
+
+@lru_cache(maxsize=None)
+def schur_reference(mu) -> TimePolynomial:
+    """s_mu with p_k = k t_k: the coefficient of t^lam is
+    chi^mu(lam) prod(lam_i) / z_lam = chi^mu(lam) / prod_k m_k(lam)!."""
+    out = TimePolynomial.zero()
+    for lam in partitions(sum(mu)):
+        chi = character(mu, lam)
+        if chi:
+            mult = sorted(Counter(lam).items())
+            z = prod(factorial(e) for _, e in mult)
+            out.terms[TimeMonomial(mult)] = Coefficient.rational(QQ(chi, z))
+    return out
+
+
+def combination_reference(vec: dict) -> TimePolynomial:
+    """sum_mu vec[mu] s_mu, one reference Schur polynomial per mu."""
+    out: dict = {}
+    for mu, c in vec.items():
+        for mono, c0 in schur_reference(mu).terms.items():
+            add_into(out, mono, c0 * c)
+    return TimePolynomial(out)
+
+
+def tau_reference(table) -> list[TimePolynomial]:
+    """tau_k = sum_{|mu| = m k} C_mu (h-stripped) s_mu, per mu."""
+    m, K = table.m, table.degree // table.m
+    vecs = [{} for _ in range(K + 1)]
+    for mu, c in table.table.items():
+        k = sum(mu) // m
+        if k <= K:
+            vecs[k][mu] = c.h_part(k)
+    return [combination_reference(v) for v in vecs]
+
+
+def s(mu) -> TimePolynomial:
+    """One Schur polynomial through the vector walk."""
+    return schur_in_times({tuple(mu): Coefficient.one()})
+
+
 def test_schur_in_times_matches_jacobi_trudi():
+    """Each single-entry vector gives s_mu, and one vector per n holding
+    every mu of n with distinct coefficients gives their combination."""
     for n in range(11):
-        for mu in partitions(n):
-            assert schur_in_times(mu) == jacobi_trudi(mu), f"s_{mu}"
+        whole, want = {}, TimePolynomial.zero()
+        for i, mu in enumerate(partitions(n)):
+            jt = jacobi_trudi(mu)
+            assert s(mu) == jt, f"s_{mu}"
+            c = Coefficient.rational(QQ(2 * i + 3, i + 1))
+            whole[mu] = c
+            want = want + jt.scale(c)
+        assert schur_in_times(whole) == want, f"n={n}"
 
 
 def test_character_table_s4():
@@ -88,6 +160,70 @@ def test_character_table_s4():
         [1, 0, -1, -1, 3],
         [-1, 1, 1, -1, 1],
     ]
+
+
+def test_character_reference_matches_jacobi_trudi():
+    for n in range(9):
+        for mu in partitions(n):
+            assert schur_reference(mu) == jacobi_trudi(mu), f"s_{mu}"
+
+
+def test_schur_in_times_of_the_empty_vector_and_of_mixed_sizes():
+    assert schur_in_times({}) == TimePolynomial.zero()
+    assert schur_in_times({(): Coefficient.one()}) == TimePolynomial.one()
+    with pytest.raises(ValueError, match="one size"):
+        schur_in_times({(2,): Coefficient.one(), (1,): Coefficient.one()})
+
+
+_atoms = st.tuples(st.integers(-9, 9), st.integers(1, 5), st.integers(-2, 2),
+                   st.integers(0, 2), st.integers(0, 2))
+
+
+def _coefficient(atoms) -> Coefficient:
+    out = Coefficient.zero()
+    for p, q, h, n, j in atoms:
+        out = out + Coefficient.monomial(QQ(p, q), h=h, n=n, j=j)
+    return out
+
+
+_vectors = st.integers(0, 9).flatmap(lambda n: st.dictionaries(
+    st.sampled_from(list(partitions(n))),
+    st.lists(_atoms, min_size=1, max_size=3).map(_coefficient), max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vectors)
+def test_vector_walk_matches_the_per_mu_reference(vec):
+    """Sparse C vectors over mu of one size n <= 9, with rational and
+    symbolic (h, N, j) coefficients."""
+    assert schur_in_times(vec) == combination_reference(vec)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [0, QQ(7, 11), "symbolic"])
+def test_tau_from_schur_matches_the_per_mu_reference(m, N):
+    for degree in range(11):
+        table = plucker_expansion(m, N, degree)
+        assert tau_from_schur(table).coeffs == tau_reference(table), degree
+
+
+def test_a_flipped_hook_sign_is_seen(monkeypatch):
+    """One hook move with its sign flipped moves tau off the reference, and
+    at m = 3 the oracle's own checks see it too."""
+    true_moves = schur._hook_moves
+
+    def flipped(nu, k):
+        moves = true_moves(nu, k)
+        if (nu, k) == ((2, 1), 1):
+            (first, odd), *rest = moves
+            return ((first, not odd), *rest)
+        return moves
+
+    monkeypatch.setattr(schur, "_hook_moves", flipped)
+    table = plucker_expansion(3, 0, 9)
+    bad = tau_from_schur(table)
+    assert bad.coeffs != tau_reference(table)
+    assert not (check_expansion_invariants(bad).ok and constraint_suite(3, 0, bad).ok)
 
 
 def test_complete_homogeneous_basics():
@@ -112,15 +248,15 @@ def test_generating_function_inverse():
 
 
 def test_schur_examples():
-    assert schur_in_times((1,)) == P("1/1*t1")
-    assert schur_in_times((1, 1)) == P("1/2*t1^2-1/1*t2")
-    assert schur_in_times((2,)) == P("1/2*t1^2+1/1*t2")
+    assert s((1,)) == P("1/1*t1")
+    assert s((1, 1)) == P("1/2*t1^2-1/1*t2")
+    assert s((2,)) == P("1/2*t1^2+1/1*t2")
 
 
 def test_schur_homogeneity():
     for n in range(1, 11):
         for mu in partitions(n):
-            assert weighted_degree(schur_in_times(mu)) == n
+            assert weighted_degree(s(mu)) == n
 
 
 def test_plucker_degree_zero():
@@ -130,10 +266,7 @@ def test_plucker_degree_zero():
 
 def test_plucker_first_coefficients_m2():
     table = plucker_expansion(2, 0, 2, points=4)
-    combo = TimePolynomial.zero()
-    for mu in ((2,), (1, 1)):
-        c = table.coefficient(mu).h_part(1)
-        combo = combo + schur_in_times(mu).scale(c)
+    combo = schur_in_times({mu: table.coefficient(mu).h_part(1) for mu in ((2,), (1, 1))})
     assert combo == P("1/3*t2")
 
 
@@ -184,11 +317,23 @@ def test_oracle_matches_recursion_rational_n():
 
 
 def test_oracle_m3_invariants():
-    from bgwtau.cutjoin import check_expansion_invariants
-
     T = tau_from_schur(plucker_expansion(3, 0, 8, points=8))
     assert check_expansion_invariants(T).ok
     assert not T.coeffs[1].is_zero() and not T.coeffs[2].is_zero()
+
+
+def test_oracle_m3_degree_21_passes_its_checks():
+    """At m = 3 the oracle is the only route to tau: through degree 21 it
+    keeps the (m+1)-reduction and every W3 constraint case."""
+    T = tau_from_schur(plucker_expansion(3, 0, 21))
+    assert check_expansion_invariants(T).ok
+    rep = constraint_suite(3, 0, T)
+    assert rep.ok and len(rep.cases) == 18
+
+
+def test_oracle_matches_recursion_m2_through_degree_20():
+    T = tau_from_schur(plucker_expansion(2, 0, 20))
+    assert T.coeffs == tau_expand(2, 0, 10).coeffs
 
 
 class EpsSeries:
@@ -242,7 +387,7 @@ def test_miwa_point_consistency():
         if w > D or len(mu) > M:
             continue
         tvals = {k: sum(x ** k for x in xs) / k for k in range(1, w + 1)}
-        val = as_rational(eval_times(schur_in_times(mu), tvals)) if mu else QQ(1)
+        val = as_rational(eval_times(s(mu), tvals))
         coeff = as_rational(c.h_part(w // m))
         lhs[w] += coeff * val
 

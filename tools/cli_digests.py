@@ -10,10 +10,10 @@ identity cases included), the basis-vector tables (symbolic j at
 m = 1, 2, 4; bound j at N = 0, rational and symbolic N, negative j
 included), the cut-and-join expansions and free energies at m = 1, 2
 (rational and symbolic N), the oracle expansions at m = 1..4 (symbolic N
-at m = 1, 2) and the crosscheck suite at m = 3, and Schur tables at
-m = 1..4 (more Miwa points than the degree included), so a change that
-must keep the CLI output byte-identical can be checked against digests
-recorded before it.  Each command runs as
+at m = 1, 2, 3; degree 15 at m = 3 and 16 at m = 4) and the crosscheck
+suite at m = 3, 4, and Schur tables at m = 1..4 (more Miwa points than
+the degree included), so a change that must keep the CLI output
+byte-identical can be checked against digests recorded before it.  Each command runs as
 `python -m bgwtau.cli ...` from the root of the checkout with `src` on
 PYTHONPATH; none of them reads or writes the disk cache (expand and
 free-energy run with --no-cache).
@@ -78,6 +78,10 @@ COMMANDS = (
     "expand --m 1 --N symbolic --oracle --degree 10 --no-cache",
     "expand --m 2 --N symbolic --oracle --degree 10 --no-cache",
     "verify --suite crosscheck --m 3 --order 3",
+    "expand --m 3 --N 0 --oracle --degree 15 --no-cache",
+    "expand --m 4 --N 7/11 --oracle --degree 16 --no-cache",
+    "expand --m 3 --N symbolic --oracle --degree 12 --no-cache",
+    "verify --suite crosscheck --m 4 --order 3",
 )
 
 
