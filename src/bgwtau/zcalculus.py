@@ -3,7 +3,11 @@ vector series Phi_j, and the Kac-Schwarz operator identities.
 
 Validity floors.  A LaurentSeries asserts nothing below its floor: the
 stored coefficients of z^n for n >= floor are exact, everything below is
-unknown (not necessarily zero).  Propagation is conservative:
+unknown (not necessarily zero).  Like Coefficient and TimePolynomial, a
+series is canonical and immutable: it stores no zero and no exponent below
+its floor, and its constructor trusts its input.  Only add and truncate
+raise a floor, so only they drop stored content; _product_sum keeps no sum
+that cancels.  Propagation is conservative:
 
   add:        floor = max(floors)
   d/dz:       floor - 1
@@ -60,16 +64,14 @@ from .report import Report
 
 
 class LaurentSeries:
-    """coeffs: dict z-exponent -> Coefficient, exact at and above floor."""
+    """coeffs: dict z-exponent -> Coefficient, exact at and above floor;
+    canonical and immutable (module docstring)."""
 
     __slots__ = ("coeffs", "floor")
 
     def __init__(self, coeffs=None, floor=-inf):
         self.coeffs: dict[int, Coefficient] = coeffs if coeffs is not None else {}
         self.floor = floor
-        for n in list(self.coeffs):
-            if n < floor:
-                del self.coeffs[n]
 
     @classmethod
     def zero(cls) -> "LaurentSeries":
@@ -82,17 +84,18 @@ class LaurentSeries:
         return cls({n: c} if c else {})
 
     def top(self):
-        """Highest exponent with a nonzero coefficient; -inf for none."""
-        return max((n for n, c in self.coeffs.items() if c), default=-inf)
+        """Highest stored exponent; -inf for none."""
+        return max(self.coeffs, default=-inf)
 
     def reach(self):
         """Highest exponent the series may reach, junk below its floor
-        included: top(), or floor - 1 when nothing nonzero is stored; -inf
-        for a known zero."""
-        return max(self.top(), self.floor - 1)
+        included: top(), or floor - 1 when nothing is stored; -inf for a
+        known zero."""
+        return max(self.coeffs, default=self.floor - 1)
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return LaurentSeries(merged(self.coeffs, other.coeffs), max(self.floor, other.floor))
+        fl = max(self.floor, other.floor)
+        return LaurentSeries(merged(self.truncate(fl).coeffs, other.truncate(fl).coeffs), fl)
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries({n: -c for n, c in self.coeffs.items()}, self.floor)
@@ -118,15 +121,17 @@ class LaurentSeries:
         return LaurentSeries(out, self.floor - 1)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return _product_sum([((self, self.reach()), (other, other.reach()))])
+        return _product_sum([(self, other)])
 
     def truncate(self, floor: int) -> "LaurentSeries":
-        return LaurentSeries(
-            {n: c for n, c in self.coeffs.items() if n >= floor}, max(self.floor, floor)
-        )
+        """The series with its floor raised to floor; self if it is not
+        raised."""
+        if floor <= self.floor:
+            return self
+        return LaurentSeries({n: c for n, c in self.coeffs.items() if n >= floor}, floor)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs.values())
+        return not self.coeffs
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -134,7 +139,7 @@ class LaurentSeries:
         return (self - other).is_zero()
 
     def __repr__(self):
-        bits = [f"({c!r})*z^{n}" for n, c in sorted(self.coeffs.items(), reverse=True) if c]
+        bits = [f"({c!r})*z^{n}" for n, c in sorted(self.coeffs.items(), reverse=True)]
         s = " + ".join(bits) if bits else "0"
         if self.floor > -inf:
             s += f"  (floor z^{self.floor})"
@@ -201,7 +206,7 @@ class ZOperator:
         """The action on s; with a tail, the result is exact only above
         z^(reach + tail_shift), and nothing below that is computed."""
         ds = _derivatives(s, max(self.terms, default=0))
-        return _product_sum([((c, c.reach()), ds[o]) for o, c in self.terms.items()],
+        return _product_sum([(c, ds[o]) for o, c in self.terms.items()],
                             s.reach() + self.tail_shift + 1)
 
     def compose(self, other: "ZOperator") -> "ZOperator":
@@ -215,8 +220,7 @@ class ZOperator:
         pairs: dict[int, list] = {}
         for i, ci in self.terms.items():
             # c_i d^i (b_l d^l) = c_i sum_s C(i,s) (d^s b_l) d^(i+l-s)
-            e = ci.reach()
-            cis = [(ci if s in (0, i) else ci.scale(comb(i, s)), e) for s in range(i + 1)]
+            cis = [ci if s in (0, i) else ci.scale(comb(i, s)) for s in range(i + 1)]
             for l, ds in derivs.items():
                 for s in range(i + 1):
                     pairs.setdefault(i + l - s, []).append((cis[s], ds[s]))
@@ -238,27 +242,24 @@ class ZOperator:
         return s
 
 
-def _derivatives(s: LaurentSeries, n: int) -> list[tuple]:
-    """[s, s', ..., s^(n)], the z-derivatives of s up to order n, each
-    paired with its reach."""
-    out = [(s, s.reach())]
+def _derivatives(s: LaurentSeries, n: int) -> list[LaurentSeries]:
+    """[s, s', ..., s^(n)], the z-derivatives of s up to order n."""
+    out = [s]
     for _ in range(n):
-        ds = out[-1][0].dz()
-        out.append((ds, ds.reach()))
+        out.append(out[-1].dz())
     return out
 
 
 def _product_sum(pairs: list, cut=-inf) -> LaurentSeries:
-    """sum a*b over pairs ((a, reach of a), (b, reach of b)): the one
-    product loop of the module.  Its floor is the largest of cut and the
-    product floors (module docstring), and no coefficient below it is
-    computed."""
+    """sum a*b over the pairs (a, b): the one product loop of the module.
+    Its floor is the largest of cut and the product floors (module
+    docstring), and no coefficient below it is computed."""
     fl = cut
-    for (a, e1), (b, e2) in pairs:
-        fl = max(fl, a.floor + e2, b.floor + e1)
+    for a, b in pairs:
+        fl = max(fl, a.floor + b.reach(), b.floor + a.reach())
     out: dict[int, Coefficient] = {}
     get = out.get
-    for (a, _), (b, _) in pairs:
+    for a, b in pairs:
         bitems = list(b.coeffs.items())
         for n1, c1 in a.coeffs.items():
             for n2, c2 in bitems:
@@ -416,7 +417,7 @@ def ks_operators(m: int, N, depth: int) -> KSOperators:
     sum_k T^k z with step T = -h z^-m (z d/dz - m/2 - N), truncated at
     k_max so that its order-i coefficient is exact above
     z^(i+1-m*ceil((depth+2)/m+1)); d_inv is the exact two-term inverse
-    z^-1 (1 + h z^-m (z d/dz - m/2 - N))."""
+    z^-1 (1 - T)."""
     nc = n_coeff(N)
     half_m = QQ(m, 2)
 
@@ -456,13 +457,7 @@ def ks_operators(m: int, N, depth: int) -> KSOperators:
          for o in range(k_max + 1)},
         1 - m * (k_max + 1),
     )
-
-    d_inv = ZOperator(
-        {
-            1: LaurentSeries.z_power(-m, Coefficient.monomial(1, h=1)),
-            0: LaurentSeries.z_power(-1) + LaurentSeries.z_power(-m - 1, -hmn),
-        }
-    )
+    d_inv = (ZOperator.identity() - step).shift(-1)
     return KSOperators(m, a, b, c, d, d_inv, step, k_max)
 
 

@@ -241,8 +241,8 @@ def test_kernel_matches_dense_reference(a, b, updates):
        st.dictionaries(st.integers(-6, 3), coeff_strategy, max_size=5),
        st.just(-inf) | st.integers(-8, 0), st.just(-inf) | st.integers(-8, 0))
 def test_laurent_product_stores_nothing_below_its_floor(ca, cb, fa, fb):
-    a = LaurentSeries({n: c for n, c in ca.items() if c}, fa)
-    b = LaurentSeries({n: c for n, c in cb.items() if c}, fb)
+    a = LaurentSeries({n: c for n, c in ca.items() if c}).truncate(fa)
+    b = LaurentSeries({n: c for n, c in cb.items() if c}).truncate(fb)
     prod = a * b
     reference = [Coefficient.zero()] * 19  # exponents -12..6
     for n1, c1 in a.coeffs.items():

@@ -70,6 +70,14 @@ def test_golden_appendix_b_defective_region():
     assert failed == {"tau2[6]", "tau2[7]", "tau2[8]", "tau2[9]"}
 
 
+def test_golden_appendix_b_beyond_the_table_compares_what_it_has():
+    """The table stops at tau2[9]; a deeper order compares tau2[1..9] (as
+    AppendixC clamps) instead of raising KeyError."""
+    rep = golden_suite("AppendixB", order=10)
+    assert [c.name for c in rep.cases] == [f"tau2[{k}]" for k in range(1, 10)]
+    assert {c.name for c in rep.failures} == {"tau2[6]", "tau2[7]", "tau2[8]", "tau2[9]"}
+
+
 def test_golden_appendix_c_clean_region():
     rep = golden_suite("AppendixC", order=5)
     assert rep.ok, [c.line() for c in rep.failures]

@@ -3,6 +3,7 @@
 from itertools import product
 from math import inf
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bgwtau import zcalculus
@@ -12,6 +13,7 @@ from bgwtau.algebra import (
     TimePolynomial,
     add_into,
     canonical_text,
+    merged,
     parse_polynomial,
 )
 from bgwtau.operators import n_coeff
@@ -310,13 +312,51 @@ def test_truncated_products_match_the_full_product_reference():
 
 
 # small operators and series: coefficients +-1..3 or h, bounds -inf or an int;
-# a series may be empty and still carry a floor
+# a series may be empty and still carry a floor.  A series is built canonical:
+# its draws below the floor are dropped by truncate.
 _coeffs = st.sampled_from([Coefficient.rational(c) for c in (1, 2, 3, -1, -2, -3)]
                           + [Coefficient.monomial(1, h=1)])
 _bounds = st.just(-inf) | st.integers(-6, 2)
-_series = st.builds(LaurentSeries, st.dictionaries(st.integers(-5, 3), _coeffs, max_size=4),
-                    _bounds)
+_series = st.builds(lambda coeffs, floor: LaurentSeries(coeffs).truncate(floor),
+                    st.dictionaries(st.integers(-5, 3), _coeffs, max_size=4), _bounds)
 _operators = st.builds(ZOperator, st.dictionaries(st.integers(0, 2), _series, max_size=3), _bounds)
+
+
+def assert_canonical(s: LaurentSeries):
+    """The LaurentSeries invariant: no zero stored, nothing below the floor."""
+    assert all(s.coeffs.values()) and all(n >= s.floor for n in s.coeffs), s
+
+
+def assert_results_canonical(a: ZOperator, b: ZOperator, s: LaurentSeries, t: LaurentSeries,
+                             c: Coefficient, k: int, floor: int):
+    for r in (s + t, s - t, -s, s.scale(c), s.scale(0), s.shift(k), s.dz(), s * t,
+              s.truncate(floor), a.apply(s)):
+        assert_canonical(r)
+    for op in (a + b, a.compose(b)):
+        for r in op.terms.values():
+            assert_canonical(r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operators, _operators, _series, _series, _coeffs, st.integers(-3, 3), _bounds)
+def test_every_operation_keeps_series_canonical(a, b, s, t, c, k, floor):
+    """Series ops (+ - neg scale shift dz * truncate) and ZOperator ops
+    (+ apply compose) give canonical results on canonical inputs, so the
+    constructor need not re-check its input."""
+    assert_results_canonical(a, b, s, t, c, k, floor)
+
+
+def test_canonical_check_sees_an_add_without_the_floor_filter(monkeypatch):
+    """Negative control: an add that merges but keeps what lies below the
+    raised floor fails the check above."""
+    s = LaurentSeries({1: COEFF_ONE, -3: COEFF_ONE}).truncate(-4)
+    t = LaurentSeries({0: COEFF_ONE}).truncate(-1)
+    args = (ZOperator(), ZOperator(), s, t, COEFF_ONE, 0, -inf)
+    assert_results_canonical(*args)
+    monkeypatch.setattr(LaurentSeries, "__add__", lambda x, y: LaurentSeries(
+        merged(x.coeffs, y.coeffs), max(x.floor, y.floor)))
+    with pytest.raises(AssertionError):
+        assert_results_canonical(*args)
 
 
 @settings(max_examples=400, deadline=None)
@@ -354,6 +394,17 @@ def test_d_matches_the_composed_geometric_series():
         got, want = ks_operators(m, N, depth).d, d_by_composition(m, N, depth)
         assert sorted(got.terms) == sorted(want.terms), (m, N, depth)
         assert repr(got) == repr(want), (m, N, depth)
+
+
+def test_d_inv_matches_the_literal_two_term_inverse():
+    """d_inv = z^-1 (1 - T) equals its literal two-term form
+    z^-1 (1 + h z^-m (z d/dz - m/2 - N)), repr included."""
+    for m, N in product((1, 2, 3, 4, 5), KS_GRID_N + (-1, 3)):
+        N = QQ(-m, 2) if N == "-m/2" else N
+        hmn = (Coefficient.rational(QQ(m, 2)) + n_coeff(N)).times_h(1)
+        want = ZOperator({1: LaurentSeries.z_power(-m, Coefficient.monomial(1, h=1)),
+                          0: LaurentSeries.z_power(-1) + LaurentSeries.z_power(-m - 1, -hmn)})
+        assert repr(ks_operators(m, N, 4).d_inv) == repr(want), (m, N)
 
 
 def test_d_by_steps_matches_the_dense_action():

@@ -5,8 +5,9 @@ sha256 of each one's stdout and its exit code with tools/cli_digests.json.
     python tools/cli_digests.py --record   # (re)write tools/cli_digests.json
 
 The commands cover every verify suite at m = 1, 2, 3, the ks suite at
-m = 1..4 (N = 0, -1/2, -1, symbolic; the quantum Bessel and closing
-identity cases included), the basis-vector tables (symbolic j at
+m = 1..4 (N = 0, -1/2, -1, 1/3, 1, 3/2, symbolic, and N = -m/2 at m = 4,
+where the zeroth-order term of the step vanishes; the quantum Bessel and
+closing identity cases included), the basis-vector tables (symbolic j at
 m = 1, 2, 4; bound j at N = 0, rational and symbolic N, negative j
 included), the cut-and-join expansions and free energies at m = 1, 2
 (rational and symbolic N), the oracle expansions at m = 1..4 (symbolic N
@@ -82,6 +83,11 @@ COMMANDS = (
     "expand --m 4 --N 7/11 --oracle --degree 16 --no-cache",
     "expand --m 3 --N symbolic --oracle --degree 12 --no-cache",
     "verify --suite crosscheck --m 4 --order 3",
+    "verify --suite ks --m 3 --N 1 --depth 10",
+    "verify --suite ks --m 1 --N 1/3 --depth 14",
+    "verify --suite ks --m 2 --N 3/2 --depth 12",
+    "verify --suite ks --m 4 --N=-2 --depth 8",
+    "phi --m 3 --N 1/2 --j 4 --depth 10 --format json",
 )
 
 
