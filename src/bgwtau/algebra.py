@@ -158,7 +158,10 @@ class Coefficient:
         if not isinstance(other, Coefficient):
             if not isinstance(other, (int, str)) and not hasattr(other, "denominator"):
                 return NotImplemented
-            other = Coefficient.rational(other)
+            try:
+                other = Coefficient.rational(other)
+            except (ValueError, ZeroDivisionError):
+                return False  # a string that names no rational
         return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
@@ -194,14 +197,7 @@ class Coefficient:
             (ka, va), = a.terms.items()
             return _scaled(b.terms, b.den, va, a.den, ka - _HBASE)
         out: dict[int, int] = {}
-        get = out.get
-        bitems = list(b.terms.items())
-        for k1, v1 in a.terms.items():
-            off = k1 - _HBASE
-            for k2, v2 in bitems:
-                k = k2 + off
-                s = get(k)
-                out[k] = v1 * v2 if s is None else s + v1 * v2
+        _mul_nums(out, a.terms.items(), list(b.terms.items()))
         return _canonical({k: v for k, v in out.items() if v}, a.den * b.den)
 
     __rmul__ = __mul__
@@ -285,6 +281,20 @@ def _canonical(terms: dict, den: int, common: int | None = None) -> Coefficient:
         if g != 1:
             return Coefficient({k: v // g for k, v in terms.items()}, den // g)
     return Coefficient(terms, den)
+
+
+def _mul_nums(out: dict, a_items, b_items) -> None:
+    """out += (a) * (b) in place for numerator sums over packed keys: each
+    pair adds v1 * v2 at k1 + k2 - _HBASE (the h offsets add).  Plain int
+    sums with no reduction, so out may end with zero entries; b_items is
+    iterated once per item of a_items."""
+    get = out.get
+    for k1, v1 in a_items:
+        off = k1 - _HBASE
+        for k2, v2 in b_items:
+            k = k2 + off
+            s = get(k)
+            out[k] = v1 * v2 if s is None else s + v1 * v2
 
 
 def _scaled(terms: dict, den: int, p: int, r: int, off: int) -> Coefficient:

@@ -12,15 +12,26 @@ Materializing to a larger bound never changes the action on such
 polynomials.  A generator is a list of (weight, tpart, dpart) terms with a
 plain rational weight, each (tpart, dpart) at most once; add_scaled adds it
 into an operator with one coefficient scaling per term.
+
+Application runs in plain ints: apply brings the operator's coefficients
+over one common denominator, a DerivativeTable keeps p's derivatives as
+integer numerators over another, and the products of numerators are summed
+per output monomial; each output coefficient is reduced to canonical form
+once, at the end.  The product loop is algebra._mul_nums, the one that
+Coefficient.__mul__ uses.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .algebra import (
     Coefficient,
     MONO_ONE,
     TimeMonomial,
     TimePolynomial,
+    _canonical,
+    _mul_nums,
     add_into,
     join_terms,
     term_texts,
@@ -67,13 +78,36 @@ class DiffOperator:
         """Exact application; linear in p.  p's derivatives come from table,
         a DerivativeTable of p (a private one by default): each distinct
         derivative part differentiates p once per table, so a caller that
-        applies several operators to one p shares one table among them."""
+        applies several operators to one p shares one table among them.
+
+        The sum runs in plain ints: the operator's coefficients are brought
+        over the lcm D of their denominators, the table holds numerators
+        over its den, and every (operator term, derivative term) pair adds
+        its numerator products into one int sum per output monomial.  Each
+        output coefficient is reduced once, over D * table.den, at the end;
+        a monomial whose sum cancels is left out."""
         if table is None:
             table = DerivativeTable(p)
-        out: dict[TimeMonomial, Coefficient] = {}
+        D = lcm(*(c.den for c in self.terms.values()))
+        sums: dict[TimeMonomial, dict[int, int]] = {}
         for (tm, dm), c in self.terms.items():
-            for pm, pc in table[dm]:
-                add_into(out, tm * pm, c * pc)
+            entries = table[dm]
+            if not entries:
+                continue
+            r = D // c.den
+            nums = [(k, v * r) for k, v in c.terms.items()]
+            for pm, pnums in entries:
+                mono = tm * pm
+                acc = sums.get(mono)
+                if acc is None:
+                    acc = sums[mono] = {}
+                _mul_nums(acc, nums, pnums)
+        den = D * table.den
+        out: dict[TimeMonomial, Coefficient] = {}
+        for mono, acc in sums.items():
+            acc = {k: v for k, v in acc.items() if v}
+            if acc:
+                out[mono] = _canonical(acc, den)
         return TimePolynomial(out)
 
     def __repr__(self):
@@ -82,20 +116,25 @@ class DiffOperator:
 
 class DerivativeTable(dict):
     """The derivatives of one polynomial p, each computed on first use:
-    derivative part -> the (monomial, coefficient) terms of p's derivative.
-    top is p's top weighted degree (-1 for zero); a part heavier than top
-    kills every monomial of p, so its entry is empty and p is not
-    differentiated."""
+    derivative part -> the terms of p's derivative as (monomial, [(key,
+    numerator), ...]) pairs, integer numerators over den, the lcm of p's
+    coefficient denominators (a derivative's coefficients are p's scaled by
+    integers, so den is a common denominator of every entry).  top is p's
+    top weighted degree (-1 for zero); a part heavier than top kills every
+    monomial of p, so its entry is empty and p is not differentiated."""
 
-    __slots__ = ("p", "top")
+    __slots__ = ("p", "top", "den")
 
     def __init__(self, p: TimePolynomial):
         super().__init__()
         self.p = p
         self.top = max((pm.degree for pm in p.terms), default=-1)
+        self.den = lcm(*(c.den for c in p.terms.values()))
 
     def __missing__(self, dm: TimeMonomial) -> list:
-        terms = [] if dm.degree > self.top else list(self.p.derivative(dm).terms.items())
+        terms = [] if dm.degree > self.top else [
+            (pm, [(k, v * (self.den // c.den)) for k, v in c.terms.items()])
+            for pm, c in self.p.derivative(dm).terms.items()]
         self[dm] = terms
         return terms
 

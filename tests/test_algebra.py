@@ -89,6 +89,14 @@ def test_substitute():
     assert p.substitute(n=0) == P("1/8*t1")
 
 
+def test_coefficient_equals_a_string_it_cannot_parse_as_false():
+    one = Coefficient.one()
+    assert one == "1" and one == 1 and Coefficient.rational(2) == 2
+    assert Coefficient.rational(QQ(1, 2)) == "1/2"
+    assert one != "abc" and not one == "" and one != "1/0"
+    assert one not in ["abc", "t1"] and one in ["abc", "1"]
+
+
 def test_canonical_text_basics():
     assert canonical_text(TimePolynomial.zero()) == "0"
     assert canonical_text(P("1/3*t2")) == "1/3*t2"

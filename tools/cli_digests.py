@@ -88,6 +88,12 @@ COMMANDS = (
     "verify --suite ks --m 2 --N 3/2 --depth 12",
     "verify --suite ks --m 4 --N=-2 --depth 8",
     "phi --m 3 --N 1/2 --j 4 --depth 10 --format json",
+    "expand --m 2 --N 7/11 --order 9 --no-cache",
+    "expand --m 1 --N=-9/13 --order 20 --no-cache",
+    "expand --m 2 --N=-1 --order 10 --no-cache",
+    "free-energy --m 2 --N symbolic --order 8 --no-cache",
+    "verify --suite constraints --m 2 --N=-9/13 --order 9",
+    "verify --suite constraints,hirota --m 1 --N 5/3 --order 14",
 )
 
 
