@@ -14,6 +14,10 @@ Representation:
                   with k >= 1, e >= 1; the empty tuple is the unit
                   monomial.  weighted degree is sum k*e.
   TimePolynomial  dict TimeMonomial -> Coefficient, no zero coefficients.
+  numerator form  rows (monomial, [(key, numerator), ...]) over one
+                  denominator: what the product kernel (mul_sums, reduced)
+                  multiplies, in plain ints, reducing each output
+                  coefficient once.
 
 Binding.  Coefficient.substitute binds N to a rational.  j is bound once
 per basis-vector series: zcalculus.phi_terms builds the powers J^0..J^(2K)
@@ -34,7 +38,7 @@ negative exponents allowed for h ("h^-2").  The zero polynomial prints "0".
 from __future__ import annotations
 
 import re
-from math import gcd
+from math import gcd, lcm
 
 from .rational import QQ
 
@@ -81,13 +85,6 @@ def add_into(terms: dict, key, value) -> None:
             del terms[key]
 
 
-def mul_into(terms: dict, a: dict, b: dict) -> None:
-    """terms += a * b in place, for sparse sums whose keys multiply."""
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            add_into(terms, k1 * k2, v1 * v2)
-
-
 def merged(a: dict, b: dict) -> dict:
     """The canonical sum of two canonical sparse sums, as a new dict; a and b
     are not modified.  The add_into loop is inlined: this is the hot path of
@@ -115,8 +112,7 @@ class Coefficient:
     Canonical form, so == and hash are structural: no zero numerator,
     den > 0, gcd(den, *numerators) == 1, and zero is {} over 1.  Every
     operation below returns a canonical Coefficient; rationals (rational.QQ)
-    appear only at the boundaries: the rational/monomial/scale arguments
-    and items_hnj."""
+    appear only at the boundaries: the rational/monomial/scale arguments."""
 
     __slots__ = ("terms", "den")
 
@@ -142,11 +138,6 @@ class Coefficient:
     @classmethod
     def one(cls) -> "Coefficient":
         return cls({_KEY1: 1})
-
-    def items_hnj(self):
-        """Iterate ((h_exp, N_exp, j_exp), rational) pairs."""
-        for k, v in self.terms.items():
-            yield _cunpack(k), QQ(v, self.den)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -416,9 +407,10 @@ class TimePolynomial:
         return self + (-other)
 
     def __mul__(self, other: "TimePolynomial") -> "TimePolynomial":
-        out: dict[TimeMonomial, Coefficient] = {}
-        mul_into(out, self.terms, other.terms)
-        return TimePolynomial(out)
+        (a, da), (b, db) = numerators(self), numerators(other)
+        sums: dict = {}
+        mul_sums(sums, a, b)
+        return reduced(sums, da * db)
 
     def scale(self, c) -> "TimePolynomial":
         """Multiply by a coefficient; a nonzero c cannot cancel a term
@@ -427,32 +419,6 @@ class TimePolynomial:
         if not c:
             return TimePolynomial({})
         return TimePolynomial({m: c0 * c for m, c0 in self.terms.items()})
-
-    def times_h(self, k: int) -> "TimePolynomial":
-        return TimePolynomial({m: c.times_h(k) for m, c in self.terms.items()})
-
-    def derivative(self, d: TimeMonomial) -> "TimePolynomial":
-        """Partial derivative by a derivative monomial d: the product of
-        (d/dt_k)^order over its (k, order) pairs."""
-        if not d:
-            return TimePolynomial(dict(self.terms))
-        out: dict[TimeMonomial, Coefficient] = {}
-        for m, c in self.terms.items():
-            exps = dict(m)  # stays sorted: entries are only lowered or deleted
-            fac = 1
-            for k, order in d:
-                e = exps.get(k, 0)
-                if e < order:
-                    break
-                for i in range(order):
-                    fac *= e - i
-                if e == order:
-                    del exps[k]
-                else:
-                    exps[k] = e - order
-            else:
-                add_into(out, TimeMonomial(exps.items()), c if fac == 1 else c.scale(fac))
-        return TimePolynomial(out)
 
     def h_coefficient(self, p: int) -> "TimePolynomial":
         """Polynomial multiplying h^p, with the h-power stripped."""
@@ -479,6 +445,49 @@ class TimePolynomial:
 
     def __repr__(self):
         return canonical_text(self)
+
+
+# ---------------------------------------------------------------------------
+# The product kernel on polynomials in numerator form (module docstring).
+
+
+def numerators(p: TimePolynomial) -> tuple[list, int]:
+    """(rows, den): p in numerator form over den, the lcm of its coefficient
+    denominators."""
+    den = lcm(*(c.den for c in p.terms.values()))
+    return [(m, [(k, v * (den // c.den)) for k, v in c.terms.items()])
+            for m, c in p.terms.items()], den
+
+
+ONE_ROWS = [(MONO_ONE, [(_KEY1, 1)])]  # the polynomial 1 in numerator form over 1
+
+
+def mul_sums(sums: dict, a: list, b: list, r: int = 1) -> None:
+    """sums += r * a * b in place, a and b in numerator form: sums maps each
+    output monomial to its int numerator sum (zeros may stay).  The
+    numerators of a are scaled by r once per row; b is iterated once per row
+    of a."""
+    for ma, na in a:
+        if r != 1:
+            na = [(k, v * r) for k, v in na]
+        for mb, nb in b:
+            mono = ma * mb
+            acc = sums.get(mono)
+            if acc is None:
+                acc = sums[mono] = {}
+            _mul_nums(acc, na, nb)
+
+
+def reduced(sums: dict, den: int) -> TimePolynomial:
+    """The polynomial sums / den: zero numerators are dropped, a monomial
+    whose numerators all cancel is left out, and every other monomial gets
+    one canonical Coefficient."""
+    out: dict[TimeMonomial, Coefficient] = {}
+    for mono, acc in sums.items():
+        acc = {k: v for k, v in acc.items() if v}
+        if acc:
+            out[mono] = _canonical(acc, den)
+    return TimePolynomial(out)
 
 
 # ---------------------------------------------------------------------------

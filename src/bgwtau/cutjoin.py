@@ -29,8 +29,19 @@ the reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
-from .algebra import Coefficient, MONO_ONE, TimeMonomial, TimePolynomial, weighted_degree
+from .algebra import (
+    MONO_ONE,
+    ONE_ROWS,
+    Coefficient,
+    TimeMonomial,
+    TimePolynomial,
+    mul_sums,
+    numerators,
+    reduced,
+    weighted_degree,
+)
 from .operators import DiffOperator, cubic, n_coeff, virasoro
 from .rational import QQ
 from .report import Report
@@ -126,17 +137,28 @@ def tau_expand(m: int, N, K: int) -> TauExpansion:
 
 
 def free_energy(T: TauExpansion) -> list[TimePolynomial]:
-    """Coefficients F^1..F^K of log tau = sum_k h^k F^k (formal log in h)."""
+    """Coefficients F^1..F^K of log tau = sum_k h^k F^k (formal log in h), by
+
+      k F_k = k tau_k - sum_{i<k} (i F_i) tau_(k-i)
+
+    in numerator form (algebra.mul_sums): each order is summed over one
+    denominator D, the lcm of den(tau_k) and every den(F_i) den(tau_(k-i)),
+    and each monomial of F_k is reduced once, over D k."""
     if not T.coeffs or T.coeffs[0] != TimePolynomial.one():
         raise ValueError("not normalized: tau_0 must be 1")
-    K = T.order
-    F: list[TimePolynomial] = [TimePolynomial.zero()]
-    for k in range(1, K + 1):
-        acc = T.coeffs[k]
+    tau = [numerators(c) for c in T.coeffs]
+    F: list[TimePolynomial] = []
+    Fn: list[tuple[list, int]] = [([], 1)]  # F_i in numerator form
+    for k in range(1, T.order + 1):
+        D = lcm(tau[k][1], *(Fn[i][1] * tau[k - i][1] for i in range(1, k)))
+        sums: dict = {}
+        mul_sums(sums, ONE_ROWS, tau[k][0], k * (D // tau[k][1]))
         for i in range(1, k):
-            acc = acc - F[i].scale(QQ(i, k)) * T.coeffs[k - i]
-        F.append(acc)
-    return F[1:]
+            (fi, di), (ti, dt) = Fn[i], tau[k - i]
+            mul_sums(sums, fi, ti, -i * (D // (di * dt)))
+        F.append(reduced(sums, D * k))
+        Fn.append(numerators(F[-1]))
+    return F
 
 
 def exp_series(F: list[TimePolynomial], K: int) -> list[TimePolynomial]:

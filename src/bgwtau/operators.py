@@ -15,25 +15,28 @@ into an operator with one coefficient scaling per term.
 
 Application runs in plain ints: apply brings the operator's coefficients
 over one common denominator, a DerivativeTable keeps p's derivatives as
-integer numerators over another, and the products of numerators are summed
-per output monomial; each output coefficient is reduced to canonical form
-once, at the end.  The product loop is algebra._mul_nums, the one that
-Coefficient.__mul__ uses.
+integer numerators over another (it is the engine's one differentiation
+routine), and the products of numerators are summed per output monomial;
+each output coefficient is reduced to canonical form once, at the end.  The
+products and the reduction are algebra's product kernel (mul_sums,
+reduced), which TimePolynomial.__mul__, cutjoin.free_energy and
+verify.hirota_suite share.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import lcm, perm
 
 from .algebra import (
     Coefficient,
     MONO_ONE,
     TimeMonomial,
     TimePolynomial,
-    _canonical,
-    _mul_nums,
     add_into,
     join_terms,
+    mul_sums,
+    numerators,
+    reduced,
     term_texts,
 )
 from .rational import QQ
@@ -83,32 +86,19 @@ class DiffOperator:
         The sum runs in plain ints: the operator's coefficients are brought
         over the lcm D of their denominators, the table holds numerators
         over its den, and every (operator term, derivative term) pair adds
-        its numerator products into one int sum per output monomial.  Each
-        output coefficient is reduced once, over D * table.den, at the end;
-        a monomial whose sum cancels is left out."""
+        its numerator products into one int sum per output monomial
+        (algebra.mul_sums).  Each output coefficient is reduced once, over
+        D * table.den, at the end; a monomial whose sum cancels is left
+        out."""
         if table is None:
             table = DerivativeTable(p)
         D = lcm(*(c.den for c in self.terms.values()))
-        sums: dict[TimeMonomial, dict[int, int]] = {}
+        sums: dict = {}
         for (tm, dm), c in self.terms.items():
             entries = table[dm]
-            if not entries:
-                continue
-            r = D // c.den
-            nums = [(k, v * r) for k, v in c.terms.items()]
-            for pm, pnums in entries:
-                mono = tm * pm
-                acc = sums.get(mono)
-                if acc is None:
-                    acc = sums[mono] = {}
-                _mul_nums(acc, nums, pnums)
-        den = D * table.den
-        out: dict[TimeMonomial, Coefficient] = {}
-        for mono, acc in sums.items():
-            acc = {k: v for k, v in acc.items() if v}
-            if acc:
-                out[mono] = _canonical(acc, den)
-        return TimePolynomial(out)
+            if entries:
+                mul_sums(sums, [(tm, c.terms.items())], entries, D // c.den)
+        return reduced(sums, D * table.den)
 
     def __repr__(self):
         return operator_text(self)
@@ -116,27 +106,45 @@ class DiffOperator:
 
 class DerivativeTable(dict):
     """The derivatives of one polynomial p, each computed on first use:
-    derivative part -> the terms of p's derivative as (monomial, [(key,
-    numerator), ...]) pairs, integer numerators over den, the lcm of p's
-    coefficient denominators (a derivative's coefficients are p's scaled by
-    integers, so den is a common denominator of every entry).  top is p's
-    top weighted degree (-1 for zero); a part heavier than top kills every
-    monomial of p, so its entry is empty and p is not differentiated."""
+    derivative part -> p's derivative in numerator form (algebra.numerators),
+    over den, the lcm of p's coefficient denominators.  A derivative's
+    coefficients are p's times the integers perm(e, order), and a part maps
+    the monomials of p it keeps one-to-one, so each entry is read straight
+    off p's rows.  top is p's top weighted degree (-1 for zero); a part
+    heavier than top kills every monomial of p, so its entry is empty and p
+    is not differentiated."""
 
-    __slots__ = ("p", "top", "den")
+    __slots__ = ("rows", "top", "den")
 
     def __init__(self, p: TimePolynomial):
         super().__init__()
-        self.p = p
+        rows, self.den = numerators(p)
+        self.rows = [(pm, dict(pm), nums) for pm, nums in rows]
         self.top = max((pm.degree for pm in p.terms), default=-1)
-        self.den = lcm(*(c.den for c in p.terms.values()))
 
     def __missing__(self, dm: TimeMonomial) -> list:
-        terms = [] if dm.degree > self.top else [
-            (pm, [(k, v * (self.den // c.den)) for k, v in c.terms.items()])
-            for pm, c in self.p.derivative(dm).terms.items()]
-        self[dm] = terms
+        terms = self[dm] = self.derivative(dm) if dm.degree <= self.top else []
         return terms
+
+    def derivative(self, dm: TimeMonomial) -> list:
+        """p's derivative by dm, the product of (d/dt_k)^order over its
+        (k, order) pairs, in numerator form over den."""
+        if not dm:
+            return [(pm, nums) for pm, _, nums in self.rows]
+        orders = dict(dm)
+        out = []
+        for pm, exps, nums in self.rows:
+            fac = 1
+            for k, order in dm:
+                e = exps.get(k, 0)
+                if e < order:
+                    break
+                fac *= perm(e, order)
+            else:
+                mono = TimeMonomial([(k, e - orders[k]) if k in orders else (k, e)
+                                     for k, e in pm if e != orders.get(k)])
+                out.append((mono, nums if fac == 1 else [(k, v * fac) for k, v in nums]))
+        return out
 
 
 def operator_text(op: DiffOperator) -> str:

@@ -4,10 +4,10 @@ QQ is gmpy2.mpq when available, else fractions.Fraction.  Polynomial
 arithmetic does not use it: algebra.Coefficient keeps integer numerators
 over one common denominator.  QQ appears only where a single rational goes
 in or comes out: the arguments of Coefficient.rational/monomial/scale,
-Coefficient.items_hnj, parsed N values, and scalar tables such as
-zcalculus._exp_table.  Only the API shared by both types is used:
-construction from ints/strings, arithmetic, comparison, hashing,
-.numerator/.denominator (read through int(), so an mpq works too).
+parsed N values, and scalar tables such as zcalculus._exp_table.  Only the
+API shared by both types is used: construction from ints/strings,
+arithmetic, comparison, hashing, .numerator/.denominator (read through
+int(), so an mpq works too).
 """
 
 try:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import lcm
 from pathlib import Path
 
-from .algebra import TimeMonomial, TimePolynomial, mul_into, parse_polynomial
+from .algebra import ONE_ROWS, TimeMonomial, TimePolynomial, mul_sums, parse_polynomial
 from .cutjoin import TauExpansion, check_expansion_invariants, free_energy, tau_expand
 from .operators import DerivativeTable, constraint, constraint_index_bound
 from .report import Report
@@ -178,6 +179,16 @@ def constraint_suite(m: int, N, T: TauExpansion) -> Report:
     return rep
 
 
+def _combination(*terms) -> list:
+    """The integer combination sum w * rows of (w, rows) pairs whose rows are
+    in numerator form over one denominator, over that denominator too."""
+    sums: dict = {}
+    for w, rows in terms:
+        mul_sums(sums, ONE_ROWS, rows, w)
+    rows = ((mono, [(k, v) for k, v in acc.items() if v]) for mono, acc in sums.items())
+    return [(mono, nums) for mono, nums in rows if nums]
+
+
 def hirota_suite(T: TauExpansion) -> Report:
     """First bilinear KP identity on the truncated expansion:
 
@@ -191,36 +202,39 @@ def hirota_suite(T: TauExpansion) -> Report:
 
     with A = tau_1111 + 3 tau_22 - 4 tau_13 and B = 4 (tau_3 - tau_111) formed
     once per order; the symmetric part is taken once per unordered pair,
-    weight 6 off the diagonal and 3 on it."""
+    weight 6 off the diagonal and 3 on it.  Every derivative of tau[a] comes
+    from one DerivativeTable, in numerator form over its den_a; the h^p
+    residual is summed in numerators over the lcm D_p of the den_a den_(p-a)
+    and only tested for zero, so no coefficient is reduced."""
     rep = Report()
     if T.order < 2:
         raise ValueError("hirota suite needs order K >= 2")
     suite = f"hirota[m={T.m},N={T.N}]"
-    cs = T.coeffs
-    K = T.order
+    tables = [DerivativeTable(c) for c in T.coeffs]
+    dens = [t.den for t in tables]
 
-    def dd(*exps) -> list[TimePolynomial]:
+    def dd(*exps) -> list[list]:
         dm = TimeMonomial(exps)
-        return [c.derivative(dm) for c in cs]
+        return [t[dm] for t in tables]
 
-    d1, d11, d111, d1111 = dd((1, 1)), dd((1, 2)), dd((1, 3)), dd((1, 4))
+    tau, d1, d11, d111, d1111 = dd(), dd((1, 1)), dd((1, 2)), dd((1, 3)), dd((1, 4))
     d2, d22, d3, d13 = dd((2, 1)), dd((2, 2)), dd((3, 1)), dd((1, 1), (3, 1))
-    A = [(x + y.scale(3) - z.scale(4)).terms for x, y, z in zip(d1111, d22, d13)]
-    B = [(x - y).scale(4).terms for x, y in zip(d3, d111)]
-    sym = {w: [(x.scale(w).terms, y.scale(-w).terms) for x, y in zip(d11, d2)] for w in (3, 6)}
-    for p in range(0, K + 1):
-        acc = {}
+    A = [_combination((1, x), (3, y), (-4, z)) for x, y, z in zip(d1111, d22, d13)]
+    B = [_combination((4, x), (-4, y)) for x, y in zip(d3, d111)]
+    for p in range(0, T.order + 1):
+        pair_dens = [dens[a] * dens[p - a] for a in range(p + 1)]
+        D = lcm(*pair_dens)
+        r = [D // d for d in pair_dens]
+        sums: dict = {}
         for a in range(0, p + 1):
-            mul_into(acc, cs[a].terms, A[p - a])
-            mul_into(acc, d1[a].terms, B[p - a])
+            mul_sums(sums, tau[a], A[p - a], r[a])
+            mul_sums(sums, d1[a], B[p - a], r[a])
         for a in range(0, p // 2 + 1):
-            x, y = sym[3 if 2 * a == p else 6][a]
-            mul_into(acc, x, d11[p - a].terms)
-            mul_into(acc, y, d2[p - a].terms)
-        bad = ""
-        if acc:
-            mono = sorted(acc, key=lambda mm: (mm.degree, mm))[0]
-            bad = f"residual at {mono!r}"
+            w = (3 if 2 * a == p else 6) * r[a]
+            mul_sums(sums, d11[a], d11[p - a], w)
+            mul_sums(sums, d2[a], d2[p - a], -w)
+        left = [mono for mono, acc in sums.items() if any(acc.values())]
+        bad = f"residual at {min(left, key=lambda mm: (mm.degree, mm))!r}" if left else ""
         rep.add(suite, f"h^{p}", not bad, bad)
     return rep
 

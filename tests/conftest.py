@@ -1,12 +1,19 @@
 """Shared helpers: partitions and monomial enumeration, the
 linear-independence marker trick for checking operator identities on a
 whole degree window at once, one-term polynomials and the value of a plain
-rational coefficient, operator sums, scalings and products (Op), the whole
-constraint operator from its h-graded parts, a generator's operator from
-its term list, the Euler operator and commutators, and the paper's
-odd-index BGW cut-and-join operator as a reference."""
+rational coefficient, the test-only views items_hnj and times_h, the
+pair-at-a-time references mul_into (products) and derivative
+(differentiation), the canonical-form check, operator sums, scalings and
+products (Op), the whole constraint operator from its h-graded parts, a
+generator's operator from its term list, the Euler operator and
+commutators, and the paper's odd-index BGW cut-and-join operator as a
+reference."""
 
 from __future__ import annotations
+
+from math import gcd
+
+from hypothesis import strategies as st
 
 from bgwtau.algebra import (
     COEFF_ONE,
@@ -14,6 +21,7 @@ from bgwtau.algebra import (
     Coefficient,
     TimeMonomial,
     TimePolynomial,
+    _cunpack,
     add_into,
     merged,
 )
@@ -51,14 +59,89 @@ def poly_term(coeff, mono: TimeMonomial) -> TimePolynomial:
     return TimePolynomial({mono: c} if c else {})
 
 
+def items_hnj(c: Coefficient):
+    """Iterate the ((h_exp, N_exp, j_exp), rational) pairs of c."""
+    for k, v in c.terms.items():
+        yield _cunpack(k), QQ(v, c.den)
+
+
+def times_h(p: TimePolynomial, k: int) -> TimePolynomial:
+    """p times h^k (k may be negative)."""
+    return TimePolynomial({m: c.times_h(k) for m, c in p.terms.items()})
+
+
+def mul_into(terms: dict, a: dict, b: dict) -> None:
+    """terms += a * b in place, one pair at a time, for sparse sums whose keys
+    and values multiply: the product reference, independent of the
+    numerator-form kernel (each pair's product is one canonical value)."""
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            add_into(terms, k1 * k2, v1 * v2)
+
+
+def derivative(p: TimePolynomial, d: TimeMonomial) -> TimePolynomial:
+    """Partial derivative of p by a derivative monomial d, the product of
+    (d/dt_k)^order over its (k, order) pairs: the reference for
+    DerivativeTable, term by term through Coefficient.scale."""
+    out: dict[TimeMonomial, Coefficient] = {}
+    for m, c in p.terms.items():
+        exps = dict(m)
+        fac = 1
+        for k, order in d:
+            e = exps.get(k, 0)
+            if e < order:
+                break
+            for i in range(order):
+                fac *= e - i
+            if e == order:
+                del exps[k]
+            else:
+                exps[k] = e - order
+        else:
+            add_into(out, TimeMonomial(exps.items()), c.scale(fac))
+    return TimePolynomial(out)
+
+
+def not_canonical(p: TimePolynomial) -> list:
+    """The coefficients of p that are zero or not in lowest terms over a
+    positive denominator."""
+    return [c for c in p.terms.values()
+            if not c.terms or c.den <= 0 or gcd(c.den, *c.terms.values()) != 1
+            or not all(c.terms.values())]
+
+
 def as_rational(c: Coefficient):
     """The value of a coefficient free of h, N and j, as a QQ."""
     out = QQ(0)
-    for hnj, q in c.items_hnj():
+    for hnj, q in items_hnj(c):
         if hnj != (0, 0, 0):
             raise ValueError(f"coefficient is not a plain rational: {c!r}")
         out = q
     return out
+
+
+# Random polynomials (Hypothesis): coefficients of one to three atoms with
+# mixed denominators, h^-2..h^2 and powers of N and j; monomials in t1..t4.
+coefficients = st.lists(
+    st.builds(Coefficient.monomial,
+              st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool),
+              h=st.integers(-2, 2), n=st.integers(0, 2), j=st.integers(0, 2)),
+    min_size=1, max_size=3).map(lambda cs: sum(cs[1:], cs[0]))
+monomials = st.dictionaries(st.integers(1, 4), st.integers(1, 3), max_size=3).map(
+    TimeMonomial.from_dict)
+
+
+@st.composite
+def polynomials(draw):
+    """A random polynomial (same-monomial terms merge, some cancel), or the
+    zero or unit polynomial."""
+    kind = draw(st.sampled_from(("zero", "one", "random", "random")))
+    if kind != "random":
+        return TimePolynomial.zero() if kind == "zero" else TimePolynomial.one()
+    p = TimePolynomial.zero()
+    for mono, c in draw(st.lists(st.tuples(monomials, coefficients), max_size=6)):
+        p.add_term(mono, c)
+    return p
 
 
 def marker_poly(monomials) -> TimePolynomial:

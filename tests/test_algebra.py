@@ -8,7 +8,7 @@ from math import gcd, inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import as_rational, poly_term
+from conftest import as_rational, items_hnj, poly_term
 from bgwtau.algebra import (
     MONO_ONE,
     Coefficient,
@@ -37,8 +37,8 @@ def convolution_oracle(a: TimePolynomial, b: TimePolynomial) -> TimePolynomial:
             for k, e in m2.exps:
                 d[k] = d.get(k, 0) + e
             prod = Coefficient.zero()
-            for (h1, n1, j1), q1 in c1.items_hnj():
-                for (h2, n2, j2), q2 in c2.items_hnj():
+            for (h1, n1, j1), q1 in items_hnj(c1):
+                for (h2, n2, j2), q2 in items_hnj(c2):
                     prod = prod + Coefficient.monomial(q1 * q2, h=h1 + h2, n=n1 + n2, j=j1 + j2)
             out = out + poly_term(prod, TimeMonomial.from_dict(d))
     return out
@@ -153,7 +153,7 @@ def test_canonicality_audit(a, b):
     for p in (a + b, a - b, a * b):
         for mono, c in p.terms.items():
             assert c, f"zero coefficient stored at {mono!r}"
-            assert all(q for _, q in c.items_hnj())
+            assert all(q for _, q in items_hnj(c))
 
 
 @settings(max_examples=60, deadline=None)
@@ -278,7 +278,7 @@ def build(ref: dict) -> Coefficient:
 
 
 def ref_of(c: Coefficient) -> dict:
-    return dict(c.items_hnj())
+    return dict(items_hnj(c))
 
 
 def ref_add(*refs) -> dict:

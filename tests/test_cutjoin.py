@@ -18,7 +18,7 @@ from bgwtau.cutjoin import (
     w1_w2,
     w_gen,
 )
-from bgwtau.operators import cubic, n_coeff, virasoro
+from bgwtau.operators import DerivativeTable, cubic, n_coeff, virasoro
 from bgwtau.rational import QQ
 
 P = parse_polynomial
@@ -202,9 +202,9 @@ def test_recursion_never_differentiates_by_reduced_times(monkeypatch, m, N):
     that would differentiate by one instead of applying them.  (At m=1,
     N=1/2 tau is 1 and nothing is differentiated at all.)"""
     seen = set()
-    derivative = TimePolynomial.derivative
-    monkeypatch.setattr(TimePolynomial, "derivative",
-                        lambda p, d: seen.update(k for k, _ in d.exps) or derivative(p, d))
+    derivative = DerivativeTable.derivative
+    monkeypatch.setattr(DerivativeTable, "derivative",
+                        lambda t, d: seen.update(k for k, _ in d.exps) or derivative(t, d))
     tau_expand(m, N, 8)
     assert not [k for k in seen if k % (m + 1) == 0], sorted(seen)
     assert seen or (m, N) == (1, QQ(1, 2))

@@ -2,12 +2,24 @@
 constraint operators."""
 
 import re
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Op, commutator, euler, marker_poly, monomials_up_to, op_of, w_bgw, whole
+from conftest import (
+    Op,
+    coefficients,
+    commutator,
+    euler,
+    marker_poly,
+    monomials,
+    monomials_up_to,
+    not_canonical,
+    op_of,
+    polynomials,
+    w_bgw,
+    whole,
+)
 from bgwtau.algebra import (
     MONO_ONE,
     Coefficient,
@@ -16,7 +28,7 @@ from bgwtau.algebra import (
     parse_polynomial,
     split_terms,
 )
-from bgwtau import operators
+from bgwtau import algebra
 from bgwtau.operators import (
     DerivativeTable,
     DiffOperator,
@@ -45,7 +57,7 @@ def test_apply_basics():
 
 def leibniz_apply(op: DiffOperator, p: TimePolynomial) -> TimePolynomial:
     """Reference application, one (operator term, polynomial term) pair at a
-    time; independent of TimePolynomial.derivative."""
+    time; independent of DerivativeTable."""
     out = TimePolynomial({})
     for (tm, dm), c in op.terms.items():
         for pm, pc in p.terms.items():
@@ -88,36 +100,12 @@ def test_apply_matches_leibniz_reference():
 
 def test_apply_differentiates_only_by_light_enough_parts(monkeypatch):
     seen = []
-    derivative = TimePolynomial.derivative
-    monkeypatch.setattr(TimePolynomial, "derivative",
-                        lambda p, d: seen.append(d.degree) or derivative(p, d))
+    derivative = DerivativeTable.derivative
+    monkeypatch.setattr(DerivativeTable, "derivative",
+                        lambda t, d: seen.append(d.degree) or derivative(t, d))
     p = P("1/1*t1^2+1/1*t2")
     assert op_of(virasoro(0, 10)).apply(p) == p.scale(2)
     assert sorted(seen) == [1, 2]
-
-
-# Random operators and polynomials: coefficients of one to three atoms with
-# mixed denominators, h^-2..h^2 and powers of N and j; monomials in t1..t4.
-_coefficients = st.lists(
-    st.builds(Coefficient.monomial,
-              st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool),
-              h=st.integers(-2, 2), n=st.integers(0, 2), j=st.integers(0, 2)),
-    min_size=1, max_size=3).map(lambda cs: sum(cs[1:], cs[0]))
-_monomials = st.dictionaries(st.integers(1, 4), st.integers(1, 3), max_size=3).map(
-    TimeMonomial.from_dict)
-
-
-@st.composite
-def _polynomials(draw):
-    """A random polynomial (same-monomial terms merge, some cancel), or the
-    zero or unit polynomial."""
-    kind = draw(st.sampled_from(("zero", "one", "random", "random")))
-    if kind != "random":
-        return TimePolynomial.zero() if kind == "zero" else TimePolynomial.one()
-    p = TimePolynomial.zero()
-    for mono, c in draw(st.lists(st.tuples(_monomials, _coefficients), max_size=6)):
-        p.add_term(mono, c)
-    return p
 
 
 @st.composite
@@ -126,11 +114,11 @@ def _operators(draw, p: TimePolynomial):
     degree of a monomial of p: on the degree-d part of p the Euler terms and
     the d-free term cancel exactly."""
     op = DiffOperator({})
-    for tm, dm, c in draw(st.lists(st.tuples(_monomials, _monomials, _coefficients),
+    for tm, dm, c in draw(st.lists(st.tuples(monomials, monomials, coefficients),
                                    max_size=5)):
         op.add_term(c, tm, dm)
     if draw(st.booleans()):
-        c = draw(_coefficients)
+        c = draw(coefficients)
         d = draw(st.sampled_from(sorted({pm.degree for pm in p.terms}) or [0]))
         for k in range(1, 5):
             op.add_term(c.scale(k), TimeMonomial.var(k), TimeMonomial.var(k))
@@ -138,23 +126,15 @@ def _operators(draw, p: TimePolynomial):
     return op
 
 
-def _not_canonical(p: TimePolynomial) -> list:
-    """The coefficients of p that are zero or not in lowest terms over a
-    positive denominator."""
-    return [c for c in p.terms.values()
-            if not c.terms or c.den <= 0 or gcd(c.den, *c.terms.values()) != 1
-            or not all(c.terms.values())]
-
-
 @settings(max_examples=200, deadline=None)
-@given(st.data(), _polynomials())
+@given(st.data(), polynomials())
 def test_apply_is_the_reference_in_canonical_form_with_shared_or_private_tables(data, p):
     ops = data.draw(st.lists(_operators(p), min_size=1, max_size=3))
     table = DerivativeTable(p)
     shared = [op.apply(p, table) for op in ops]
     for op, got in zip(ops, shared):
         assert got == leibniz_apply(op, p)
-        assert not _not_canonical(got)
+        assert not not_canonical(got)
         assert got == op.apply(p)
 
 
@@ -164,9 +144,9 @@ def test_canonical_check_sees_an_apply_without_the_final_reduction(monkeypatch):
     op = DiffOperator({})
     op.add_term(Coefficient.rational(QQ(1, 2)), MONO_ONE, TimeMonomial.var(1))
     p = P("1/1*t1^2")
-    assert not _not_canonical(op.apply(p))
-    monkeypatch.setattr(operators, "_canonical", lambda terms, den: Coefficient(terms, den))
-    assert _not_canonical(op.apply(p))
+    assert not not_canonical(op.apply(p))
+    monkeypatch.setattr(algebra, "_canonical", lambda terms, den: Coefficient(terms, den))
+    assert not_canonical(op.apply(p))
 
 
 def test_currents():

@@ -300,7 +300,7 @@ def test_oracle_matches_recursion_m1():
 
 
 def test_oracle_matches_recursion_m1_symbolic():
-    for D in (3, 12):
+    for D in (3, 12, 16):
         T = tau_from_schur(plucker_expansion(1, "symbolic", D))
         R = tau_expand(1, "symbolic", D)
         for k in range(D + 1):

@@ -34,3 +34,15 @@ def test_verdict_accepts_only_the_known_failures():
     assert tier1.verdict(0, set()) == [
         f"expected failure did not fail: {t}" for t in sorted(known)]
     assert tier1.verdict(2, known) == ["pytest exited with code 2"]
+
+
+def test_slowest_orders_by_time(tmp_path):
+    report = tmp_path / "r.xml"
+    report.write_text("""<testsuites><testsuite>
+<testcase classname="tests.a" name="fast" time="0.5"/>
+<testcase classname="tests.a" name="slow" time="9.25"/>
+<testcase classname="tests.b" name="untimed"/>
+<testcase classname="tests.b" name="middle" time="2"/>
+</testsuite></testsuites>""")
+    assert tier1.slowest(report, 2) == [(9.25, "tests.a::slow"), (2.0, "tests.b::middle")]
+    assert tier1.slowest(report)[-1] == (0.0, "tests.b::untimed")

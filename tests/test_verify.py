@@ -9,12 +9,25 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import op_of, poly_term, whole
+from conftest import (
+    coefficients,
+    derivative,
+    monomials,
+    mul_into,
+    not_canonical,
+    op_of,
+    poly_term,
+    polynomials,
+    times_h,
+    whole,
+)
 from bgwtau.algebra import (
     Coefficient,
     TimeMonomial,
     TimePolynomial,
+    _cunpack,
     parse_polynomial,
 )
 from bgwtau.cutjoin import (
@@ -24,8 +37,8 @@ from bgwtau.cutjoin import (
     tau_expand,
     w1_w2,
 )
-from bgwtau import verify, zcalculus
-from bgwtau.operators import constraint, constraint_index_bound, virasoro
+from bgwtau import algebra, verify, zcalculus
+from bgwtau.operators import DerivativeTable, constraint, constraint_index_bound, virasoro
 from bgwtau.rational import QQ
 from bgwtau.report import Report
 from bgwtau.schur import plucker_expansion, tau_from_schur
@@ -100,7 +113,7 @@ def test_defect_is_constraint_forced():
     assert T.coeffs[5] == tau5  # the input of the forcing identity is golden
     forced = op_of(virasoro(9, 12)).apply(tau5)
     mono = TimeMonomial.from_dict({1: 1, 11: 1})
-    lhs = T.coeffs[6].derivative(TimeMonomial.var(11))
+    lhs = derivative(T.coeffs[6], TimeMonomial.var(11))
     assert lhs == forced
     computed = T.coeffs[6].terms[mono]
     assert computed == Coefficient.rational(QQ(-12100, 81))
@@ -294,7 +307,7 @@ def _full_image_constraint_suite(m: int, N, T) -> Report:
     truncated sum sum_k h^k tau_k, its image read off at h^p for p <= K-2."""
     tau = TimePolynomial.zero()
     for k, c in enumerate(T.coeffs):
-        tau = tau + c.times_h(k)
+        tau = tau + times_h(c, k)
     rep = Report()
     K = T.order
     maxdeg = m * K
@@ -340,7 +353,7 @@ def test_constraint_suite_reads_h_inside_tau_k(bench_expansions):
     T = bench_expansions[0]
     moved = _mutate(T, T.order)
     coeffs = list(moved.coeffs)
-    coeffs[-2] = coeffs[-2] + coeffs[-1].times_h(1)
+    coeffs[-2] = coeffs[-2] + times_h(coeffs[-1], 1)
     coeffs[-1] = TimePolynomial.zero()
     regraded = TauExpansion(T.m, T.N, coeffs, T.provenance)
     assert constraint_suite(T.m, T.N, regraded).lines() == \
@@ -362,19 +375,25 @@ def test_constraint_suite_reaches_tau_K_by_the_1_over_h2_part_only(bench_expansi
 def test_constraint_suite_differentiates_each_tau_part_once_per_derivative_part(
         bench_expansions, monkeypatch):
     """One suite pass differentiates each h^q part of tau by each derivative
-    part at most once, however many operators hold that part."""
+    part at most once, however many operators hold that part; a Hirota pass
+    differentiates each tau_k by each of its eight parts at most once (one
+    DerivativeTable per tau_k)."""
     calls: dict[tuple[int, TimeMonomial], int] = {}
-    held = []  # keeps every differentiated polynomial alive, so ids stay unique
-    derivative = TimePolynomial.derivative
+    held = []  # keeps every differentiating table alive, so ids stay unique
+    derivative = DerivativeTable.derivative
 
-    def counted(p, d):
-        held.append(p)
-        calls[id(p), d] = calls.get((id(p), d), 0) + 1
-        return derivative(p, d)
+    def counted(t, d):
+        held.append(t)
+        calls[id(t), d] = calls.get((id(t), d), 0) + 1
+        return derivative(t, d)
 
-    monkeypatch.setattr(TimePolynomial, "derivative", counted)
+    monkeypatch.setattr(DerivativeTable, "derivative", counted)
     for T in bench_expansions:
         assert constraint_suite(T.m, T.N, T).ok
+    assert calls and max(calls.values()) == 1
+    calls.clear()
+    for T in bench_expansions:
+        assert hirota_suite(T).ok
     assert calls and max(calls.values()) == 1
 
 
@@ -387,7 +406,7 @@ def seven_product_hirota_suite(T: TauExpansion) -> Report:
 
     def dd(*exps) -> list[TimePolynomial]:
         dm = TimeMonomial(exps)
-        return [c.derivative(dm) for c in cs]
+        return [derivative(c, dm) for c in cs]
 
     d1, d11, d111, d1111 = dd((1, 1)), dd((1, 2)), dd((1, 3)), dd((1, 4))
     d2, d22, d3, d13 = dd((2, 1)), dd((2, 2)), dd((3, 1)), dd((1, 1), (3, 1))
@@ -421,6 +440,117 @@ def test_hirota_suite_matches_the_seven_product_reference(bench_expansions):
             assert hirota_suite(bad).lines() == want
             fails += any(line.startswith("FAIL ") for line in want)
     assert fails == 29
+
+
+def reference_free_energy(T: TauExpansion) -> list[TimePolynomial]:
+    """Reference for free_energy: F_k = tau_k - sum_{i<k} (i/k) F_i tau_(k-i),
+    every product one pair of canonical coefficients at a time (mul_into)."""
+    F = [TimePolynomial.zero()]
+    for k in range(1, T.order + 1):
+        acc = dict(T.coeffs[k].terms)
+        for i in range(1, k):
+            mul_into(acc, F[i].scale(QQ(-i, k)).terms, T.coeffs[k - i].terms)
+        F.append(TimePolynomial(acc))
+    return F[1:]
+
+
+def _reference_mul(a: TimePolynomial, b: TimePolynomial) -> TimePolynomial:
+    out: dict = {}
+    mul_into(out, a.terms, b.terms)
+    return TimePolynomial(out)
+
+
+def _from_rows(rows: list, den: int) -> TimePolynomial:
+    """A polynomial from numerator form, one atom at a time; every monomial
+    must come once and every numerator must be nonzero."""
+    assert len({mono for mono, _ in rows}) == len(rows)
+    out = {}
+    for mono, nums in rows:
+        assert nums and all(v for _, v in nums)
+        c = Coefficient.zero()
+        for key, v in nums:
+            h, n, j = _cunpack(key)
+            c = c + Coefficient.monomial(QQ(v, den), h=h, n=n, j=j)
+        out[mono] = c
+    return TimePolynomial(out)
+
+
+HIROTA_PARTS = [TimeMonomial(d) for d in ((), ((1, 1),), ((1, 2),), ((1, 3),), ((1, 4),),
+                                          ((2, 1),), ((2, 2),), ((3, 1),), ((1, 1), (3, 1)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials(), st.lists(polynomials(), min_size=2, max_size=4),
+       st.lists(monomials, max_size=3))
+def test_product_kernel_routes_match_their_references(a, taus, parts):
+    """TimePolynomial.__mul__, free_energy, DerivativeTable and hirota_suite,
+    which all run through algebra's product kernel, against the pair-at-a-time
+    references, on random polynomials and random "expansions" (tau_0 = 1,
+    random tau_k): equal values, every output coefficient canonical, and the
+    same Hirota lines, FAIL details included."""
+    b = taus[0]
+    assert a * b == _reference_mul(a, b)
+    assert not not_canonical(a * b)
+    T = TauExpansion(2, 0, [TimePolynomial.one()] + taus)
+    F = free_energy(T)
+    assert F == reference_free_energy(T)
+    assert not [f for f in F if not_canonical(f)]
+    for p in [a] + taus:
+        table = DerivativeTable(p)
+        for dm in HIROTA_PARTS + parts:
+            assert _from_rows(table[dm], table.den) == derivative(p, dm), dm
+    assert hirota_suite(T).lines() == seven_product_hirota_suite(T).lines()
+
+
+def gauged(T: TauExpansion, L: TimePolynomial) -> TauExpansion:
+    """exp(h L) tau for a linear form L in the times, order by order in h
+    (reference products only).  The Hirota bilinear form is invariant under
+    tau -> exp(linear) tau, so every h^p residual of the result vanishes
+    exactly when T's do; and log of the result is h L + log tau."""
+    powers = [TimePolynomial.one()]  # L^i / i!
+    for i in range(1, T.order + 1):
+        powers.append(_reference_mul(powers[-1], L).scale(QQ(1, i)))
+    coeffs = []
+    for k in range(T.order + 1):
+        acc = TimePolynomial.zero()
+        for i in range(k + 1):
+            acc = acc + _reference_mul(powers[i], T.coeffs[k - i])
+        coeffs.append(acc)
+    return TauExpansion(T.m, T.N, coeffs, T.provenance)
+
+
+GAUGE_BASES = [tau_expand(1, "symbolic", 5), tau_expand(2, QQ(7, 11), 4),
+               tau_expand(2, "symbolic", 4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GAUGE_BASES), st.lists(st.one_of(st.none(), coefficients),
+                                              min_size=4, max_size=4))
+def test_hirota_and_free_energy_see_exact_cancellation_after_a_gauge(T, ls):
+    """On exp(h L) tau, L a random linear form in t1..t4 (mixed
+    denominators, h^-2..h^2, N and j powers), every Hirota order PASSes as in
+    the reference, and the free energy is tau's with L added at h^1, in
+    canonical form: both need exact cancellation across products scaled by
+    different D_p."""
+    L = sum((poly_term(c, TimeMonomial.var(k)) for k, c in enumerate(ls, 1) if c is not None),
+            TimePolynomial.zero())
+    G = gauged(T, L)
+    rep = hirota_suite(G)
+    assert rep.ok and rep.lines() == seven_product_hirota_suite(G).lines()
+    F, want = free_energy(G), free_energy(T)
+    assert F == [want[0] + L] + want[1:]
+    assert not [f for f in F if not_canonical(f)]
+
+
+def test_canonical_check_sees_a_product_kernel_without_the_final_reduction(monkeypatch):
+    """Negative control: (1/2 t1) (2 t1) sums the numerator 2 over 2, and the
+    free energy of tau = 1 + h^2 t2 sums 2 t2 over 2 k = 2, so storing the
+    sums unreduced breaks lowest terms."""
+    a, b = P("1/2*t1"), P("2/1*t1")
+    T = TauExpansion(2, 0, [TimePolynomial.one(), TimePolynomial.zero(), P("1/1*t2")])
+    assert not not_canonical(a * b) and not not_canonical(free_energy(T)[1])
+    monkeypatch.setattr(algebra, "_canonical", lambda terms, den: Coefficient(terms, den))
+    assert not_canonical(a * b) and not_canonical(free_energy(T)[1])
 
 
 def test_run_suites_dispatch():

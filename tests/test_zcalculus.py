@@ -6,6 +6,7 @@ from math import inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import items_hnj
 from bgwtau import zcalculus
 from bgwtau.algebra import (
     COEFF_ONE,
@@ -97,14 +98,14 @@ def test_phi_parity_and_reality():
             assert n == 3 - m * k
             lo, hi = c.h_range()
             assert lo == hi == k
-            assert all(ne == 0 and je == 0 for (_, ne, je), _ in c.items_hnj())
+            assert all(ne == 0 and je == 0 for (_, ne, je), _ in items_hnj(c))
 
 
 def test_phi_j_degree_is_2k():
     for m in (1, 2, 3):
         coeffs = phi_coefficients(m, 5)
         for k in range(1, 6):
-            degs = [je for (_, _, je), _ in coeffs[k].items_hnj()]
+            degs = [je for (_, _, je), _ in items_hnj(coeffs[k])]
             assert max(degs) == 2 * k, f"j-degree of phi[{m},{k}]"
 
 

@@ -94,6 +94,10 @@ COMMANDS = (
     "free-energy --m 2 --N symbolic --order 8 --no-cache",
     "verify --suite constraints --m 2 --N=-9/13 --order 9",
     "verify --suite constraints,hirota --m 1 --N 5/3 --order 14",
+    "free-energy --m 1 --N symbolic --order 24 --no-cache",
+    "free-energy --m 1 --N 0 --order 30 --no-cache",
+    "free-energy --m 2 --N 7/11 --order 10 --no-cache",
+    "verify --suite hirota --m 2 --N symbolic --order 10",
 )
 
 

@@ -9,7 +9,8 @@ PYTHONPATH) and exits 0 only when the failed test ids are exactly
 acceptance criteria 1 and 2, which fail on five defective entries of the
 bundled reference tables (see README.md).  Any other failure, a collection
 error, or criterion 1 or 2 passing (or not running) exits 1 and prints the
-difference.  No test is changed or deselected.
+difference.  It also prints the ten slowest test ids with their times, read
+from the same JUnit report.  No test is changed or deselected.
 """
 
 from __future__ import annotations
@@ -28,17 +29,29 @@ EXPECTED_FAILURES = frozenset({
 })
 
 
+def _test_id(case) -> str:
+    cls, name = case.get("classname", ""), case.get("name", "")
+    return f"{cls}::{name}" if cls else name
+
+
 def outcomes(junit_xml: Path) -> tuple[set[str], set[str]]:
     """(ids that ran, ids that failed or errored) from a pytest JUnit report;
     a collection error counts as a failed id."""
     ran, failed = set(), set()
     for case in ET.parse(junit_xml).iter("testcase"):
-        cls, name = case.get("classname", ""), case.get("name", "")
-        tid = f"{cls}::{name}" if cls else name
+        tid = _test_id(case)
         ran.add(tid)
         if case.find("failure") is not None or case.find("error") is not None:
             failed.add(tid)
     return ran, failed
+
+
+def slowest(junit_xml: Path, n: int = 10) -> list[tuple[float, str]]:
+    """The n longest (seconds, id) pairs of a pytest JUnit report, longest
+    first; a test case without a time counts as 0 s."""
+    times = [(float(case.get("time") or 0), _test_id(case))
+             for case in ET.parse(junit_xml).iter("testcase")]
+    return sorted(times, key=lambda t: (-t[0], t[1]))[:n]
 
 
 def verdict(code: int, failed: set[str]) -> list[str]:
@@ -63,6 +76,10 @@ def main() -> int:
             print(f"tier-1: FAIL (pytest exited with code {code} and wrote no report)")
             return 1
         ran, failed = outcomes(report)
+        slow = slowest(report)
+    print("tier-1: slowest tests")
+    for secs, tid in slow:
+        print(f"tier-1: {secs:8.2f} s  {tid}")
     problems = verdict(code, failed)
     for p in problems:
         print(f"tier-1: {p}")
