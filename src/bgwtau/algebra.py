@@ -13,11 +13,13 @@ Representation:
   TimeMonomial    a tuple subclass: sorted pairs ((k, e), ...) for t_k^e
                   with k >= 1, e >= 1; the empty tuple is the unit
                   monomial.  weighted degree is sum k*e.
-  TimePolynomial  dict TimeMonomial -> Coefficient, no zero coefficients.
-  numerator form  rows (monomial, [(key, numerator), ...]) over one
-                  denominator: what the product kernel (mul_sums, reduced)
-                  multiplies, in plain ints, reducing each output
-                  coefficient once.
+  TimePolynomial  dict TimeMonomial -> Coefficient, no zero coefficients;
+                  this storage is what callers read.
+  numerator form  rows (tkey, [(key, numerator), ...]) over one
+                  denominator, tkey the monomial packed into one int
+                  (tpack): what the product kernel (mul_sums, reduced)
+                  multiplies, in plain ints, a monomial product being one
+                  int addition and each output coefficient reduced once.
 
 Binding.  Coefficient.substitute binds N to a rational.  j is bound once
 per basis-vector series: zcalculus.phi_terms builds the powers J^0..J^(2K)
@@ -64,6 +66,45 @@ def _cunpack(key: int) -> tuple[int, int, int]:
 
 
 _KEY1 = _ckey(0, 0, 0)
+
+# t-monomials in numerator form are packed into one int, the exponent of t_k
+# in the _TBITS-bit field at bit _TBITS*(k-1).  Every packed operand of the
+# product kernel is tpack output, a derivative of one, or 0, so its
+# exponents stay below _TMAX, half the field: the sum of two never carries
+# into the next field.  A product is never packed again before tunpack.
+_TBITS = 16
+_TMAX = 1 << (_TBITS - 1)
+TMASK = (1 << _TBITS) - 1
+
+
+def tpack(m) -> int:
+    """The packed key of a TimeMonomial; ValueError for an exponent >= _TMAX."""
+    key = 0
+    for k, e in m:
+        if e >= _TMAX:
+            raise ValueError(f"t-exponent out of packing range: t{k}^{e}")
+        key |= e << (_TBITS * (k - 1))
+    return key
+
+
+def tunpack(key: int) -> "TimeMonomial":
+    """The TimeMonomial of a packed key (a product of two packed operands
+    included), one field per variable up to the highest one set."""
+    pairs = []
+    k = 0
+    while key:
+        k += 1
+        e = key & TMASK
+        if e:
+            pairs.append((k, e))
+        key >>= _TBITS
+    return TimeMonomial(pairs)
+
+
+def tfield(k: int) -> int:
+    """The bit offset of t_k's exponent in a packed key: the exponent is
+    key >> tfield(k) & TMASK."""
+    return _TBITS * (k - 1)
 
 
 # The sparse-sum kernel.  Every exact linear combination in the engine is a
@@ -455,23 +496,23 @@ def numerators(p: TimePolynomial) -> tuple[list, int]:
     """(rows, den): p in numerator form over den, the lcm of its coefficient
     denominators."""
     den = lcm(*(c.den for c in p.terms.values()))
-    return [(m, [(k, v * (den // c.den)) for k, v in c.terms.items()])
+    return [(tpack(m), [(k, v * (den // c.den)) for k, v in c.terms.items()])
             for m, c in p.terms.items()], den
 
 
-ONE_ROWS = [(MONO_ONE, [(_KEY1, 1)])]  # the polynomial 1 in numerator form over 1
+ONE_ROWS = [(0, [(_KEY1, 1)])]  # the polynomial 1 in numerator form over 1
 
 
 def mul_sums(sums: dict, a: list, b: list, r: int = 1) -> None:
     """sums += r * a * b in place, a and b in numerator form: sums maps each
-    output monomial to its int numerator sum (zeros may stay).  The
+    packed output monomial to its int numerator sum (zeros may stay).  The
     numerators of a are scaled by r once per row; b is iterated once per row
     of a."""
     for ma, na in a:
         if r != 1:
             na = [(k, v * r) for k, v in na]
         for mb, nb in b:
-            mono = ma * mb
+            mono = ma + mb
             acc = sums.get(mono)
             if acc is None:
                 acc = sums[mono] = {}
@@ -480,13 +521,13 @@ def mul_sums(sums: dict, a: list, b: list, r: int = 1) -> None:
 
 def reduced(sums: dict, den: int) -> TimePolynomial:
     """The polynomial sums / den: zero numerators are dropped, a monomial
-    whose numerators all cancel is left out, and every other monomial gets
-    one canonical Coefficient."""
+    whose numerators all cancel is left out, and every other monomial is
+    unpacked and gets one canonical Coefficient."""
     out: dict[TimeMonomial, Coefficient] = {}
-    for mono, acc in sums.items():
+    for tkey, acc in sums.items():
         acc = {k: v for k, v in acc.items() if v}
         if acc:
-            out[mono] = _canonical(acc, den)
+            out[tunpack(tkey)] = _canonical(acc, den)
     return TimePolynomial(out)
 
 

@@ -109,8 +109,8 @@ def w1_w2(N, bound: int) -> tuple[DiffOperator, DiffOperator]:
 
 def _reduced(op: DiffOperator, m: int) -> DiffOperator:
     """op without its terms that differentiate by some t_{(m+1)l}."""
-    return DiffOperator({(tm, dm): c for (tm, dm), c in op.terms.items()
-                         if all(k % (m + 1) for k, _ in dm)})
+    return DiffOperator({(tk, dm): nums for (tk, dm), nums in op.rows.items()
+                         if all(k % (m + 1) for k, _ in dm)}, op.den)
 
 
 def tau_expand(m: int, N, K: int) -> TauExpansion:

@@ -1,8 +1,12 @@
 """Normal-ordered differential operators in the KP times.
 
 An operator is a finite sum of terms  coeff * t-monomial * d-monomial  with
-every derivative standing to the right of every time variable.  Both the
-t-part and the derivative part reuse TimeMonomial ((k, order) pairs).
+every derivative standing to the right of every time variable.  A
+DiffOperator holds its terms as integer numerator rows over one common
+denominator den: (tpart, dpart) -> {coefficient key: numerator}, tpart
+packed (algebra.tpack) and dpart a TimeMonomial ((k, order) pairs).  Terms
+are added in plain ints, with no canonical Coefficient and no gcd per term;
+DiffOperator.terms is the canonical view, one Coefficient per nonzero term.
 
 The infinite generator families (Virasoro L_m, cubic M_k, the constraint
 families) are materialized to a degree bound d: a term is included iff its
@@ -11,16 +15,15 @@ terms that can act nontrivially on polynomials of weighted degree <= d.
 Materializing to a larger bound never changes the action on such
 polynomials.  A generator is a list of (weight, tpart, dpart) terms with a
 plain rational weight, each (tpart, dpart) at most once; add_scaled adds it
-into an operator with one coefficient scaling per term.
+into an operator, raising den at most once per call.
 
-Application runs in plain ints: apply brings the operator's coefficients
-over one common denominator, a DerivativeTable keeps p's derivatives as
-integer numerators over another (it is the engine's one differentiation
-routine), and the products of numerators are summed per output monomial;
-each output coefficient is reduced to canonical form once, at the end.  The
-products and the reduction are algebra's product kernel (mul_sums,
-reduced), which TimePolynomial.__mul__, cutjoin.free_energy and
-verify.hirota_suite share.
+Application runs in plain ints: a DerivativeTable keeps p's derivatives as
+integer numerators over p's own denominator (it is the engine's one
+differentiation routine), apply hands the operator's rows and the table's
+rows to algebra's product kernel (mul_sums), which sums the numerator
+products per output monomial, and each output coefficient is reduced to
+canonical form once, at the end (reduced).  TimePolynomial.__mul__,
+cutjoin.free_energy and verify.hirota_suite share that kernel.
 """
 
 from __future__ import annotations
@@ -28,16 +31,18 @@ from __future__ import annotations
 from math import lcm, perm
 
 from .algebra import (
+    TMASK,
     Coefficient,
     MONO_ONE,
     TimeMonomial,
     TimePolynomial,
-    add_into,
-    join_terms,
+    _canonical,
     mul_sums,
     numerators,
     reduced,
-    term_texts,
+    tfield,
+    tpack,
+    tunpack,
 )
 from .rational import QQ
 
@@ -52,30 +57,65 @@ def n_coeff(N) -> Coefficient:
 
 
 class DiffOperator:
-    """Finite normal-ordered operator: dict (tpart, dpart) -> Coefficient."""
+    """Finite normal-ordered operator: rows (tpart, dpart) -> {key:
+    numerator} over den (module docstring).  Numerators are summed as
+    written, so a row may hold zeros or cancel to nothing.  Rows change only
+    through add_scaled."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("rows", "den", "_terms")
 
-    def __init__(self, terms=None):
-        self.terms: dict[tuple[TimeMonomial, TimeMonomial], Coefficient] = (
-            terms if terms is not None else {}
+    def __init__(self, rows=None, den: int = 1):
+        self.rows: dict[tuple[int, TimeMonomial], dict[int, int]] = (
+            rows if rows is not None else {}
         )
+        self.den = den
+        self._terms = None
+
+    @property
+    def terms(self) -> dict[tuple[TimeMonomial, TimeMonomial], Coefficient]:
+        """The canonical view, read-only: (tpart, dpart) -> Coefficient for
+        every nonzero term, tpart unpacked.  Built on the first read after a
+        change and kept, since a traced run reads it on every apply."""
+        if self._terms is None:
+            self._terms = {}
+            for (tk, dm), nums in self.rows.items():
+                nums = {k: v for k, v in nums.items() if v}
+                if nums:
+                    self._terms[tunpack(tk), dm] = _canonical(nums, self.den)
+        return self._terms
 
     def add_term(self, coeff: Coefficient, tpart: TimeMonomial, dpart: TimeMonomial) -> None:
-        add_into(self.terms, (tpart, dpart), coeff)
+        self.add_scaled(coeff, [(1, tpart, dpart)])
 
     def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, DiffOperator) and self.terms == other.terms
+        return any(any(nums.values()) for nums in self.rows.values())
 
     def add_scaled(self, c, terms: list, mono: TimeMonomial = MONO_ONE) -> None:
         """self += c * mono * (the generator of terms), in place: each
-        (weight, tpart, dpart) term adds c * weight at (mono * tpart, dpart)."""
+        (weight, tpart, dpart) term adds the numerators of c * weight at
+        (mono * tpart, dpart).  den first rises to the lcm of itself and
+        every den(c) den(weight), rescaling the rows once."""
         c = c if isinstance(c, Coefficient) else Coefficient.rational(c)
-        for w, tm, dm in terms:
-            add_into(self.terms, (mono * tm, dm), c.scale(w))
+        if not c:
+            return
+        self._terms = None
+        ws = [(int(w.numerator), int(w.denominator)) for w, _, _ in terms]
+        den = lcm(self.den, *(c.den * q for _, q in ws))
+        if den != self.den:
+            f = den // self.den
+            for nums in self.rows.values():
+                for k in nums:
+                    nums[k] *= f
+            self.den = den
+        off, citems, rows = tpack(mono), c.terms.items(), self.rows
+        for (p, q), (_, tm, dm) in zip(ws, terms):
+            r = p * (den // (c.den * q))
+            key = (off + tpack(tm), dm)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = {}
+            for k, v in citems:
+                row[k] = row.get(k, 0) + v * r
 
     def apply(self, p: TimePolynomial, table: "DerivativeTable | None" = None) -> TimePolynomial:
         """Exact application; linear in p.  p's derivatives come from table,
@@ -83,25 +123,18 @@ class DiffOperator:
         derivative part differentiates p once per table, so a caller that
         applies several operators to one p shares one table among them.
 
-        The sum runs in plain ints: the operator's coefficients are brought
-        over the lcm D of their denominators, the table holds numerators
-        over its den, and every (operator term, derivative term) pair adds
-        its numerator products into one int sum per output monomial
-        (algebra.mul_sums).  Each output coefficient is reduced once, over
-        D * table.den, at the end; a monomial whose sum cancels is left
-        out."""
+        Every row meets its derivative in algebra.mul_sums, which adds the
+        numerator products into one int sum per output monomial; each output
+        coefficient is reduced once, over den * table.den, at the end, and a
+        monomial whose sum cancels is left out."""
         if table is None:
             table = DerivativeTable(p)
-        D = lcm(*(c.den for c in self.terms.values()))
         sums: dict = {}
-        for (tm, dm), c in self.terms.items():
+        for (tk, dm), nums in self.rows.items():
             entries = table[dm]
             if entries:
-                mul_sums(sums, [(tm, c.terms.items())], entries, D // c.den)
-        return reduced(sums, D * table.den)
-
-    def __repr__(self):
-        return operator_text(self)
+                mul_sums(sums, [(tk, nums.items())], entries)
+        return reduced(sums, self.den * table.den)
 
 
 class DerivativeTable(dict):
@@ -118,8 +151,7 @@ class DerivativeTable(dict):
 
     def __init__(self, p: TimePolynomial):
         super().__init__()
-        rows, self.den = numerators(p)
-        self.rows = [(pm, dict(pm), nums) for pm, nums in rows]
+        self.rows, self.den = numerators(p)
         self.top = max((pm.degree for pm in p.terms), default=-1)
 
     def __missing__(self, dm: TimeMonomial) -> list:
@@ -128,37 +160,24 @@ class DerivativeTable(dict):
 
     def derivative(self, dm: TimeMonomial) -> list:
         """p's derivative by dm, the product of (d/dt_k)^order over its
-        (k, order) pairs, in numerator form over den."""
+        (k, order) pairs, in numerator form over den: a row survives when
+        each exponent e of t_k, read by shift and mask, is >= order; its key
+        loses dm's packed key and its numerators gain perm(e, order)."""
         if not dm:
-            return [(pm, nums) for pm, _, nums in self.rows]
-        orders = dict(dm)
+            return self.rows
+        fields = [(tfield(k), order) for k, order in dm]
+        dkey = tpack(dm)
         out = []
-        for pm, exps, nums in self.rows:
+        for pk, nums in self.rows:
             fac = 1
-            for k, order in dm:
-                e = exps.get(k, 0)
+            for shift, order in fields:
+                e = pk >> shift & TMASK
                 if e < order:
                     break
                 fac *= perm(e, order)
             else:
-                mono = TimeMonomial([(k, e - orders[k]) if k in orders else (k, e)
-                                     for k, e in pm if e != orders.get(k)])
-                out.append((mono, nums if fac == 1 else [(k, v * fac) for k, v in nums]))
+                out.append((pk - dkey, nums if fac == 1 else [(k, v * fac) for k, v in nums]))
         return out
-
-
-def operator_text(op: DiffOperator) -> str:
-    """Serialize in the polynomial text grammar extended with d<k> factors
-    for d/dt_k (normal-ordered: all d-factors after the t- and scalar
-    factors).  Deterministic: terms sorted by (dpart, tpart, coefficient
-    key)."""
-    bits = []
-    for (tm, dm), c in sorted(
-        op.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])
-    ):
-        dsuffix = "".join(f"*d{k}" + (f"^{e}" if e > 1 else "") for k, e in dm)
-        bits.extend(atom + dsuffix for atom in term_texts(TimePolynomial({tm: c})))
-    return join_terms(bits)
 
 
 # ---------------------------------------------------------------------------

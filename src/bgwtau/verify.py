@@ -15,7 +15,7 @@ from functools import cached_property
 from math import lcm
 from pathlib import Path
 
-from .algebra import ONE_ROWS, TimeMonomial, TimePolynomial, mul_sums, parse_polynomial
+from .algebra import ONE_ROWS, TimeMonomial, TimePolynomial, mul_sums, parse_polynomial, tunpack
 from .cutjoin import TauExpansion, check_expansion_invariants, free_energy, tau_expand
 from .operators import DerivativeTable, constraint, constraint_index_bound
 from .report import Report
@@ -233,7 +233,7 @@ def hirota_suite(T: TauExpansion) -> Report:
             w = (3 if 2 * a == p else 6) * r[a]
             mul_sums(sums, d11[a], d11[p - a], w)
             mul_sums(sums, d2[a], d2[p - a], -w)
-        left = [mono for mono, acc in sums.items() if any(acc.values())]
+        left = [tunpack(tk) for tk, acc in sums.items() if any(acc.values())]
         bad = f"residual at {min(left, key=lambda mm: (mm.degree, mm))!r}" if left else ""
         rep.add(suite, f"h^{p}", not bad, bad)
     return rep

@@ -3,8 +3,9 @@ linear-independence marker trick for checking operator identities on a
 whole degree window at once, one-term polynomials and the value of a plain
 rational coefficient, the test-only views items_hnj and times_h, the
 pair-at-a-time references mul_into (products) and derivative
-(differentiation), the canonical-form check, operator sums, scalings and
-products (Op), the whole constraint operator from its h-graded parts, a
+(differentiation), the canonical-form check, operators built from their
+canonical view with equality, text, sums, scalings and products (Op,
+operator_text), the whole constraint operator from its h-graded parts, a
 generator's operator from its term list, the Euler operator and
 commutators, and the paper's odd-index BGW cut-and-join operator as a
 reference."""
@@ -23,7 +24,9 @@ from bgwtau.algebra import (
     TimePolynomial,
     _cunpack,
     add_into,
+    join_terms,
     merged,
+    term_texts,
 )
 from bgwtau.operators import DiffOperator
 from bgwtau.rational import QQ
@@ -154,10 +157,23 @@ def marker_poly(monomials) -> TimePolynomial:
 
 
 class Op(DiffOperator):
-    """A DiffOperator with the operator algebra that only tests use: sums,
-    scalings and the normal-ordered product."""
+    """A DiffOperator with the operator algebra that only tests use: built
+    from a canonical view {(tpart, dpart): Coefficient} (DiffOperator.terms),
+    equality and text on that view, sums, scalings and the normal-ordered
+    product."""
 
     __slots__ = ()
+
+    def __init__(self, terms=None):
+        super().__init__()
+        for (tm, dm), c in (terms or {}).items():
+            self.add_term(c, tm, dm)
+
+    def __eq__(self, other):
+        return isinstance(other, DiffOperator) and self.terms == other.terms
+
+    def __repr__(self):
+        return operator_text(self)
 
     @classmethod
     def of(cls, op: DiffOperator) -> "Op":
@@ -226,6 +242,20 @@ class Op(DiffOperator):
                     dpart = TimeMonomial(sorted(dd.items()))
                     add_into(out, (tpart, dpart), c0.scale(fac))
         return Op(out)
+
+
+def operator_text(op: DiffOperator) -> str:
+    """Serialize in the polynomial text grammar extended with d<k> factors
+    for d/dt_k (normal-ordered: all d-factors after the t- and scalar
+    factors).  Deterministic: terms sorted by (dpart, tpart, coefficient
+    key)."""
+    bits = []
+    for (tm, dm), c in sorted(
+        op.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])
+    ):
+        dsuffix = "".join(f"*d{k}" + (f"^{e}" if e > 1 else "") for k, e in dm)
+        bits.extend(atom + dsuffix for atom in term_texts(TimePolynomial({tm: c})))
+    return join_terms(bits)
 
 
 def whole(parts: dict) -> Op:

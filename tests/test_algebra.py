@@ -6,9 +6,10 @@ from fractions import Fraction
 from math import gcd, inf
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import as_rational, items_hnj, poly_term
+from bgwtau import algebra
 from bgwtau.algebra import (
     MONO_ONE,
     Coefficient,
@@ -21,7 +22,7 @@ from bgwtau.algebra import (
     parse_polynomial,
     weighted_degree,
 )
-from bgwtau.operators import n_coeff
+from bgwtau.operators import DerivativeTable, n_coeff
 from bgwtau.rational import QQ
 from bgwtau.zcalculus import LaurentSeries, phi_coefficients, phi_series_gen, phi_terms
 
@@ -186,6 +187,66 @@ def test_mul_matches_convolution_oracle_random():
                 TimeMonomial.from_dict({rng.randint(1, 5): rng.randint(1, 2)}),
             )
         assert a * b == convolution_oracle(a, b)
+
+
+# ---------------------------------------------------------------------------
+# packed t-monomials (algebra.tpack) in the product kernel
+
+
+def test_product_of_high_powers_of_one_variable():
+    """Two exponents of one variable that each fit an 8-bit field but whose
+    sum does not: a packing must not carry into the next variable."""
+    assert canonical_text(P("1*t1^200") * P("1*t1^100")) == "1/1*t1^300"
+
+
+def test_exponents_up_to_the_packing_bound_multiply_and_past_it_raise():
+    top = algebra._TMAX - 1
+    assert P(f"1*t1^{top}*t40^{top}") * P(f"1*t1^{top}*t40^{top}") == \
+        P(f"1*t1^{2 * top}*t40^{2 * top}")
+    big = P(f"1*t3^{algebra._TMAX}")
+    with pytest.raises(ValueError, match="packing range"):
+        big * P("1*t1")
+    with pytest.raises(ValueError, match="packing range"):
+        DerivativeTable(big)
+    with pytest.raises(ValueError, match="packing range"):
+        algebra.tpack(TimeMonomial.var(40, algebra._TMAX))
+
+
+# Monomials in t1..t40: small exponents, exponents below the packing bound,
+# and exponents near the top of a field, at or above the bound.
+_exponents = (st.integers(1, 3) | st.integers(1, algebra._TMAX - 1)
+              | st.integers(algebra._TMAX - 50, algebra.TMASK))
+packing_monomials = st.dictionaries(st.integers(1, 40), _exponents, max_size=5).map(
+    TimeMonomial.from_dict)
+
+
+@settings(max_examples=300, deadline=None)
+@given(packing_monomials, packing_monomials)
+@example(TimeMonomial.var(1, 40000), TimeMonomial.var(1, 30000))
+def test_packing_round_trips_and_multiplies_as_the_tuple_monomials(a, b):
+    """tpack raises ValueError exactly when an exponent is at or above the
+    bound; otherwise unpacking gives the monomial back, and mul_sums on the
+    packed one-term polynomials gives TimeMonomial.__mul__'s monomial."""
+    too_big = any(e >= algebra._TMAX for _, e in a + b)
+    if too_big:
+        with pytest.raises(ValueError):
+            algebra.tpack(a), algebra.tpack(b)
+        return
+    for m in (a, b):
+        assert algebra.tunpack(algebra.tpack(m)) == m
+        assert type(algebra.tunpack(algebra.tpack(m))) is TimeMonomial
+    sums: dict = {}
+    rows = [[(algebra.tpack(m), [(algebra._KEY1, 1)])] for m in (a, b)]
+    algebra.mul_sums(sums, *rows)
+    assert algebra.reduced(sums, 1) == TimePolynomial({a * b: Coefficient.one()})
+
+
+def test_packing_check_sees_a_field_with_no_headroom(monkeypatch):
+    """Negative control: a bound at the full field width lets two packed
+    exponents carry into the next field, which the property above sees."""
+    monkeypatch.setattr(algebra, "_TMAX", algebra.TMASK + 1)
+    with pytest.raises(AssertionError):
+        test_packing_round_trips_and_multiplies_as_the_tuple_monomials()
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from bgwtau.algebra import (
     TimePolynomial,
     _cunpack,
     parse_polynomial,
+    tunpack,
 )
 from bgwtau.cutjoin import (
     TauExpansion,
@@ -442,6 +443,19 @@ def test_hirota_suite_matches_the_seven_product_reference(bench_expansions):
     assert fails == 29
 
 
+def test_hirota_suite_sums_each_order_over_the_lcm_of_the_pair_denominators():
+    """tau_1 = t1/2 + t3 and tau_2 = t1 t3 + t2^2/3 over denominators 2 and
+    3: at h^2 the pairs (0, 2), (1, 1), (2, 0) have denominators 3, 4, 3,
+    whose lcm 12 is not their max 4.  P(tau_1, tau_1) = 4 and
+    2 P(1, tau_2) = -4 cancel, so every order PASSes, and only with each
+    pair brought over the lcm."""
+    T = TauExpansion(2, 0, [TimePolynomial.one(), P("1/2*t1+1/1*t3"),
+                            P("1/1*t1*t3+1/3*t2^2")])
+    rep = hirota_suite(T)
+    assert rep.ok and len(rep.cases) == 3
+    assert rep.lines() == seven_product_hirota_suite(T).lines()
+
+
 def reference_free_energy(T: TauExpansion) -> list[TimePolynomial]:
     """Reference for free_energy: F_k = tau_k - sum_{i<k} (i/k) F_i tau_(k-i),
     every product one pair of canonical coefficients at a time (mul_into)."""
@@ -461,8 +475,10 @@ def _reference_mul(a: TimePolynomial, b: TimePolynomial) -> TimePolynomial:
 
 
 def _from_rows(rows: list, den: int) -> TimePolynomial:
-    """A polynomial from numerator form, one atom at a time; every monomial
-    must come once and every numerator must be nonzero."""
+    """A polynomial from numerator form, one atom at a time, its packed
+    monomials unpacked; every monomial must come once and every numerator
+    must be nonzero."""
+    rows = [(tunpack(tk), nums) for tk, nums in rows]
     assert len({mono for mono, _ in rows}) == len(rows)
     out = {}
     for mono, nums in rows:

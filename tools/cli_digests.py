@@ -98,6 +98,10 @@ COMMANDS = (
     "free-energy --m 1 --N 0 --order 30 --no-cache",
     "free-energy --m 2 --N 7/11 --order 10 --no-cache",
     "verify --suite hirota --m 2 --N symbolic --order 10",
+    "expand --m 2 --N 0 --order 16 --no-cache",
+    "expand --m 1 --N symbolic --order 30 --no-cache",
+    "expand --m 2 --N 7/11 --order 12 --no-cache",
+    "verify --suite constraints,hirota --m 2 --N symbolic --order 10",
 )
 
 
