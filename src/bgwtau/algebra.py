@@ -315,14 +315,15 @@ def _canonical(terms: dict, den: int, common: int | None = None) -> Coefficient:
     return Coefficient(terms, den)
 
 
-def _mul_nums(out: dict, a_items, b_items) -> None:
-    """out += (a) * (b) in place for numerator sums over packed keys: each
-    pair adds v1 * v2 at k1 + k2 - _HBASE (the h offsets add).  Plain int
-    sums with no reduction, so out may end with zero entries; b_items is
-    iterated once per item of a_items."""
+def _mul_nums(out: dict, a_items, b_items, r: int = 1) -> None:
+    """out += r * (a) * (b) in place for numerator sums over packed keys:
+    each pair adds r * v1 * v2 at k1 + k2 - _HBASE (the h offsets add).
+    Plain int sums with no reduction, so out may end with zero entries;
+    b_items is iterated once per item of a_items."""
     get = out.get
     for k1, v1 in a_items:
         off = k1 - _HBASE
+        v1 *= r
         for k2, v2 in b_items:
             k = k2 + off
             s = get(k)

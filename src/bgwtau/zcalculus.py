@@ -21,6 +21,19 @@ so recomputing at greater depth never changes previously asserted
 coefficients.  Every series product is one call of _product_sum, which
 computes nothing below the result's floor.
 
+Products in integer numerators.  No derivative series is built: the k-th
+z-derivative of a series is read through a view (_views), with floor
+floor - k, and one item (n - k, den, numerator items, n(n-1)...(n-k+1)) per
+coefficient c_n = numerators/den whose falling factorial is nonzero; its
+reach is the largest kept exponent, or floor - k - 1 if none is kept, as for
+the derivative taken term by term.  _product_sum takes (view, view, int
+weight) triples (compose passes the binomial C(i, s), apply and * pass 1)
+and keeps, per output z-power, int numerators over a running denominator D:
+a pair with denominator d = d1 d2 that does not divide D first rescales the
+held numerators to lcm(D, d), then adds its numerator products times
+(D/d) w w1 w2.  Each z-power is reduced once, at the end, to a canonical
+Coefficient.
+
 No bound.  A bound is an int or -inf, and -inf means "no bound": a floor
 of -inf is exact everywhere, the top and reach of a known zero are -inf, and
 so are the max shift of an operator with no stored content and the tail
@@ -51,9 +64,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, inf, prod
+from math import comb, factorial, gcd, inf, prod
 
-from .algebra import COEFF_ONE, Coefficient, add_into, merged
+from .algebra import COEFF_ONE, Coefficient, _canonical, _mul_nums, add_into, merged
 from .operators import n_coeff
 from .rational import QQ
 from .report import Report
@@ -113,15 +126,8 @@ class LaurentSeries:
         """Multiply by z^k."""
         return LaurentSeries({n + k: c for n, c in self.coeffs.items()}, self.floor + k)
 
-    def dz(self) -> "LaurentSeries":
-        out: dict[int, Coefficient] = {}
-        for n, c in self.coeffs.items():
-            if n != 0:
-                out[n - 1] = c.scale(n)
-        return LaurentSeries(out, self.floor - 1)
-
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return _product_sum([(self, other)])
+        return _product_sum([(_views(self, 0)[0], _views(other, 0)[0], 1)])
 
     def truncate(self, floor: int) -> "LaurentSeries":
         """The series with its floor raised to floor; self if it is not
@@ -129,14 +135,6 @@ class LaurentSeries:
         if floor <= self.floor:
             return self
         return LaurentSeries({n: c for n, c in self.coeffs.items() if n >= floor}, floor)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return (self - other).is_zero()
 
     def __repr__(self):
         bits = [f"({c!r})*z^{n}" for n, c in sorted(self.coeffs.items(), reverse=True)]
@@ -205,8 +203,8 @@ class ZOperator:
     def apply(self, s: LaurentSeries) -> "LaurentSeries":
         """The action on s; with a tail, the result is exact only above
         z^(reach + tail_shift), and nothing below that is computed."""
-        ds = _derivatives(s, max(self.terms, default=0))
-        return _product_sum([(c, ds[o]) for o, c in self.terms.items()],
+        vs = _views(s, max(self.terms, default=0))
+        return _product_sum([(_views(c, 0)[0], vs[o], 1) for o, c in self.terms.items()],
                             s.reach() + self.tail_shift + 1)
 
     def compose(self, other: "ZOperator") -> "ZOperator":
@@ -216,14 +214,14 @@ class ZOperator:
         ta, tb = self.tail_shift, other.tail_shift
         tail = max(ta + other.max_shift(), ta + tb, self.max_shift() + tb)
         top = max(self.terms, default=0)
-        derivs = {l: _derivatives(bl, top) for l, bl in other.terms.items()}
+        views = {l: _views(bl, top) for l, bl in other.terms.items()}
         pairs: dict[int, list] = {}
         for i, ci in self.terms.items():
             # c_i d^i (b_l d^l) = c_i sum_s C(i,s) (d^s b_l) d^(i+l-s)
-            cis = [ci if s in (0, i) else ci.scale(comb(i, s)) for s in range(i + 1)]
-            for l, ds in derivs.items():
+            vi = _views(ci, 0)[0]
+            for l, vs in views.items():
                 for s in range(i + 1):
-                    pairs.setdefault(i + l - s, []).append((cis[s], ds[s]))
+                    pairs.setdefault(i + l - s, []).append((vi, vs[s], comb(i, s)))
         return ZOperator({o: _product_sum(ps, o + tail + 1) for o, ps in pairs.items()}, tail)
 
     def power(self, e: int) -> "ZOperator":
@@ -242,32 +240,52 @@ class ZOperator:
         return s
 
 
-def _derivatives(s: LaurentSeries, n: int) -> list[LaurentSeries]:
-    """[s, s', ..., s^(n)], the z-derivatives of s up to order n."""
-    out = [s]
-    for _ in range(n):
-        out.append(out[-1].dz())
+def _views(s: LaurentSeries, n: int) -> list[tuple]:
+    """The views (floor, reach, items) of s, s', ..., s^(n), each item
+    (exponent, den, numerator items, integer weight) (module docstring)."""
+    fl = s.floor
+    items = [(e, c.den, c.terms.items(), 1) for e, c in s.coeffs.items()]
+    out = [(fl, s.reach(), items)]
+    for k in range(1, n + 1):
+        items = [(e - 1, d, t, w * e) for e, d, t, w in items if e]
+        out.append((fl - k, max((it[0] for it in items), default=fl - k - 1), items))
     return out
 
 
-def _product_sum(pairs: list, cut=-inf) -> LaurentSeries:
-    """sum a*b over the pairs (a, b): the one product loop of the module.
-    Its floor is the largest of cut and the product floors (module
-    docstring), and no coefficient below it is computed."""
+def _product_sum(triples: list, cut=-inf) -> LaurentSeries:
+    """sum w*a*b over the triples (view a, view b, int w): the one product
+    loop of the module, in int numerators over a running denominator per
+    z-power (module docstring).  Its floor is the largest of cut and the
+    product floors, and no coefficient below it is computed."""
     fl = cut
-    for a, b in pairs:
-        fl = max(fl, a.floor + b.reach(), b.floor + a.reach())
-    out: dict[int, Coefficient] = {}
-    get = out.get
-    for a, b in pairs:
-        bitems = list(b.coeffs.items())
-        for n1, c1 in a.coeffs.items():
-            for n2, c2 in bitems:
+    for (fa, ra, _), (fb, rb, _), _ in triples:
+        fl = max(fl, fa + rb, fb + ra)
+    sums: dict[int, list] = {}  # z-power -> [den, {key: numerator}]
+    get = sums.get
+    for (_, _, ia), (_, _, ib), w in triples:
+        for n1, d1, t1, w1 in ia:
+            w1 *= w
+            for n2, d2, t2, w2 in ib:
                 n = n1 + n2
-                if n >= fl:
-                    c = get(n)
-                    out[n] = c1 * c2 if c is None else c + c1 * c2
-    return LaurentSeries({n: c for n, c in out.items() if c}, fl)
+                if n < fl:
+                    continue
+                d = d1 * d2
+                acc = get(n)
+                if acc is None:
+                    sums[n] = acc = [d, {}]
+                den, nums = acc
+                if den % d:
+                    up = d // gcd(den, d)
+                    for k in nums:
+                        nums[k] *= up
+                    den = acc[0] = den * up
+                _mul_nums(nums, t1, t2, den // d * w1 * w2)
+    out: dict[int, Coefficient] = {}
+    for n, (den, nums) in sums.items():
+        nums = {k: v for k, v in nums.items() if v}
+        if nums:
+            out[n] = _canonical(nums, den)
+    return LaurentSeries(out, fl)
 
 
 def z_commutator(a: ZOperator, b: ZOperator) -> ZOperator:
@@ -594,7 +612,7 @@ def check_spectral_curve(m: int, N, j_max: int, depth: int) -> Report:
     ks = ks_operators(m, N, depth + j_max + 2 * m + 2)
     nc = n_coeff(N)
     dm = ks.d_inv.power(m)
-    dm1 = ks.d_inv.power(m + 1)
+    dm1 = dm.compose(ks.d_inv)  # power composes left to right: d_inv^(m+1)
     b_dm1 = ks.b.compose(dm1)
     hpow = Coefficient.monomial(1, h=1)
     for j in range(1, j_max + 1):

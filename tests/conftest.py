@@ -3,12 +3,13 @@ linear-independence marker trick for checking operator identities on a
 whole degree window at once, one-term polynomials and the value of a plain
 rational coefficient, the test-only views items_hnj and times_h, the
 pair-at-a-time references mul_into (products) and derivative
-(differentiation), the canonical-form check, operators built from their
-canonical view with equality, text, sums, scalings and products (Op,
-operator_text), the whole constraint operator from its h-graded parts, a
-generator's operator from its term list, the Euler operator and
-commutators, and the paper's odd-index BGW cut-and-join operator as a
-reference."""
+(differentiation), the term-by-term z-derivative dz of a Laurent series
+with the zero test and equality of series, the canonical-form check,
+operators built from their canonical view with equality, text, sums,
+scalings and products (Op, operator_text), the whole constraint operator
+from its h-graded parts, a generator's operator from its term list, the
+Euler operator and commutators, and the paper's odd-index BGW cut-and-join
+operator as a reference."""
 
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from bgwtau.algebra import (
 )
 from bgwtau.operators import DiffOperator
 from bgwtau.rational import QQ
+from bgwtau.zcalculus import LaurentSeries
 
 
 def partitions(n: int, max_part: int | None = None):
@@ -103,6 +105,22 @@ def derivative(p: TimePolynomial, d: TimeMonomial) -> TimePolynomial:
         else:
             add_into(out, TimeMonomial(exps.items()), c.scale(fac))
     return TimePolynomial(out)
+
+
+def dz(s: LaurentSeries) -> LaurentSeries:
+    """d/dz of s, one coefficient at a time: the z^0 term drops out and the
+    floor falls by one.  The reference for the derivative views of
+    zcalculus._views."""
+    return LaurentSeries({n - 1: c.scale(n) for n, c in s.coeffs.items() if n}, s.floor - 1)
+
+
+def series_is_zero(s: LaurentSeries) -> bool:
+    return not s.coeffs
+
+
+def series_eq(a: LaurentSeries, b: LaurentSeries) -> bool:
+    """a == b at and above the larger of their floors."""
+    return series_is_zero(a - b)
 
 
 def not_canonical(p: TimePolynomial) -> list:

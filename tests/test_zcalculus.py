@@ -1,12 +1,13 @@
 """Laurent series, Phi series, Kac-Schwarz operators and their identities."""
 
+import inspect
 from itertools import product
 from math import inf
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
-from conftest import items_hnj
+from conftest import dz, items_hnj, series_eq, series_is_zero
 from bgwtau import zcalculus
 from bgwtau.algebra import (
     COEFF_ONE,
@@ -85,8 +86,8 @@ def test_phi_gen_m2_j1_display():
 
 
 def test_phi_gen_reduces_to_phi_at_zero():
-    assert phi_series_gen(2, 0, 3, 4) == phi_series(2, 3, 4)
-    assert phi_series_gen(1, 0, 2, 6) == phi_series(1, 2, 6)
+    assert series_eq(phi_series_gen(2, 0, 3, 4), phi_series(2, 3, 4))
+    assert series_eq(phi_series_gen(1, 0, 2, 6), phi_series(1, 2, 6))
 
 
 def test_phi_parity_and_reality():
@@ -196,7 +197,7 @@ def test_laurent_floor_rules():
     assert s.floor == -2
     p = a * b
     assert p.floor == max(-3 + 0, -2 + 2)
-    d = a.dz()
+    d = dz(a)
     assert d.floor == -4
     sh = a.shift(5)
     assert sh.floor == 2
@@ -220,9 +221,9 @@ def test_floor_conservative_under_depth_increase():
 
 
 def test_zop_apply_basics():
-    dz = ZOperator.ddz()
+    ddz = ZOperator.ddz()
     s = LaurentSeries.z_power(2)
-    assert dz.apply(s).coeffs == {1: Coefficient.rational(2)}
+    assert ddz.apply(s).coeffs == {1: Coefficient.rational(2)}
 
 
 def test_ks_action_single():
@@ -231,7 +232,7 @@ def test_ks_action_single():
     K = 6
     lhs = ks.a.apply(phi_series(2, 1, K))
     rhs = phi_series(2, 3, K).scale(Coefficient.monomial(1, h=-1))
-    assert (lhs - rhs).is_zero()
+    assert series_is_zero(lhs - rhs)
 
 
 def test_ks_actions_reports():
@@ -249,7 +250,7 @@ def test_ks_action_negative_control():
     phi5 = phi_series(m, 5, K)
     lhs = ks.b.apply(phi1)
     rhs = phi2.scale(Coefficient.monomial(1 * (m + 1), h=1)) + phi5
-    assert not (lhs - rhs).is_zero()
+    assert not series_is_zero(lhs - rhs)
 
 
 def test_commutation_reports():
@@ -269,7 +270,7 @@ def full_product_compose(a: ZOperator, b: ZOperator) -> ZOperator:
             for s in range(i + 1):
                 if s:
                     binom = binom * (i - s + 1) // s
-                    ds = ds.dz()
+                    ds = dz(ds)
                 add_into(out.terms, i + l - s, ci.scale(binom) * ds)
     tail = max(a.tail_shift + b.max_shift(), a.tail_shift + b.tail_shift,
                a.max_shift() + b.tail_shift)
@@ -282,7 +283,7 @@ def full_product_apply(a: ZOperator, s: LaurentSeries) -> LaurentSeries:
     for order, c in a.terms.items():
         d = s
         for _ in range(order):
-            d = d.dz()
+            d = dz(d)
         out = out + c * d
     return out.truncate(s.reach() + a.tail_shift + 1)
 
@@ -312,11 +313,15 @@ def test_truncated_products_match_the_full_product_reference():
                 assert repr(op.apply(phi)) == repr(full_product_apply(op, phi)), (m, N, depth, j)
 
 
-# small operators and series: coefficients +-1..3 or h, bounds -inf or an int;
-# a series may be empty and still carry a floor.  A series is built canonical:
-# its draws below the floor are dropped by truncate.
+# small operators and series: coefficients +-1..3, h, N + 1, and rationals
+# whose denominators 2, 3, 5, 7 do not divide one another, so a z-power's
+# running denominator grows and its held numerators are rescaled; bounds -inf
+# or an int; a series may be empty and still carry a floor.  A series is
+# built canonical: its draws below the floor are dropped by truncate.
 _coeffs = st.sampled_from([Coefficient.rational(c) for c in (1, 2, 3, -1, -2, -3)]
-                          + [Coefficient.monomial(1, h=1)])
+                          + [Coefficient.rational(q) for q in (QQ(1, 2), QQ(-2, 3), QQ(3, 5))]
+                          + [Coefficient.monomial(1, h=1), Coefficient.monomial(QQ(1, 7), h=1),
+                             Coefficient.monomial(1, n=1) + COEFF_ONE])
 _bounds = st.just(-inf) | st.integers(-6, 2)
 _series = st.builds(lambda coeffs, floor: LaurentSeries(coeffs).truncate(floor),
                     st.dictionaries(st.integers(-5, 3), _coeffs, max_size=4), _bounds)
@@ -330,7 +335,7 @@ def assert_canonical(s: LaurentSeries):
 
 def assert_results_canonical(a: ZOperator, b: ZOperator, s: LaurentSeries, t: LaurentSeries,
                              c: Coefficient, k: int, floor: int):
-    for r in (s + t, s - t, -s, s.scale(c), s.scale(0), s.shift(k), s.dz(), s * t,
+    for r in (s + t, s - t, -s, s.scale(c), s.scale(0), s.shift(k), dz(s), s * t,
               s.truncate(floor), a.apply(s)):
         assert_canonical(r)
     for op in (a + b, a.compose(b)):
@@ -367,6 +372,25 @@ def test_compose_and_apply_match_the_full_product_reference_on_any_operator(a, b
     ones the KS suites build: floors, tail shifts and coefficients (repr)."""
     assert repr(a.compose(b)) == repr(full_product_compose(a, b))
     assert repr(a.apply(s)) == repr(full_product_apply(a, s))
+
+
+def test_the_reference_property_sees_a_kernel_that_skips_the_rescale(monkeypatch):
+    """Negative control: a product kernel that raises a z-power's running
+    denominator but leaves the numerators it already holds over the old one
+    fails the property above (its strategy draws non-nested denominators)."""
+    source = inspect.getsource(zcalculus._product_sum)
+    rescale = "                    for k in nums:\n                        nums[k] *= up\n"
+    assert source.count(rescale) == 1
+    namespace = dict(vars(zcalculus))
+    exec(source.replace(rescale, ""), namespace)
+    monkeypatch.setattr(zcalculus, "_product_sum", namespace["_product_sum"])
+    # the same strategies and comparison; the first failure is enough
+    check = test_compose_and_apply_match_the_full_product_reference_on_any_operator
+    check = settings(max_examples=400, deadline=None, database=None, derandomize=True,
+                     phases=[Phase.generate], report_multiple_bugs=False)(
+        given(_operators, _operators, _series)(check.hypothesis.inner_test))
+    with pytest.raises(AssertionError):
+        check()
 
 
 def d_by_composition(m: int, N, depth: int) -> ZOperator:
@@ -441,7 +465,7 @@ def test_ab_commutator_explicit():
     for m in (1, 2, 3, 4):
         ks = ks_operators(m, 0, 10)
         resid = z_commutator(ks.a, ks.b) - ks.b.scale(m + 1)
-        assert all(s.is_zero() for s in resid.terms.values())
+        assert all(series_is_zero(s) for s in resid.terms.values())
 
 
 def test_canonical_pair_reports():
@@ -474,7 +498,7 @@ def test_quantum_bessel_explicit():
         + ZOperator({0: LaurentSeries.z_power(-2, QQ(1, 4))})
     )
     resid = bessel.apply(phi1)
-    assert resid.is_zero() and resid.floor <= -20
+    assert series_is_zero(resid) and resid.floor <= -20
 
 
 def test_phi_series_symbolic_output_text():

@@ -5,11 +5,11 @@ sha256 of each one's stdout and its exit code with tools/cli_digests.json.
     python tools/cli_digests.py --record   # (re)write tools/cli_digests.json
 
 The commands cover every verify suite at m = 1, 2, 3, the ks suite at
-m = 1..4 (N = 0, -1/2, -1, 1/3, 1, 3/2, symbolic, and N = -m/2 at m = 4,
-where the zeroth-order term of the step vanishes; the quantum Bessel and
-closing identity cases included), the basis-vector tables (symbolic j at
-m = 1, 2, 4; bound j at N = 0, rational and symbolic N, negative j
-included), the cut-and-join expansions and free energies at m = 1, 2
+m = 1..4 (N = 0, -1/2, -1, 1/3, 1, 3/2, 7/11, -5/13, symbolic, and N = -m/2
+at m = 4, where the zeroth-order term of the step vanishes; the quantum
+Bessel and closing identity cases included; depth up to 20), the
+basis-vector tables (symbolic j at m = 1, 2, 4; bound j at N = 0, rational
+and symbolic N, negative j included), the cut-and-join expansions and free energies at m = 1, 2
 (rational and symbolic N), the oracle expansions at m = 1..4 (symbolic N
 at m = 1, 2, 3; degree 15 at m = 3 and 16 at m = 4) and the crosscheck
 suite at m = 3, 4, and Schur tables at m = 1..4 (more Miwa points than
@@ -102,6 +102,9 @@ COMMANDS = (
     "expand --m 1 --N symbolic --order 30 --no-cache",
     "expand --m 2 --N 7/11 --order 12 --no-cache",
     "verify --suite constraints,hirota --m 2 --N symbolic --order 10",
+    "verify --suite ks --m 3 --N 7/11 --depth 20",
+    "verify --suite ks --m 1 --N symbolic --depth 12",
+    "verify --suite ks --m 2 --N=-5/13 --depth 20",
 )
 
 
