@@ -30,6 +30,16 @@ with sign (-1)^(j-k), one factor for each chosen exponent below the new
 one.  Which placements are allowed later, and their signs, depend only on
 the set of chosen exponents, that is on nu, so merging the tuples that
 reach one nu before the next column is exact.
+
+Both loops run in integer numerators (algebra's numerator form).  The
+column pass keeps, per partition reached in the current column, int
+numerators over a running denominator D: a pair (nu, l) with d =
+den(C_nu) den(c_{j,l}) that does not divide D first rescales the held
+numerators to lcm(D, d), then adds its numerator products times
+sign * D/d.  Each partition is reduced once per column, to a canonical
+Coefficient.  schur_in_times brings its vector over one denominator D, the
+lcm of its entries' denominators; a hook move adds or subtracts numerator
+dicts, and each leaf lam gets one canonical Coefficient over D z_lam.
 """
 
 from __future__ import annotations
@@ -37,12 +47,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 
-from .algebra import Coefficient, TimeMonomial, TimePolynomial, add_into
+from .algebra import Coefficient, TimeMonomial, TimePolynomial, _canonical, _mul_nums
 from .cutjoin import SCHUR_ORACLE, TauExpansion
 from .operators import n_coeff
-from .rational import QQ
 from .zcalculus import phi_terms
 
 Partition = tuple[int, ...]
@@ -73,29 +82,34 @@ def _hook_moves(nu: Partition, k: int) -> tuple[tuple[Partition, bool], ...]:
 def schur_in_times(vec: dict[Partition, Coefficient]) -> TimePolynomial:
     """sum_mu vec[mu] s_mu(t) with p_k = k t_k, every mu of one size n: the
     coefficient of t^lam is sum_mu vec[mu] chi^mu(lam) / prod_k m_k(lam)!,
-    m_k(lam) the multiplicity of k in lam (the vector walk above).
-    Homogeneous of weighted degree n."""
+    m_k(lam) the multiplicity of k in lam (the vector walk above, in
+    numerator form).  Homogeneous of weighted degree n."""
     n = sum(next(iter(vec), ()))
     if any(sum(mu) != n for mu in vec):
         raise ValueError("schur_in_times needs partitions of one size")
+    D = lcm(*(c.den for c in vec.values()))
     out: dict[TimeMonomial, Coefficient] = {}
 
     def walk(v: dict, rest: int, top: int, lam: Partition) -> None:
         if not rest:
             mult = sorted(Counter(lam).items())
-            z = prod(factorial(e) for _, e in mult)
-            add_into(out, TimeMonomial(mult), v[()].scale(QQ(1, z)))
+            out[TimeMonomial(mult)] = _canonical(v[()], D * prod(factorial(e) for _, e in mult))
             return
         for k in range(min(top, rest), 0, -1):
-            child: dict[Partition, Coefficient] = {}
-            for nu, c in v.items():
+            child: dict[Partition, dict] = {}
+            for nu, nums in v.items():
                 for mu, odd in _hook_moves(nu, k):
-                    add_into(child, mu, -c if odd else c)
+                    acc = child.setdefault(mu, {})
+                    for key, x in nums.items():
+                        acc[key] = acc.get(key, 0) + (-x if odd else x)
+            child = {mu: nz for mu, nums in child.items()
+                     if (nz := {key: x for key, x in nums.items() if x})}
             if child:
                 walk(child, rest - k, k, lam + (k,))
 
-    if vec:
-        walk(vec, n, n, ())
+    nums = {mu: {key: x * (D // c.den) for key, x in c.terms.items()} for mu, c in vec.items() if c}
+    if nums:
+        walk(nums, n, n, ())
     return TimePolynomial(out)
 
 
@@ -107,9 +121,6 @@ class PlueckerTable:
     N: object
     degree: int
     table: dict[Partition, Coefficient] = field(default_factory=dict)
-
-    def coefficient(self, mu: Partition) -> Coefficient:
-        return self.table.get(tuple(mu), Coefficient.zero())
 
 
 def plucker_expansion(m: int, N, degree: int, points: int | None = None) -> PlueckerTable:
@@ -124,7 +135,8 @@ def plucker_expansion(m: int, N, degree: int, points: int | None = None) -> Plue
     cols = [phi_terms(m, K, Coefficient.rational(j) - nc) for j in range(1, M + 1)]
     table: dict[Partition, Coefficient] = {(): Coefficient.one()}
     for j, col in enumerate(cols):
-        step: dict[Partition, Coefficient] = {}
+        step: dict[Partition, list] = {}  # mu -> [den, {key: numerator}]
+        get = step.get
         for nu, coeff in table.items():
             r = len(nu)
             xs = [p - i for i, p in enumerate(nu)]
@@ -133,14 +145,28 @@ def plucker_expansion(m: int, N, degree: int, points: int | None = None) -> Plue
                 x = l - j
                 if not c or 0 < l <= j - r or x in xs:
                     continue  # a zero entry, or colliding exponents (alternating determinant)
-                term = coeff * c
-                if l == 0:
-                    add_into(step, nu, term)
-                    continue
-                k = sum(y > x for y in xs)
-                mu = nu[:k] + (x + k,) + tuple(p + 1 for p in nu[k:]) + (1,) * (j - r)
-                add_into(step, mu, -term if (j - k) % 2 else term)
-        table = step
+                if l:
+                    k = sum(y > x for y in xs)
+                    mu = nu[:k] + (x + k,) + tuple(p + 1 for p in nu[k:]) + (1,) * (j - r)
+                    sign = -1 if (j - k) % 2 else 1
+                else:
+                    mu, sign = nu, 1
+                d = coeff.den * c.den
+                acc = get(mu)
+                if acc is None:
+                    step[mu] = acc = [d, {}]
+                den, nums = acc
+                if den % d:
+                    up = d // gcd(den, d)
+                    for key in nums:
+                        nums[key] *= up
+                    den = acc[0] = den * up
+                _mul_nums(nums, c.terms.items(), coeff.terms.items(), den // d * sign)
+        table = {}
+        for mu, (den, nums) in step.items():
+            nums = {key: v for key, v in nums.items() if v}
+            if nums:
+                table[mu] = _canonical(nums, den)
     return PlueckerTable(m, N, degree, table)
 
 

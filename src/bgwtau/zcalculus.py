@@ -227,8 +227,13 @@ class ZOperator:
     def power(self, e: int) -> "ZOperator":
         if e < 0:
             raise ValueError("negative operator powers are not supported")
-        out = ZOperator.identity()
-        for _ in range(e):
+        if not e:
+            return ZOperator.identity()
+        # identity().compose(self) without the products: each order cut at
+        # o + tail + 1, as compose folds self's tail
+        tail = self.tail_shift
+        out = ZOperator({o: s.truncate(o + tail + 1) for o, s in self.terms.items()}, tail)
+        for _ in range(e - 1):
             out = out.compose(self)
         return out
 

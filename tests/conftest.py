@@ -1,15 +1,15 @@
 """Shared helpers: partitions and monomial enumeration, the
 linear-independence marker trick for checking operator identities on a
 whole degree window at once, one-term polynomials and the value of a plain
-rational coefficient, the test-only views items_hnj and times_h, the
-pair-at-a-time references mul_into (products) and derivative
-(differentiation), the term-by-term z-derivative dz of a Laurent series
-with the zero test and equality of series, the canonical-form check,
-operators built from their canonical view with equality, text, sums,
-scalings and products (Op, operator_text), the whole constraint operator
-from its h-graded parts, a generator's operator from its term list, the
-Euler operator and commutators, and the paper's odd-index BGW cut-and-join
-operator as a reference."""
+rational coefficient, the test-only views items_hnj, times_h and a Schur
+table's coefficient, the pair-at-a-time references mul_into (products)
+and derivative (differentiation), the term-by-term z-derivative dz of a
+Laurent series with the zero test and equality of series, the
+canonical-form check, operators built from their canonical view with
+equality, text, sums, scalings and products (Op, operator_text), the
+whole constraint operator from its h-graded parts, a generator's operator
+from its term list, the Euler operator and commutators, and the paper's
+odd-index BGW cut-and-join operator as a reference."""
 
 from __future__ import annotations
 
@@ -73,6 +73,11 @@ def items_hnj(c: Coefficient):
 def times_h(p: TimePolynomial, k: int) -> TimePolynomial:
     """p times h^k (k may be negative)."""
     return TimePolynomial({m: c.times_h(k) for m, c in p.terms.items()})
+
+
+def coefficient(table, mu) -> Coefficient:
+    """C_mu of a PlueckerTable, zero when mu is not stored."""
+    return table.table.get(tuple(mu), Coefficient.zero())
 
 
 def mul_into(terms: dict, a: dict, b: dict) -> None:

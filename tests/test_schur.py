@@ -1,15 +1,17 @@
 """Schur polynomials and the Miwa-determinant oracle."""
 
+import inspect
 import random
+import types
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
-from conftest import as_rational, partitions, poly_term
+from conftest import as_rational, coefficient, partitions, poly_term
 from bgwtau import schur
 from bgwtau.algebra import (
     Coefficient,
@@ -193,10 +195,44 @@ _vectors = st.integers(0, 9).flatmap(lambda n: st.dictionaries(
 
 @settings(max_examples=60, deadline=None)
 @given(_vectors)
+@example({(): Coefficient.zero()})
 def test_vector_walk_matches_the_per_mu_reference(vec):
     """Sparse C vectors over mu of one size n <= 9, with rational and
-    symbolic (h, N, j) coefficients."""
-    assert schur_in_times(vec) == combination_reference(vec)
+    symbolic (h, N, j) coefficients whose denominators 1..5 need not divide
+    one another, and zero entries."""
+    assert schur.schur_in_times(vec) == combination_reference(vec)
+
+
+def schur_mutant(fn, old: str, new: str = ""):
+    """fn with one fragment of its source replaced; its globals stay the
+    live schur module, so a patched phi_terms reaches it."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1
+    namespace = dict(vars(schur))
+    exec(source.replace(old, new), namespace)
+    return types.FunctionType(namespace[fn.__name__].__code__, vars(schur), fn.__name__,
+                              fn.__defaults__)
+
+
+def fails_its_property(test, strategy) -> bool:
+    """Whether a Hypothesis property fails on its strategy, drawn
+    deterministically; the first failure is enough."""
+    check = settings(max_examples=300, deadline=None, database=None, derandomize=True,
+                     phases=[Phase.generate], report_multiple_bugs=False)(
+        given(strategy)(test.hypothesis.inner_test))
+    try:
+        check()
+    except AssertionError:
+        return True
+    return False
+
+
+def test_the_vector_walk_property_sees_a_walk_without_the_common_denominator(monkeypatch):
+    """Negative control: a walk that reads each entry's numerators without
+    bringing them over the common denominator D fails the property above."""
+    monkeypatch.setattr(schur, "schur_in_times",
+                        schur_mutant(schur_in_times, "x * (D // c.den)", "x"))
+    assert fails_its_property(test_vector_walk_matches_the_per_mu_reference, _vectors)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -266,7 +302,7 @@ def test_plucker_degree_zero():
 
 def test_plucker_first_coefficients_m2():
     table = plucker_expansion(2, 0, 2, points=4)
-    combo = schur_in_times({mu: table.coefficient(mu).h_part(1) for mu in ((2,), (1, 1))})
+    combo = schur_in_times({mu: coefficient(table, mu).h_part(1) for mu in ((2,), (1, 1))})
     assert combo == P("1/3*t2")
 
 
@@ -282,7 +318,7 @@ def test_plucker_m_stability():
     b = plucker_expansion(2, 0, 6, points=9)
     keys = {mu for mu in a.table} | {mu for mu in b.table if sum(mu) <= 6}
     for mu in keys:
-        assert a.coefficient(mu) == b.coefficient(mu), f"C_{mu}"
+        assert coefficient(a, mu) == coefficient(b, mu), f"C_{mu}"
 
 
 def test_oracle_matches_recursion_m2():
@@ -455,8 +491,8 @@ def giambelli_failures(table) -> list:
             alpha, beta = _frobenius(mu)
             if len(alpha) < 2:
                 continue
-            rows = [[table.coefficient((a + 1,) + (1,) * b) for b in beta] for a in alpha]
-            if _det(rows) != table.coefficient(mu):
+            rows = [[coefficient(table, (a + 1,) + (1,) * b) for b in beta] for a in alpha]
+            if _det(rows) != coefficient(table, mu):
                 bad.append(mu)
     return bad
 
@@ -468,13 +504,13 @@ def test_oracle_tables_satisfy_giambelli(m, N, degree):
     Sato Grassmannian, so its Schur coefficients are the determinants of its
     hook coefficients (all Pluecker relations at once)."""
     table = plucker_expansion(m, N, degree)
-    assert table.coefficient(()) == Coefficient.one()
+    assert coefficient(table, ()) == Coefficient.one()
     assert giambelli_failures(table) == []
 
 
 def test_giambelli_detects_a_corrupted_hook():
     table = plucker_expansion(2, 0, 8)
-    table.table[(2,)] = table.coefficient((2,)) + Coefficient.monomial(1, h=1)
+    table.table[(2,)] = coefficient(table, (2,)) + Coefficient.monomial(1, h=1)
     assert (2, 2) in giambelli_failures(table)
 
 
@@ -566,6 +602,48 @@ def test_column_pass_matches_the_tuple_walk(m, N):
         for points in (None, degree + 3):
             got = plucker_expansion(m, N, degree, points).table
             assert got == plucker_dfs(m, N, degree, points), (degree, points)
+
+
+@st.composite
+def _column_cases(draw):
+    """(m, degree, points, columns): points >= degree columns of
+    degree // m + 1 entries, each a sum of one or two atoms as above."""
+    m, degree = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    points = degree + draw(st.integers(0, 3))
+    size = degree // m + 1
+    entry = st.lists(_atoms, min_size=1, max_size=2).map(_coefficient)
+    cols = draw(st.lists(st.lists(entry, min_size=size, max_size=size),
+                         min_size=points, max_size=points))
+    return m, degree, points, cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(_column_cases())
+def test_column_pass_matches_the_tuple_walk_on_any_columns(case):
+    """The column pass against the tuple walk on drawn columns (phi_terms
+    patched for both, as below), whose entry denominators 1..5 need not
+    divide one another: a partition's running denominator grows and its
+    held numerators are rescaled."""
+    m, degree, points, cols = case
+
+    def drawn(_, K, J):
+        return cols[int(as_rational(J)) - 1][:K + 1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schur, "phi_terms", drawn)
+        mp.setitem(globals(), "phi_terms", drawn)
+        got = schur.plucker_expansion(m, 0, degree, points).table
+        assert got == plucker_dfs(m, 0, degree, points)
+
+
+def test_the_column_property_sees_a_step_without_the_rescale(monkeypatch):
+    """Negative control: a column step that raises a partition's running
+    denominator but leaves the numerators it holds over the old one fails
+    the property above."""
+    rescale = "                    for key in nums:\n                        nums[key] *= up\n"
+    monkeypatch.setattr(schur, "plucker_expansion", schur_mutant(plucker_expansion, rescale))
+    assert fails_its_property(test_column_pass_matches_the_tuple_walk_on_any_columns,
+                              _column_cases())
 
 
 def test_column_pass_sees_a_corrupted_column(monkeypatch):

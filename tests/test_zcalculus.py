@@ -393,6 +393,31 @@ def test_the_reference_property_sees_a_kernel_that_skips_the_rescale(monkeypatch
         check()
 
 
+def power_by_composition(a: ZOperator, e: int) -> ZOperator:
+    """Reference for ZOperator.power: e compositions from the identity."""
+    out = ZOperator.identity()
+    for _ in range(e):
+        out = out.compose(a)
+    return out
+
+
+def test_power_matches_composition_from_the_identity_on_the_ks_operators():
+    """Floors, tail shifts and coefficients (repr) of a^e, e = 0..3, for
+    the KS operators, d's tail and d_inv's exact form included."""
+    for m, N in product((1, 2, 3, 4), (0, QQ(7, 11), "symbolic", QQ(-1, 2))):
+        ks = ks_operators(m, N, 6)
+        for name in ("a", "b", "c", "d", "d_inv", "step"):
+            op = getattr(ks, name)
+            for e in range(4):
+                assert repr(op.power(e)) == repr(power_by_composition(op, e)), (m, N, name, e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operators, st.integers(0, 3))
+def test_power_matches_composition_from_the_identity_on_any_operator(a, e):
+    assert repr(a.power(e)) == repr(power_by_composition(a, e))
+
+
 def d_by_composition(m: int, N, depth: int) -> ZOperator:
     """Reference for ks_operators' d: the geometric series sum_k T^k z,
     each term composed from the previous one, summed, and given the tail

@@ -11,9 +11,10 @@ Bessel and closing identity cases included; depth up to 20), the
 basis-vector tables (symbolic j at m = 1, 2, 4; bound j at N = 0, rational
 and symbolic N, negative j included), the cut-and-join expansions and free energies at m = 1, 2
 (rational and symbolic N), the oracle expansions at m = 1..4 (symbolic N
-at m = 1, 2, 3; degree 15 at m = 3 and 16 at m = 4) and the crosscheck
-suite at m = 3, 4, and Schur tables at m = 1..4 (more Miwa points than
-the degree included), so a change that must keep the CLI output
+at m = 1, 2, 3; N = 7/11 and -3/13 at m = 1, 2, whose column
+denominators do not divide one another; degree 15 at m = 3 and 16 at
+m = 4) and the crosscheck suite at m = 3, 4, and Schur tables at
+m = 1..5 (more Miwa points than the degree included), so a change that must keep the CLI output
 byte-identical can be checked against digests recorded before it.  Each command runs as
 `python -m bgwtau.cli ...` from the root of the checkout with `src` on
 PYTHONPATH; none of them reads or writes the disk cache (expand and
@@ -105,6 +106,10 @@ COMMANDS = (
     "verify --suite ks --m 3 --N 7/11 --depth 20",
     "verify --suite ks --m 1 --N symbolic --depth 12",
     "verify --suite ks --m 2 --N=-5/13 --depth 20",
+    "schur --m 5 --N=-5/13 --degree 15",
+    "schur --m 3 --N symbolic --degree 12 --points 15",
+    "expand --m 1 --N 7/11 --oracle --degree 12 --no-cache",
+    "expand --m 2 --N=-3/13 --oracle --degree 14 --no-cache",
 )
 
 
