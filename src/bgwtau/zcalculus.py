@@ -44,8 +44,10 @@ The KS operator d = sum_{k<=k_max} T^k z, T = -h z^-m (theta - m/2 - N),
 theta = z d/dz, has T^k z = (-h)^k z^(1-mk) prod_{i<k} (theta + alpha_i)
 with alpha_i = 1 - m i - m/2 - N.  In the basis theta(theta-1)...(theta-o+1)
 = z^o d^o a factor (theta + alpha) maps coefficients e[o] to
-e[o-1] + (o + alpha) e[o]; ks_operators builds d by this recurrence.  The
-ladder check applies d by steps: k_max applications of T to z Phi_j.
+e[o-1] + (o + alpha) e[o]; ks_operators builds d by this recurrence in
+int numerators over D^k, D = den(m/2 + N), and reduces each entry once, at
+the end, to a canonical Coefficient.  The ladder check applies d by steps:
+k_max applications of T to z Phi_j.
 
 Phi_j series.  Phi_j = z^(j-1)(1 + sum_k phi[m,k](j) h^k z^(-mk)) where the
 phi[m,k] are polynomials in j produced by the Gaussian steepest-descent
@@ -57,16 +59,18 @@ real and even in u: every exp-table entry u^p phi^q has p = q (mod 2), and
 only binomial terms with r = q (mod 2) survive the moments, so the u-power
 p + r and the i-power r + 3q are both even.  The coefficients are built
 in two stages: the table's scalar weights are summed per (k, r) first, then
-each binomial j-polynomial is scaled once per (k, r).
+phi[m,k] is summed in int numerators over den L (L the lcm of the binomial
+denominators), each (k, r) adding its weight times the binomial's
+numerators, and reduced once to a canonical Coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, gcd, inf, prod
+from math import comb, factorial, gcd, inf, lcm, prod
 
-from .algebra import COEFF_ONE, Coefficient, _canonical, _mul_nums, add_into, merged
+from .algebra import _KEY1, COEFF_ONE, Coefficient, _canonical, _mul_nums, add_into, merged
 from .operators import n_coeff
 from .rational import QQ
 from .report import Report
@@ -367,12 +371,16 @@ def _phi_coefficients(m: int, K: int) -> tuple:
     for (p, q), v in table.items():
         for r in range(q % 2, cap - p + 1, 2):
             w = v * moments[q + r]
-            add_into(weight, ((p + r) // 2, r), -w if (r + 3 * q) & 2 else w)
-    # stage 2: one scaling of each binomial per (k, r)
-    out = [Coefficient.zero() for _ in range(K + 1)]
+            key = ((p + r) // 2, r)
+            weight[key] = weight.get(key, 0) + (-w if (r + 3 * q) & 2 else w)
+    # stage 2: phi[m,k] as int numerators over den L, L the lcm of the binomial
+    # denominators; each k is reduced once
+    L = lcm(*(c.den for c in binoms))
+    nums = [[(key, v * (L // c.den)) for key, v in c.terms.items()] for c in binoms]
+    out = [{} for _ in range(K + 1)]
     for (k, r), w in weight.items():
-        out[k] = out[k] + binoms[r].scale(QQ(w, den))
-    return tuple(out)
+        _mul_nums(out[k], ((_KEY1, w),), nums[r])
+    return tuple(_canonical({key: v for key, v in acc.items() if v}, den * L) for acc in out)
 
 
 def phi_terms(m: int, K: int, j: Coefficient) -> list[Coefficient]:
@@ -467,16 +475,24 @@ def ks_operators(m: int, N, depth: int) -> KSOperators:
             0: LaurentSeries.z_power(-m, hmn),
         }
     )
-    e = [[COEFF_ONE]]  # e[k][o]: the z^(1-mk+o) d^o coefficient of T^k z
-    zero = Coefficient.zero()
+    # e[k][o]: numerators over D^k of the z^(1-mk+o) d^o coefficient of T^k z,
+    # D = den(m/2 + N); one more factor -h z^-m (theta + alpha_k) gives
+    # -h (D e[o-1] + ((o + 1 - mk) D - D (m/2 + N)) e[o]) over D^(k+1)
+    D, h1 = hmn.den, _KEY1 + (1 << 32)  # h1: the key of h
+    c0 = hmn.terms.get(h1, 0)
+    hn = [(key, v) for key, v in hmn.terms.items() if key != h1]  # h D (N-part)
+    e = [[{_KEY1: 1}]]
     for k in range(k_max):
-        # one more factor -h z^-m (theta + alpha_k): -h (e[o-1] + (o + alpha_k) e[o])
-        alpha = Coefficient.rational(1 - m * k - half_m) - nc
-        ek = e[-1]
-        e.append([-(lower + (alpha + Coefficient.rational(o)) * same).times_h(1)
-                  for o, (lower, same) in enumerate(zip([zero] + ek, ek + [zero]))])
+        row = []
+        for o, (lower, same) in enumerate(zip([{}] + e[-1], e[-1] + [{}])):
+            out: dict[int, int] = {}
+            _mul_nums(out, ((h1, -D),), lower.items())
+            _mul_nums(out, [(h1, c0 - (o + 1 - m * k) * D), *hn], same.items())
+            row.append({key: v for key, v in out.items() if v})
+        e.append(row)
     d = ZOperator(
-        {o: LaurentSeries({1 - m * k + o: ek[o] for k, ek in enumerate(e[o:], o) if ek[o]})
+        {o: LaurentSeries({1 - m * k + o: _canonical(ek[o], D ** k)
+                           for k, ek in enumerate(e[o:], o) if ek[o]})
          for o in range(k_max + 1)},
         1 - m * (k_max + 1),
     )

@@ -128,12 +128,17 @@ def series_eq(a: LaurentSeries, b: LaurentSeries) -> bool:
     return series_is_zero(a - b)
 
 
+def canonical_nonzero(c: Coefficient) -> bool:
+    """c is nonzero, stores no zero numerator, and is in lowest terms over a
+    positive denominator."""
+    return (bool(c.terms) and c.den > 0 and gcd(c.den, *c.terms.values()) == 1
+            and all(c.terms.values()))
+
+
 def not_canonical(p: TimePolynomial) -> list:
     """The coefficients of p that are zero or not in lowest terms over a
     positive denominator."""
-    return [c for c in p.terms.values()
-            if not c.terms or c.den <= 0 or gcd(c.den, *c.terms.values()) != 1
-            or not all(c.terms.values())]
+    return [c for c in p.terms.values() if not canonical_nonzero(c)]
 
 
 def as_rational(c: Coefficient):

@@ -7,7 +7,7 @@ from math import inf
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from conftest import dz, items_hnj, series_eq, series_is_zero
+from conftest import canonical_nonzero, dz, items_hnj, series_eq, series_is_zero
 from bgwtau import zcalculus
 from bgwtau.algebra import (
     COEFF_ONE,
@@ -187,7 +187,7 @@ def test_phi_coefficients_match_the_per_entry_reference():
         for K in range(16 if m <= 2 else 12):
             got, want = _phi_coefficients(m, K), phi_coefficients_per_entry(m, K)
             assert [repr(c) for c in got] == [repr(c) for c in want], (m, K)
-            assert got == want, (m, K)
+            assert got == want and all(map(canonical_nonzero, got)), (m, K)
 
 
 def test_laurent_floor_rules():
@@ -436,14 +436,30 @@ def d_by_composition(m: int, N, depth: int) -> ZOperator:
 KS_GRID_N = (0, QQ(7, 11), "symbolic", QQ(-1, 2), "-m/2", QQ(1, 2), 1, -3)
 
 
+def off_canonical(op: ZOperator) -> list:
+    """(order, z-power) of every stored coefficient of op that is zero or
+    not in lowest terms over a positive denominator."""
+    return [(o, n) for o, s in op.terms.items() for n, c in s.coeffs.items()
+            if not canonical_nonzero(c)]
+
+
 def test_d_matches_the_composed_geometric_series():
-    """d from the theta-recurrence equals the composed series: same orders,
-    coefficients, floors and tail shift."""
+    """d from the theta-recurrence equals the composed series structurally:
+    the same tail shift and orders, and per order the same floor and
+    coefficients (numerators and denominator, so an entry left unreduced
+    fails although its repr would agree).  Every stored coefficient of the
+    KS operators is canonical."""
     for m, N, depth in product((1, 2, 3, 4), KS_GRID_N, (3, 8, 12, 30)):
         N = QQ(-m, 2) if N == "-m/2" else N
-        got, want = ks_operators(m, N, depth).d, d_by_composition(m, N, depth)
+        ks = ks_operators(m, N, depth)
+        got, want = ks.d, d_by_composition(m, N, depth)
+        assert got.tail_shift == want.tail_shift, (m, N, depth)
         assert sorted(got.terms) == sorted(want.terms), (m, N, depth)
-        assert repr(got) == repr(want), (m, N, depth)
+        for o, s in want.terms.items():
+            g = got.terms[o]
+            assert g.floor == s.floor and g.coeffs == s.coeffs, (m, N, depth, o)
+        for name in ("a", "b", "c", "d", "d_inv", "step"):
+            assert not off_canonical(getattr(ks, name)), (m, N, depth, name)
 
 
 def test_d_inv_matches_the_literal_two_term_inverse():

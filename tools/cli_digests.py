@@ -5,16 +5,17 @@ sha256 of each one's stdout and its exit code with tools/cli_digests.json.
     python tools/cli_digests.py --record   # (re)write tools/cli_digests.json
 
 The commands cover every verify suite at m = 1, 2, 3, the ks suite at
-m = 1..4 (N = 0, -1/2, -1, 1/3, 1, 3/2, 7/11, -5/13, symbolic, and N = -m/2
-at m = 4, where the zeroth-order term of the step vanishes; the quantum
-Bessel and closing identity cases included; depth up to 20), the
-basis-vector tables (symbolic j at m = 1, 2, 4; bound j at N = 0, rational
-and symbolic N, negative j included), the cut-and-join expansions and free energies at m = 1, 2
-(rational and symbolic N), the oracle expansions at m = 1..4 (symbolic N
-at m = 1, 2, 3; N = 7/11 and -3/13 at m = 1, 2, whose column
-denominators do not divide one another; degree 15 at m = 3 and 16 at
-m = 4) and the crosscheck suite at m = 3, 4, and Schur tables at
-m = 1..5 (more Miwa points than the degree included), so a change that must keep the CLI output
+m = 1..4 (N = 0, -1/2, -1, 1/3, 1, 3/2, 7/11, -5/13, -9/13, symbolic, and
+N = -m/2 at m = 4, where the zeroth-order term of the step vanishes; the
+quantum Bessel and closing identity cases included; depth up to 20), the
+basis-vector tables (symbolic j at m = 1, 2, 3, 4, 6, depth up to 24;
+bound j at N = 0, rational and symbolic N, negative j included), the
+cut-and-join expansions and free energies at m = 1, 2 (rational and
+symbolic N), the oracle expansions at m = 1..4 (symbolic N at m = 1, 2, 3;
+N = 7/11 and -3/13 at m = 1, 2, whose column denominators do not divide
+one another; degree 15 at m = 3 and 16 at m = 4) and the crosscheck suite
+at m = 3, 4, and Schur tables at m = 1..5 (more Miwa points than the
+degree included), so a change that must keep the CLI output
 byte-identical can be checked against digests recorded before it.  Each command runs as
 `python -m bgwtau.cli ...` from the root of the checkout with `src` on
 PYTHONPATH; none of them reads or writes the disk cache (expand and
@@ -110,6 +111,10 @@ COMMANDS = (
     "schur --m 3 --N symbolic --degree 12 --points 15",
     "expand --m 1 --N 7/11 --oracle --degree 12 --no-cache",
     "expand --m 2 --N=-3/13 --oracle --degree 14 --no-cache",
+    "phi --m 1 --depth 24",
+    "phi --m 3 --depth 12",
+    "phi --m 6 --depth 10 --format json",
+    "verify --suite ks --m 1 --N=-9/13 --depth 16",
 )
 
 
