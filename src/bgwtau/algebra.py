@@ -28,13 +28,21 @@ Coefficient.at_j.
 
 All arithmetic is exact; there is no floating point anywhere in this module.
 
-Canonical text grammar (also the golden-file format):
+Canonical text (also the golden-file and cache format):
 
-  term    ::= rat ['*' factors]
-  factors ::= ('t'INT['^'INT] | 'h'['^'INT] | 'N'['^'INT] | 'j'['^'INT]) {'*' ...}
+  text    ::= ['+'|'-'] term {('+' | '++' | '+-' | '-') term}
+  term    ::= INT ['/' INT] {'*' factor}
+  factor  ::= ('t'INT | 'h' | 'N' | 'j') ['^' ['-'] INT]      INT ::= digits
 
-terms joined by '+'/'-', rationals printed as "p/q" in lowest terms,
-negative exponents allowed for h ("h^-2").  The zero polynomial prints "0".
+Whitespace is ignored, a bare integer is a rational, factors may come in
+any order and repeated factors add; t-indices and t-exponents are >= 1,
+N- and j-exponents >= 0, h-exponents may be negative.  The first faulty
+term raises: ZeroDivisionError for a zero denominator, else ValueError.
+The printer writes "p/q" in lowest terms, then h, N, j and t_k by
+increasing k; zero is "0".  Each direction is one pass per polynomial:
+canonical_text sorts the monomials once and the atoms by one int key;
+parse_polynomial makes one anchored match per atom and one Coefficient
+per monomial.
 """
 
 from __future__ import annotations
@@ -283,8 +291,7 @@ class Coefficient:
         return _canonical(out, self.den * den)
 
     def __repr__(self):
-        return join_terms([_atom_text(v, self.den, *_cunpack(k))
-                           for k, v in sorted(self.terms.items())])
+        return _terms_text([(v, self.den, _hnj_text(k)) for k, v in sorted(self.terms.items())])
 
 
 def _ratio(q) -> tuple[int, int]:
@@ -545,104 +552,117 @@ def weighted_degree(p: TimePolynomial):
     return degs.pop() if len(degs) == 1 else INHOMOGENEOUS
 
 
-def _atoms(p: TimePolynomial):
-    for m, c in p.terms.items():
-        for k, v in c.terms.items():
-            h, n, j = _cunpack(k)
-            yield (h, m.degree, m, -n, -j), (h, n, j, m, v, c.den)
-
-
-def term_texts(p: TimePolynomial) -> list[str]:
-    """The signed term strings of p in canonical order, one per atom.
-
-    Atom order: h-exponent asc, weighted degree asc, lexicographic on the
-    (variable, exponent) pairs, then N- and j-exponent descending.
-    """
-    return [_atom_text(v, den, h, n, j, m)
-            for _, (h, n, j, m, v, den) in sorted(_atoms(p), key=lambda kv: kv[0])]
-
-
-def _atom_text(v: int, den: int, h: int, n: int, j: int, exps=()) -> str:
-    """One signed term: the rational v/den in lowest terms ("p/q"), then its
-    h, N, j and t factors."""
-    g = gcd(v, den)
-    s = f"{v // g}/{den // g}"
-    for name, e in (("h", h), ("N", n), ("j", j)):
+def _hnj_text(key: int) -> str:
+    """The h, N and j factors of a packed key ("*h^-2*N")."""
+    s = ""
+    for name, e in zip("hNj", _cunpack(key)):
         if e:
-            s += f"*{name}" + (f"^{e}" if e != 1 else "")
-    for k, e in exps:
-        s += f"*t{k}" + (f"^{e}" if e != 1 else "")
+            s += f"*{name}^{e}" if e != 1 else f"*{name}"
     return s
 
 
-def join_terms(bits: list[str]) -> str:
-    """Join signed term strings into one text; no terms gives "0"."""
-    out = []
-    for b in bits:
-        if out and not b.startswith("-"):
-            out.append("+")
-        out.append(b)
-    return "".join(out) or "0"
+def _terms_text(atoms) -> str:
+    """The (numerator, denominator, factor text) atoms as signed terms
+    "p/q<factors>", p/q in lowest terms; no atoms give "0"."""
+    bits = [f"{'+' if v > 0 else ''}{v // (g := gcd(v, den))}/{den // g}{f}" for v, den, f in atoms]
+    return "".join(bits).removeprefix("+") or "0"
 
 
-def split_terms(s: str) -> list[str]:
-    """Split whitespace-free text into signed terms (inverse of join_terms);
-    a '-' directly after '^' is an exponent sign, not a term boundary."""
-    pieces, cur = [], ""
-    for ch in s:
-        if ch in "+-" and cur and not cur.endswith("^"):
-            pieces.append(cur)
-            cur = ch if ch == "-" else ""
-        else:
-            cur += ch
-    pieces.append(cur)
-    return pieces
+_LOW32 = (1 << 32) - 1
 
 
 def canonical_text(p: TimePolynomial) -> str:
-    """Deterministic serialization; parses back to an equal polynomial."""
-    return join_terms(term_texts(p))
+    """Deterministic serialization; parses back to an equal polynomial.
+    Atoms go by h ascending, then monomial (weighted degree, then its (k, e)
+    pairs), then N and j descending: the monomials are sorted once, and an
+    atom's order is one int, (h, rank) over the complement of its (N, j)."""
+    monos = sorted(p.terms, key=lambda m: (m.degree, m))
+    rows = []
+    tfactors: dict[tuple, str] = {}  # (k, e) -> "*t<k>^<e>"
+    for rank, m in enumerate(monos):
+        suffix = ""
+        for ke in m:
+            t = tfactors.get(ke)
+            if t is None:
+                t = tfactors[ke] = f"*t{ke[0]}^{ke[1]}" if ke[1] != 1 else f"*t{ke[0]}"
+            suffix += t
+        c = p.terms[m]
+        for key, v in c.terms.items():
+            rows.append(((((key >> 32) * len(monos) + rank) << 32) - (key & _LOW32),
+                         key, v, c.den, suffix))
+    rows.sort()  # the orders are distinct: only they are compared
+    hnj = {key: _hnj_text(key) for key in {row[1] for row in rows}}
+    return _terms_text([(v, den, hnj[key] + suffix) for _, key, v, den, suffix in rows])
 
 
-_TERM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)((?:\*(?:t\d+|[hNj])(?:\^-?\d+)?)*)$")
-_FACTOR_RE = re.compile(r"\*(t(\d+)|[hNj])(?:\^(-?\d+))?")
+# One atom: its sign ('+', '++', '+-' or '-'; the text is read with a '+' in
+# front, so the first atom's optional sign is a separator too), rational and
+# factors, up to the next separator or the end.
+_ATOM_RE = re.compile(r"(\+[+-]?|-)(\d+)(?:/(\d+))?((?:\*(?:t\d+|[hNj])(?:\^-?\d+)?)*)(?=[+-]|\Z)")
+_SLOTS = {"h": 0, "N": -1, "j": -2}  # a factor's variable is k >= 1 for t_k, -i for [h, N, j][i]
+
+
+def _read_factors(text: str, tokens: dict) -> tuple[int, TimeMonomial]:
+    """(packed h/N/j key, t-monomial) of a factor string that _ATOM_RE
+    matched; repeated factors add.  tokens holds the (variable, exponent)
+    of each factor token read so far in this parse."""
+    hnj = [0, 0, 0]
+    tvars: dict[int, int] = {}
+    for tok in text.split("*")[1:]:
+        ke = tokens.get(tok)
+        if ke is None:
+            name, _, exp = tok.partition("^")
+            e = int(exp) if exp else 1
+            if name[0] == "t":
+                k = int(name[1:])
+                if k < 1 or e < 1:
+                    raise ValueError(f"bad t-factor {tok!r}")
+            elif e < 0 and name != "h":
+                raise ValueError(f"negative {name} exponent")
+            else:
+                k = _SLOTS[name]
+            ke = tokens[tok] = k, e
+        k, e = ke
+        if k > 0:
+            tvars[k] = tvars.get(k, 0) + e
+        else:
+            hnj[-k] += e
+    return _ckey(*hnj), TimeMonomial(sorted(tvars.items()))
 
 
 def parse_polynomial(text: str) -> TimePolynomial:
-    """Parse the canonical text grammar (bare integers allowed as rationals)."""
-    s = "".join(text.split())
-    if not s:
-        raise ValueError("empty polynomial text")
-    if s == "0":
-        return TimePolynomial.zero()
-    out = TimePolynomial.zero()
-    for piece in split_terms(s):
-        mt = _TERM_RE.match(piece)
-        if not mt:
-            raise ValueError(f"bad term {piece!r}")
-        num, _, den = mt.group(1).partition("/")
-        p, r = int(num), int(den or 1)
+    """Parse canonical text (module docstring): one anchored match per atom,
+    each distinct factor string read once, and each monomial's atoms summed
+    as numerators over the lcm of their denominators into one Coefficient."""
+    s = "+" + "".join(text.split())
+    pos, end = 0, len(s)
+    match = _ATOM_RE.match
+    factors: dict[str, tuple] = {}  # factor string -> (key, atoms of its monomial)
+    tokens: dict[str, tuple] = {}
+    monos: dict[TimeMonomial, list] = {}  # monomial -> [(key, p, r), ...]
+    while pos < end:
+        mt = match(s, pos)
+        if mt is None:
+            raise ValueError(f"bad term at {s[pos:pos + 32]!r}")
+        sign, num, den, ftext = mt.groups()
+        p = int(num)
+        r = int(den) if den else 1
         if not r:
-            raise ZeroDivisionError(f"zero denominator in {piece!r}")
-        h = n = j = 0
-        tvars: dict[int, int] = {}
-        for fm in _FACTOR_RE.finditer(mt.group(2)):
-            name, tidx, exp = fm.group(1), fm.group(2), fm.group(3)
-            e = int(exp) if exp is not None else 1
-            if tidx is not None:
-                k = int(tidx)
-                if e < 1:
-                    raise ValueError(f"bad t-exponent in {piece!r}")
-                tvars[k] = tvars.get(k, 0) + e
-            elif name == "h":
-                h += e
-            elif name == "N":
-                if e < 0:
-                    raise ValueError("negative N exponent")
-                n += e
-            else:
-                if e < 0:
-                    raise ValueError("negative j exponent")
-                j += e
-        out.add_term(TimeMonomial.from_dict(tvars), _atom(p, r, _ckey(h, n, j)))
-    return out
+            raise ZeroDivisionError(f"zero denominator in {mt.group()!r}")
+        f = factors.get(ftext)
+        if f is None:
+            key, mono = _read_factors(ftext, tokens)
+            f = factors[ftext] = key, monos.setdefault(mono, [])
+        f[1].append((f[0], -p if sign[-1] == "-" else p, r))
+        pos = mt.end()
+    out: dict[TimeMonomial, Coefficient] = {}
+    for mono, atoms in monos.items():
+        den = lcm(*[atom[2] for atom in atoms])
+        nums: dict[int, int] = {}
+        for key, p, r in atoms:
+            nums[key] = nums.get(key, 0) + p * (den // r)
+        if not all(nums.values()):
+            nums = {k: v for k, v in nums.items() if v}
+        if nums:
+            out[mono] = _canonical(nums, den)
+    return TimePolynomial(out)

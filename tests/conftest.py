@@ -5,17 +5,23 @@ rational coefficient, the test-only views items_hnj, times_h and a Schur
 table's coefficient, the pair-at-a-time references mul_into (products)
 and derivative (differentiation), the term-by-term z-derivative dz of a
 Laurent series with the zero test and equality of series, the
-canonical-form check, operators built from their canonical view with
-equality, text, sums, scalings and products (Op, operator_text), the
-whole constraint operator from its h-graded parts, a generator's operator
-from its term list, the Euler operator and commutators, and the paper's
-odd-index BGW cut-and-join operator as a reference."""
+canonical-form check, the per-piece text references (split_terms,
+reference_parse, term_texts, join_terms, reference_text), operators built
+from their canonical view with equality, text, sums, scalings and products
+(Op, operator_text), source mutants and the property check they must fail
+(mutant, fails_its_property), the whole constraint operator from its
+h-graded parts, a generator's operator from its term list, the Euler
+operator and commutators, and the paper's odd-index BGW cut-and-join
+operator as a reference."""
 
 from __future__ import annotations
 
+import inspect
+import re
+import types
 from math import gcd
 
-from hypothesis import strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from bgwtau.algebra import (
     COEFF_ONE,
@@ -23,11 +29,11 @@ from bgwtau.algebra import (
     Coefficient,
     TimeMonomial,
     TimePolynomial,
+    _atom,
+    _ckey,
     _cunpack,
     add_into,
-    join_terms,
     merged,
-    term_texts,
 )
 from bgwtau.operators import DiffOperator
 from bgwtau.rational import QQ
@@ -151,6 +157,103 @@ def as_rational(c: Coefficient):
     return out
 
 
+# The text references: the per-piece parser and the per-atom renderer that
+# algebra.parse_polynomial and algebra.canonical_text replace.
+
+
+def split_terms(s: str) -> list[str]:
+    """Split whitespace-free text into signed terms (inverse of join_terms);
+    a '-' directly after '^' is an exponent sign, not a term boundary."""
+    pieces, cur = [], ""
+    for ch in s:
+        if ch in "+-" and cur and not cur.endswith("^"):
+            pieces.append(cur)
+            cur = ch if ch == "-" else ""
+        else:
+            cur += ch
+    pieces.append(cur)
+    return pieces
+
+
+_TERM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)((?:\*(?:t\d+|[hNj])(?:\^-?\d+)?)*)$")
+_FACTOR_RE = re.compile(r"\*(t(\d+)|[hNj])(?:\^(-?\d+))?")
+
+
+def reference_parse(text: str) -> TimePolynomial:
+    """The canonical text grammar read one piece of split_terms at a time,
+    each atom a canonical Coefficient added into its monomial."""
+    s = "".join(text.split())
+    if not s:
+        raise ValueError("empty polynomial text")
+    if s == "0":
+        return TimePolynomial.zero()
+    out = TimePolynomial.zero()
+    for piece in split_terms(s):
+        mt = _TERM_RE.match(piece)
+        if not mt:
+            raise ValueError(f"bad term {piece!r}")
+        num, _, den = mt.group(1).partition("/")
+        p, r = int(num), int(den or 1)
+        if not r:
+            raise ZeroDivisionError(f"zero denominator in {piece!r}")
+        h = n = j = 0
+        tvars: dict[int, int] = {}
+        for fm in _FACTOR_RE.finditer(mt.group(2)):
+            name, tidx, exp = fm.group(1), fm.group(2), fm.group(3)
+            e = int(exp) if exp is not None else 1
+            if tidx is not None:
+                k = int(tidx)
+                if k < 1 or e < 1:
+                    raise ValueError(f"bad t-factor in {piece!r}")
+                tvars[k] = tvars.get(k, 0) + e
+            elif name == "h":
+                h += e
+            elif name == "N":
+                if e < 0:
+                    raise ValueError("negative N exponent")
+                n += e
+            else:
+                if e < 0:
+                    raise ValueError("negative j exponent")
+                j += e
+        out.add_term(TimeMonomial.from_dict(tvars), _atom(p, r, _ckey(h, n, j)))
+    return out
+
+
+def term_texts(p: TimePolynomial) -> list[str]:
+    """The signed term strings of p in canonical order, one per atom: h
+    ascending, weighted degree ascending, lexicographic on the (variable,
+    exponent) pairs, then N- and j-exponent descending."""
+    atoms = []
+    for m, c in p.terms.items():
+        for k, v in c.terms.items():
+            h, n, j = _cunpack(k)
+            atoms.append(((h, m.degree, m, -n, -j), (h, n, j, m, v, c.den)))
+    out = []
+    for _, (h, n, j, m, v, den) in sorted(atoms, key=lambda kv: kv[0]):
+        g = gcd(v, den)
+        s = f"{v // g}/{den // g}"
+        for name, e in (("h", h), ("N", n), ("j", j), *((f"t{k}", e) for k, e in m)):
+            if e:
+                s += f"*{name}" + (f"^{e}" if e != 1 else "")
+        out.append(s)
+    return out
+
+
+def join_terms(bits: list[str]) -> str:
+    """Join signed term strings into one text; no terms gives "0"."""
+    out = []
+    for b in bits:
+        if out and not b.startswith("-"):
+            out.append("+")
+        out.append(b)
+    return "".join(out) or "0"
+
+
+def reference_text(p: TimePolynomial) -> str:
+    return join_terms(term_texts(p))
+
+
 # Random polynomials (Hypothesis): coefficients of one to three atoms with
 # mixed denominators, h^-2..h^2 and powers of N and j; monomials in t1..t4.
 coefficients = st.lists(
@@ -173,6 +276,30 @@ def polynomials(draw):
     for mono, c in draw(st.lists(st.tuples(monomials, coefficients), max_size=6)):
         p.add_term(mono, c)
     return p
+
+
+def mutant(fn, old: str, new: str = ""):
+    """fn with one fragment of its source replaced; its globals stay fn's
+    live module, so a name patched there reaches it."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1
+    namespace = dict(fn.__globals__)
+    exec(source.replace(old, new), namespace)
+    return types.FunctionType(namespace[fn.__name__].__code__, fn.__globals__, fn.__name__,
+                              fn.__defaults__)
+
+
+def fails_its_property(test, *strategies, max_examples: int = 300) -> bool:
+    """Whether a Hypothesis property fails on its strategies, drawn
+    deterministically; the first failure is enough."""
+    check = settings(max_examples=max_examples, deadline=None, database=None, derandomize=True,
+                     phases=[Phase.generate], report_multiple_bugs=False)(
+        given(*strategies)(test.hypothesis.inner_test))
+    try:
+        check()
+    except AssertionError:
+        return True
+    return False
 
 
 def marker_poly(monomials) -> TimePolynomial:

@@ -8,7 +8,16 @@ from math import gcd, inf
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import as_rational, items_hnj, poly_term
+from conftest import (
+    as_rational,
+    fails_its_property,
+    items_hnj,
+    monomials_up_to,
+    mutant,
+    poly_term,
+    reference_parse,
+    reference_text,
+)
 from bgwtau import algebra
 from bgwtau.algebra import (
     MONO_ONE,
@@ -471,3 +480,88 @@ def test_parse_reduces_to_lowest_terms():
     assert canonical_text(parse_polynomial("2/4*h-6/3*t1")) == "-2/1*t1+1/2*h"
     with pytest.raises(ZeroDivisionError):
         parse_polynomial("1/0*h")
+
+
+# ---------------------------------------------------------------------------
+# canonical text against the per-piece references (conftest)
+
+
+def _polynomial_of(atoms) -> TimePolynomial:
+    p = TimePolynomial.zero()
+    for mono, a, b, h, n, j in atoms:
+        p.add_term(mono, Coefficient.monomial(QQ(a, b), h=h, n=n, j=j))
+    return p
+
+
+# random polynomials: up to 24 atoms on the 12 monomials of degree <= 4, so
+# that several share one; h^-2..h^2, N^0..N^3, j^0..j^2, denominators up to
+# 30 that need not divide one another
+_rich_polynomials = st.lists(
+    st.tuples(st.sampled_from(monomials_up_to(4)), st.integers(-9, 9).filter(bool),
+              st.integers(1, 30), st.integers(-2, 2), st.integers(0, 3), st.integers(0, 2)),
+    max_size=24).map(_polynomial_of)
+# random text: characters of the grammar, and near-canonical atoms whose
+# signs, rationals and factors may be bad
+_ATOM_PARTS = (("", "+", "-", "++", "+-", "--", "-+", " - "),
+               ("0", "1", "2", "12", "480", "007"),
+               ("", "/0", "/3", "/4", "/12", "/", "/-2"),
+               ("*t1", "*t2^2", "*t0", "*t1^0", "*t1^+2", "*h", "*h^-2", "*h^0", "*N",
+                "*N^2", "*N^-1", "*j^2", "*t3*N", "^2", "*", " "))
+_texts = st.one_of(
+    st.text(alphabet="0123456789/*^+-thNj ", max_size=24),
+    st.lists(st.tuples(*(st.sampled_from(part) for part in _ATOM_PARTS[:3]),
+                       st.lists(st.sampled_from(_ATOM_PARTS[3]), max_size=3).map("".join)),
+             min_size=1, max_size=4).map(lambda atoms: "".join("".join(a) for a in atoms)))
+
+
+def parse_outcome(parse, text):
+    """The polynomial parse reads from text, or the class of what it raises."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rich_polynomials.map(reference_text) | _texts)
+@example("480/0-")
+@example("+-1*t1")
+@example("1+-2*t1-3/2*t1")
+@example("1*t0*t1")
+@example(" -1/2 * t2*N*h^-1 *t2 ++ 3*N^2*t1*j - 0/5*t7")
+def test_parse_matches_the_per_piece_reference(text):
+    """The one-pass parser reads every text as the per-piece reference does:
+    the same polynomial or the same exception class, the first bad atom in
+    text order deciding which."""
+    assert parse_outcome(algebra.parse_polynomial, text) == parse_outcome(reference_parse, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rich_polynomials)
+def test_canonical_text_matches_the_per_atom_reference(p):
+    assert algebra.canonical_text(p) == reference_text(p)
+
+
+@pytest.mark.parametrize("old, new", [
+    # the first atom's sign read as a separator: "+-1" is accepted at the start
+    ('"+" + "".join(text.split())', '"+" + "".join(text.split()).removeprefix("+")'),
+    # the '-' of a '+-' separator dropped
+    ('sign[-1] == "-"', 'sign == "-"'),
+])
+def test_the_parse_property_sees_a_bad_tokenizer(monkeypatch, old, new):
+    monkeypatch.setattr(algebra, "parse_polynomial", mutant(algebra.parse_polynomial, old, new))
+    assert fails_its_property(test_parse_matches_the_per_piece_reference,
+                              _rich_polynomials.map(reference_text) | _texts)
+
+
+def test_the_text_property_sees_n_powers_in_ascending_order(monkeypatch):
+    monkeypatch.setattr(algebra, "canonical_text",
+                        mutant(algebra.canonical_text, "- (key & _LOW32)", "+ (key & _LOW32)"))
+    assert fails_its_property(test_canonical_text_matches_the_per_atom_reference,
+                              _rich_polynomials)
+
+
+@pytest.mark.parametrize("text", ["1*t0", "1*t0*t1", "1/2*t1*t00^2"])
+def test_parse_rejects_a_t_index_below_1(text):
+    with pytest.raises(ValueError):
+        parse_polynomial(text)

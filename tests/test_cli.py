@@ -194,6 +194,19 @@ def test_cache_round_trip(tmp_path):
     assert loaded.coeffs == T.coeffs
 
 
+@pytest.mark.parametrize("m, N, K", [(1, "symbolic", 12), (2, QQ(7, 11), 6)])
+def test_cache_round_trip_of_long_coefficients(tmp_path, m, N, K):
+    """Entries whose monomials carry many atoms (symbolic N: up to 13 over
+    a 20-digit denominator) or large rational denominators."""
+    T = tau_expand(m, N, K)
+    cache_store(T, tmp_path)
+    loaded = cache_load(m, N, K, tmp_path)
+    assert loaded is not None
+    assert loaded.coeffs == T.coeffs
+    if N == "symbolic":
+        assert max(len(c.terms) for p in T.coeffs for c in p.terms.values()) > 10
+
+
 def test_cache_rejects_corruption(tmp_path):
     T = tau_expand(2, QQ(1, 2), 3)
     path = cache_store(T, tmp_path)
@@ -233,7 +246,8 @@ def write_unparseable_entry(directory: Path, m: int, N, K: int, line: str) -> No
     _cache_path(directory, header).write_text(f"{text}\nchecksum={digest}\n")
 
 
-@pytest.mark.parametrize("line", ["1/0*t1", "t1^"])
+@pytest.mark.parametrize("line", ["1/0*t1", "t1^", "+-1*t1", "1--2*t1", "1-+2", "1+", "1*t1^0",
+                                  "1*N^-1", "1*t1^+2", "1*t0"])
 def test_cache_entry_that_does_not_parse_is_a_miss(tmp_path, capsys, line):
     write_unparseable_entry(tmp_path, 1, QQ(0), 2, line)
     assert cache_load(1, QQ(0), 2, tmp_path) is None

@@ -18,6 +18,7 @@ from conftest import (
     op_of,
     operator_text,
     polynomials,
+    split_terms,
     w_bgw,
     whole,
 )
@@ -27,7 +28,6 @@ from bgwtau.algebra import (
     TimeMonomial,
     TimePolynomial,
     parse_polynomial,
-    split_terms,
 )
 from bgwtau import algebra
 from bgwtau.operators import (

@@ -1,17 +1,15 @@
 """Schur polynomials and the Miwa-determinant oracle."""
 
-import inspect
 import random
-import types
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, prod
 
 import pytest
-from hypothesis import Phase, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import as_rational, coefficient, partitions, poly_term
+from conftest import as_rational, coefficient, fails_its_property, mutant, partitions, poly_term
 from bgwtau import schur
 from bgwtau.algebra import (
     Coefficient,
@@ -203,35 +201,11 @@ def test_vector_walk_matches_the_per_mu_reference(vec):
     assert schur.schur_in_times(vec) == combination_reference(vec)
 
 
-def schur_mutant(fn, old: str, new: str = ""):
-    """fn with one fragment of its source replaced; its globals stay the
-    live schur module, so a patched phi_terms reaches it."""
-    source = inspect.getsource(fn)
-    assert source.count(old) == 1
-    namespace = dict(vars(schur))
-    exec(source.replace(old, new), namespace)
-    return types.FunctionType(namespace[fn.__name__].__code__, vars(schur), fn.__name__,
-                              fn.__defaults__)
-
-
-def fails_its_property(test, strategy) -> bool:
-    """Whether a Hypothesis property fails on its strategy, drawn
-    deterministically; the first failure is enough."""
-    check = settings(max_examples=300, deadline=None, database=None, derandomize=True,
-                     phases=[Phase.generate], report_multiple_bugs=False)(
-        given(strategy)(test.hypothesis.inner_test))
-    try:
-        check()
-    except AssertionError:
-        return True
-    return False
-
-
 def test_the_vector_walk_property_sees_a_walk_without_the_common_denominator(monkeypatch):
     """Negative control: a walk that reads each entry's numerators without
     bringing them over the common denominator D fails the property above."""
     monkeypatch.setattr(schur, "schur_in_times",
-                        schur_mutant(schur_in_times, "x * (D // c.den)", "x"))
+                        mutant(schur_in_times, "x * (D // c.den)", "x"))
     assert fails_its_property(test_vector_walk_matches_the_per_mu_reference, _vectors)
 
 
@@ -641,7 +615,7 @@ def test_the_column_property_sees_a_step_without_the_rescale(monkeypatch):
     denominator but leaves the numerators it holds over the old one fails
     the property above."""
     rescale = "                    for key in nums:\n                        nums[key] *= up\n"
-    monkeypatch.setattr(schur, "plucker_expansion", schur_mutant(plucker_expansion, rescale))
+    monkeypatch.setattr(schur, "plucker_expansion", mutant(plucker_expansion, rescale))
     assert fails_its_property(test_column_pass_matches_the_tuple_walk_on_any_columns,
                               _column_cases())
 

@@ -20,6 +20,13 @@ byte-identical can be checked against digests recorded before it.  Each command 
 `python -m bgwtau.cli ...` from the root of the checkout with `src` on
 PYTHONPATH; none of them reads or writes the disk cache (expand and
 free-energy run with --no-cache).
+
+The WARM commands (expand and free-energy at m = 1, 2, rational and
+symbolic N, one in JSON; each also in COMMANDS) run with the disk cache
+too: each one twice into a fresh private temporary --cache-dir in place of
+--no-cache, a cold run that stores the expansion and then a warm run that
+must be served from it (the stored file is left as it was).  Both runs
+must match the recorded --no-cache digest and exit code.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -116,15 +124,45 @@ COMMANDS = (
     "phi --m 6 --depth 10 --format json",
     "verify --suite ks --m 1 --N=-9/13 --depth 16",
 )
+WARM = (
+    "expand --m 1 --N 0 --order 12 --no-cache",
+    "expand --m 1 --N symbolic --order 30 --no-cache",
+    "expand --m 2 --N 7/11 --order 12 --no-cache",
+    "expand --m 2 --N symbolic --order 6 --no-cache --format json",
+    "free-energy --m 1 --N symbolic --order 24 --no-cache",
+    "free-energy --m 2 --N 7/11 --order 10 --no-cache",
+    "free-energy --m 2 --N symbolic --order 8 --no-cache",
+)
 
 
-def run(command: str) -> dict:
-    """{"sha256": digest of stdout, "exit": exit code} of one CLI command."""
+def run(command: str, *extra: str) -> dict:
+    """{"sha256": digest of stdout, "exit": exit code} of one CLI command,
+    extra arguments appended."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "bgwtau.cli", *command.split()],
+    proc = subprocess.run([sys.executable, "-m", "bgwtau.cli", *command.split(), *extra],
                           cwd=ROOT, env=env, stdout=subprocess.PIPE)
     return {"sha256": hashlib.sha256(proc.stdout).hexdigest(), "exit": proc.returncode}
+
+
+def warm_problems(command: str, want: dict) -> list[str]:
+    """What is wrong with a cold store and a warm hit of command (a --no-cache
+    command) in one fresh cache directory: a run whose digest or exit code
+    differs from want, or a warm run that stored the file again."""
+    out = []
+    with tempfile.TemporaryDirectory() as cdir:
+        cached = command.replace("--no-cache", "")
+        cold = run(cached, "--cache-dir", cdir)
+        stored = [p.stat() for p in Path(cdir).glob("*.tau")]
+        warm = run(cached, "--cache-dir", cdir)
+        after = [p.stat() for p in Path(cdir).glob("*.tau")]
+        for name, got in (("cold", cold), ("warm", warm)):
+            if got != want:
+                out.append(f"{name} run got {got}, recorded {want}")
+        if len(stored) != 1 or [(s.st_ino, s.st_mtime_ns) for s in stored] != \
+                [(s.st_ino, s.st_mtime_ns) for s in after]:
+            out.append("the warm run was not served from the stored file")
+    return out
 
 
 def main(argv=None) -> int:
@@ -140,8 +178,16 @@ def main(argv=None) -> int:
     bad = [c for c in COMMANDS if got[c] != want.get(c)]
     for c in bad:
         print(f"cli-digests: {c}: got {got[c]}, recorded {want.get(c)}")
-    print(f"cli-digests: {'FAIL' if bad else 'OK'} ({len(COMMANDS) - len(bad)}/{len(COMMANDS)} match)")
-    return 1 if bad else 0
+    warm_bad = 0
+    for c in WARM:
+        problems = warm_problems(c, want[c])
+        warm_bad += bool(problems)
+        for p in problems:
+            print(f"cli-digests: warm {c}: {p}")
+    ok = not bad and not warm_bad
+    print(f"cli-digests: {'OK' if ok else 'FAIL'} ({len(COMMANDS) - len(bad)}/{len(COMMANDS)} match,"
+          f" {len(WARM) - warm_bad}/{len(WARM)} warm hits match)")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
