@@ -300,12 +300,17 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of argv: only the subcommand argv[0] names, under the usage
+    line of all six, or else all six (for the help page and usage errors)."""
     ap = argparse.ArgumentParser(
         prog="bgwtau",
         description="Exact topological expansions of higher BGW tau-functions",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    names = ("expand", "free-energy", "phi", "schur", "verify", "cache")
+    chosen = [name for name in names if name in argv[:1]] or names
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar="{" + ",".join(names) + "}" if len(chosen) == 1 else None)
 
     def common(p, order=True):
         p.add_argument("--m", type=int_at_least(1), default=2, help="branching index m >= 1")
@@ -320,45 +325,47 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--no-cache", action="store_true")
 
-    p = sub.add_parser("expand", help="topological expansion tau_0..tau_K")
-    common(p)
-    cached(p)
-    p.add_argument("--degree", type=int_at_least(0), default=None,
-                   help="weighted-degree bound (with --oracle)")
-    p.add_argument("--oracle", action="store_true", help="use the determinant oracle (any m)")
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("free-energy", help="log tau coefficients F^1..F^K")
-    common(p)
-    cached(p)
-    p.add_argument("--oracle", action="store_true")
-    p.set_defaults(func=cmd_free_energy)
-
-    p = sub.add_parser("phi", help="basis-vector series coefficients")
-    common(p, order=False)
-    p.add_argument("--j", type=parse_j, default="symbolic", help='basis index (integer) or "symbolic"')
-    p.add_argument("--depth", type=int_at_least(0), default=4)
-    p.set_defaults(func=cmd_phi)
-
-    p = sub.add_parser("schur", help="Schur-expansion coefficients C_mu")
-    common(p, order=False)
-    p.add_argument("--degree", type=int_at_least(0), default=6)
-    p.add_argument("--points", type=int_at_least(0), default=None,
-                   help="Miwa points, at least --degree (default: --degree)")
-    p.set_defaults(func=cmd_schur)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    common(p)
-    p.add_argument("--suite", required=True,
-                   help="comma list: checksums, golden-A/B/C/inline, constraints,"
-                        " hirota, crosscheck, ks, invariants, all")
-    p.add_argument("--depth", type=int_at_least(0), default=20)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("cache", help="expansion cache maintenance")
-    p.add_argument("action", choices=("dir", "list", "clear"))
-    p.add_argument("--cache-dir", default=None)
-    p.set_defaults(func=cmd_cache)
+    if "expand" in chosen:
+        p = sub.add_parser("expand", help="topological expansion tau_0..tau_K")
+        common(p)
+        cached(p)
+        p.add_argument("--degree", type=int_at_least(0), default=None,
+                       help="weighted-degree bound (with --oracle)")
+        p.add_argument("--oracle", action="store_true", help="use the determinant oracle (any m)")
+        p.set_defaults(func=cmd_expand)
+    if "free-energy" in chosen:
+        p = sub.add_parser("free-energy", help="log tau coefficients F^1..F^K")
+        common(p)
+        cached(p)
+        p.add_argument("--oracle", action="store_true")
+        p.set_defaults(func=cmd_free_energy)
+    if "phi" in chosen:
+        p = sub.add_parser("phi", help="basis-vector series coefficients")
+        common(p, order=False)
+        p.add_argument("--j", type=parse_j, default="symbolic",
+                       help='basis index (integer) or "symbolic"')
+        p.add_argument("--depth", type=int_at_least(0), default=4)
+        p.set_defaults(func=cmd_phi)
+    if "schur" in chosen:
+        p = sub.add_parser("schur", help="Schur-expansion coefficients C_mu")
+        common(p, order=False)
+        p.add_argument("--degree", type=int_at_least(0), default=6)
+        p.add_argument("--points", type=int_at_least(0), default=None,
+                       help="Miwa points, at least --degree (default: --degree)")
+        p.set_defaults(func=cmd_schur)
+    if "verify" in chosen:
+        p = sub.add_parser("verify", help="run verification suites")
+        common(p)
+        p.add_argument("--suite", required=True,
+                       help="comma list: checksums, golden-A/B/C/inline, constraints,"
+                            " hirota, crosscheck, ks, invariants, all")
+        p.add_argument("--depth", type=int_at_least(0), default=20)
+        p.set_defaults(func=cmd_verify)
+    if "cache" in chosen:
+        p = sub.add_parser("cache", help="expansion cache maintenance")
+        p.add_argument("action", choices=("dir", "list", "clear"))
+        p.add_argument("--cache-dir", default=None)
+        p.set_defaults(func=cmd_cache)
     # a negative fraction such as -1/2 is a value, as -3 is: no option looks like a number
     for p in sub.choices.values():
         p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
@@ -366,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser(argv)
     args = ap.parse_args(argv)
     if args.command == "expand" and args.degree is not None and not args.oracle:
         ap.error("--degree needs --oracle (the recursion takes --order)")

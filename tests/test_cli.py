@@ -416,7 +416,7 @@ COSTLY_DEFAULTS = {"expand": ("--order",), "free-energy": ("--order",),
 
 @st.composite
 def cli_argvs(draw):
-    command = draw(st.sampled_from(sorted(GRAMMAR) + ["bogus"]))
+    command = draw(st.sampled_from(sorted(GRAMMAR) + ["bogus", "-h", "--help", "--", ""]))
     argv = [command]
     if command == "cache":
         argv.append(draw(st.sampled_from(("dir", "list", "clear", "purge"))))
@@ -426,7 +426,7 @@ def cli_argvs(draw):
         argv.append(flag)
         if POOLS[flag] is not None:
             argv.append(draw(st.sampled_from(POOLS[flag] + JUNK)))
-    argv += draw(st.lists(st.sampled_from(("--bogus", "extra", "--m")), max_size=1))
+    argv += draw(st.lists(st.sampled_from(("--bogus", "extra", "--m", "-h")), max_size=1))
     return argv
 
 
@@ -464,6 +464,49 @@ def run_in_process(argv):
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+USAGE = json.loads(Path(__file__).with_name("cli_usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE, ids=lambda case: " ".join(case["argv"]) or "(none)")
+def test_help_and_usage_error_text(monkeypatch, case):
+    """The exact stdout, stderr and exit code of every help page and of the
+    usage errors, recorded when main built all six subparsers on every call.
+    COLUMNS fixes argparse's wrap width."""
+    monkeypatch.setenv("COLUMNS", "80")
+    want = tuple("".join(line + "\n" for line in case[k]) for k in ("stdout", "stderr"))
+    assert run_in_process(case["argv"]) == (case["exit"], *want)
+
+
+def registered(ap) -> list[str]:
+    """The subcommands ap parses: those whose "<command> -h" prints help."""
+    out = []
+    for command in GRAMMAR:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                ap.parse_args([command, "-h"])
+            except SystemExit as exc:
+                if exc.code == 0:
+                    out.append(command)
+    return out
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["expand", "--m", "1"], ["expand"]),
+    (["cache", "dir"], ["cache"]),
+    ([], list(GRAMMAR)),
+    (["-h"], list(GRAMMAR)),
+    (["bogus"], list(GRAMMAR)),
+])
+def test_parser_configures_only_the_named_subcommand(argv, want):
+    assert registered(cli.build_parser(argv)) == want
+
+
+def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["bgwtau", "cache", "dir", "--cache-dir", str(tmp_path)])
+    assert main() == 0
+    assert capsys.readouterr().out == f"{tmp_path}\n"
 
 
 @settings(max_examples=150, deadline=None)

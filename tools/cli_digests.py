@@ -14,8 +14,10 @@ cut-and-join expansions and free energies at m = 1, 2 (rational and
 symbolic N), the oracle expansions at m = 1..4 (symbolic N at m = 1, 2, 3;
 N = 7/11 and -3/13 at m = 1, 2, whose column denominators do not divide
 one another; degree 15 at m = 3 and 16 at m = 4) and the crosscheck suite
-at m = 3, 4, and Schur tables at m = 1..5 (more Miwa points than the
-degree included), so a change that must keep the CLI output
+at m = 3, 4, Schur tables at m = 1..5 (more Miwa points than the
+degree included), and the help page of the program and of each subcommand
+(with COLUMNS=80, so that argparse's wrap width does not depend on the
+terminal), so a change that must keep the CLI output
 byte-identical can be checked against digests recorded before it.  Each command runs as
 `python -m bgwtau.cli ...` from the root of the checkout with `src` on
 PYTHONPATH; none of them reads or writes the disk cache (expand and
@@ -123,6 +125,13 @@ COMMANDS = (
     "phi --m 3 --depth 12",
     "phi --m 6 --depth 10 --format json",
     "verify --suite ks --m 1 --N=-9/13 --depth 16",
+    "-h",
+    "expand -h",
+    "free-energy -h",
+    "phi -h",
+    "schur -h",
+    "verify -h",
+    "cache -h",
 )
 WARM = (
     "expand --m 1 --N 0 --order 12 --no-cache",
@@ -140,6 +149,7 @@ def run(command: str, *extra: str) -> dict:
     extra arguments appended."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    env["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
     proc = subprocess.run([sys.executable, "-m", "bgwtau.cli", *command.split(), *extra],
                           cwd=ROOT, env=env, stdout=subprocess.PIPE)
     return {"sha256": hashlib.sha256(proc.stdout).hexdigest(), "exit": proc.returncode}
