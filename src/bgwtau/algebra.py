@@ -21,6 +21,14 @@ Representation:
                   multiplies, in plain ints, a monomial product being one
                   int addition and each output coefficient reduced once.
 
+Running sums.  Every sum of products (mul_sums, zcalculus._product_sum,
+the schur column step) keeps a running sum [D, {key: numerator}] per
+output key.  A product over d adds its numerators times D/d; a d that does
+not divide D first raises D to lcm(D, d), rescaling the held numerators
+(rescaled, called only when d != D).  Zeros and cancelled keys stay until
+settled reduces each key once, at the end, to a canonical Coefficient
+(_canonical drops zero numerators) and leaves out the keys that cancel.
+
 Binding.  Coefficient.substitute binds N to a rational.  j is bound once
 per basis-vector series: zcalculus.phi_terms builds the powers J^0..J^(2K)
 of the bound value once and evaluates every coefficient from that table by
@@ -238,7 +246,7 @@ class Coefficient:
             return _scaled(b.terms, b.den, va, a.den, ka - _HBASE)
         out: dict[int, int] = {}
         _mul_nums(out, a.terms.items(), list(b.terms.items()))
-        return _canonical({k: v for k, v in out.items() if v}, a.den * b.den)
+        return _canonical(out, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -304,13 +312,15 @@ def _ratio(q) -> tuple[int, int]:
 
 def _atom(p: int, r: int, key: int) -> Coefficient:
     """The one-term Coefficient (p/r) * key, r > 0."""
-    return _canonical({key: p} if p else {}, r)
+    return _canonical({key: p}, r)
 
 
 def _canonical(terms: dict, den: int, common: int | None = None) -> Coefficient:
-    """The Coefficient terms/den in lowest terms; terms holds no zero and
-    den > 0.  Only a factor of common (default den) may divide den and
+    """The Coefficient terms/den in lowest terms, den > 0; zero numerators
+    are dropped.  Only a factor of common (default den) may divide den and
     every numerator."""
+    if not all(terms.values()):
+        terms = {k: v for k, v in terms.items() if v}
     if not terms:
         return Coefficient({})
     if common is None:
@@ -456,10 +466,9 @@ class TimePolynomial:
         return self + (-other)
 
     def __mul__(self, other: "TimePolynomial") -> "TimePolynomial":
-        (a, da), (b, db) = numerators(self), numerators(other)
         sums: dict = {}
-        mul_sums(sums, a, b)
-        return reduced(sums, da * db)
+        mul_sums(sums, *numerators(self), *numerators(other))
+        return reduced(sums)
 
     def scale(self, c) -> "TimePolynomial":
         """Multiply by a coefficient; a nonzero c cannot cancel a term
@@ -511,32 +520,43 @@ def numerators(p: TimePolynomial) -> tuple[list, int]:
 ONE_ROWS = [(0, [(_KEY1, 1)])]  # the polynomial 1 in numerator form over 1
 
 
-def mul_sums(sums: dict, a: list, b: list, r: int = 1) -> None:
-    """sums += r * a * b in place, a and b in numerator form: sums maps each
-    packed output monomial to its int numerator sum (zeros may stay).  The
-    numerators of a are scaled by r once per row; b is iterated once per row
-    of a."""
+def rescaled(acc: list, d: int) -> int:
+    """D/d for adding a product over d into the running sum acc = [D, nums]
+    (module docstring); a d that does not divide D first raises D to
+    lcm(D, d), rescaling the held numerators."""
+    den, nums = acc
+    if den % d:
+        up = d // gcd(den, d)
+        for k in nums:
+            nums[k] *= up
+        den = acc[0] = den * up
+    return den // d
+
+
+def mul_sums(sums: dict, a: list, da: int, b: list, db: int, w: int = 1) -> None:
+    """sums += w * (a/da) * (b/db) in place, a and b in numerator form:
+    sums maps each packed output monomial to its running sum [D, {key:
+    numerator}] (module docstring); b is iterated once per row of a."""
+    d = da * db
+    get = sums.get
     for ma, na in a:
-        if r != 1:
-            na = [(k, v * r) for k, v in na]
         for mb, nb in b:
             mono = ma + mb
-            acc = sums.get(mono)
+            acc = get(mono)
             if acc is None:
-                acc = sums[mono] = {}
-            _mul_nums(acc, na, nb)
+                acc = sums[mono] = [d, {}]
+            _mul_nums(acc[1], na, nb, w if acc[0] == d else rescaled(acc, d) * w)
 
 
-def reduced(sums: dict, den: int) -> TimePolynomial:
-    """The polynomial sums / den: zero numerators are dropped, a monomial
-    whose numerators all cancel is left out, and every other monomial is
-    unpacked and gets one canonical Coefficient."""
-    out: dict[TimeMonomial, Coefficient] = {}
-    for tkey, acc in sums.items():
-        acc = {k: v for k, v in acc.items() if v}
-        if acc:
-            out[tunpack(tkey)] = _canonical(acc, den)
-    return TimePolynomial(out)
+def settled(sums: dict) -> dict:
+    """{key: Coefficient} of a dict of running sums, each reduced once; a
+    key whose sum cancels is left out."""
+    return {key: c for key, (den, nums) in sums.items() if (c := _canonical(nums, den))}
+
+
+def reduced(sums: dict) -> TimePolynomial:
+    """The polynomial of mul_sums' running sums, its monomials unpacked."""
+    return TimePolynomial({tunpack(tkey): c for tkey, c in settled(sums).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +681,7 @@ def parse_polynomial(text: str) -> TimePolynomial:
         nums: dict[int, int] = {}
         for key, p, r in atoms:
             nums[key] = nums.get(key, 0) + p * (den // r)
-        if not all(nums.values()):
-            nums = {k: v for k, v in nums.items() if v}
-        if nums:
-            out[mono] = _canonical(nums, den)
+        c = _canonical(nums, den)
+        if c:
+            out[mono] = c
     return TimePolynomial(out)

@@ -366,9 +366,11 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         p.add_argument("action", choices=("dir", "list", "clear"))
         p.add_argument("--cache-dir", default=None)
         p.set_defaults(func=cmd_cache)
-    # a negative fraction such as -1/2 is a value, as -3 is: no option looks like a number
+    # a negative fraction such as -1/2 is a value, as -3 is: no option looks like a number;
+    # main reports its own usage errors through the subcommand's parser (args.error)
     for p in sub.choices.values():
         p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        p.set_defaults(error=p.error)
     return ap
 
 
@@ -377,12 +379,12 @@ def main(argv=None) -> int:
     ap = build_parser(argv)
     args = ap.parse_args(argv)
     if args.command == "expand" and args.degree is not None and not args.oracle:
-        ap.error("--degree needs --oracle (the recursion takes --order)")
+        args.error("--degree needs --oracle (the recursion takes --order)")
     if "order" in args and args.order is None:
         degree = getattr(args, "degree", None)
         args.order = degree // args.m if degree is not None else 6
     if getattr(args, "points", None) is not None and args.points < args.degree:
-        ap.error("--points must be at least --degree")
+        args.error("--points must be at least --degree")
     try:
         return args.func(args)
     except SystemExit2 as exc:

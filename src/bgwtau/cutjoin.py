@@ -29,7 +29,6 @@ the reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 
 from .algebra import (
     MONO_ONE,
@@ -141,22 +140,21 @@ def free_energy(T: TauExpansion) -> list[TimePolynomial]:
 
       k F_k = k tau_k - sum_{i<k} (i F_i) tau_(k-i)
 
-    in numerator form (algebra.mul_sums): each order is summed over one
-    denominator D, the lcm of den(tau_k) and every den(F_i) den(tau_(k-i)),
-    and each monomial of F_k is reduced once, over D k."""
+    in numerator form, as running sums (algebra): tau_k over its own
+    denominator, each F_i tau_(k-i) over den(F_i) k den(tau_(k-i)) with
+    weight -i."""
     if not T.coeffs or T.coeffs[0] != TimePolynomial.one():
         raise ValueError("not normalized: tau_0 must be 1")
     tau = [numerators(c) for c in T.coeffs]
     F: list[TimePolynomial] = []
     Fn: list[tuple[list, int]] = [([], 1)]  # F_i in numerator form
     for k in range(1, T.order + 1):
-        D = lcm(tau[k][1], *(Fn[i][1] * tau[k - i][1] for i in range(1, k)))
         sums: dict = {}
-        mul_sums(sums, ONE_ROWS, tau[k][0], k * (D // tau[k][1]))
+        mul_sums(sums, ONE_ROWS, 1, *tau[k])
         for i in range(1, k):
-            (fi, di), (ti, dt) = Fn[i], tau[k - i]
-            mul_sums(sums, fi, ti, -i * (D // (di * dt)))
-        F.append(reduced(sums, D * k))
+            fi, di = Fn[i]
+            mul_sums(sums, fi, di * k, *tau[k - i], -i)
+        F.append(reduced(sums))
         Fn.append(numerators(F[-1]))
     return F
 

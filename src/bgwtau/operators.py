@@ -19,10 +19,9 @@ into an operator, raising den at most once per call.
 
 Application runs in plain ints: a DerivativeTable keeps p's derivatives as
 integer numerators over p's own denominator (it is the engine's one
-differentiation routine), apply hands the operator's rows and the table's
-rows to algebra's product kernel (mul_sums), which sums the numerator
-products per output monomial, and each output coefficient is reduced to
-canonical form once, at the end (reduced).  TimePolynomial.__mul__,
+differentiation routine), and apply hands the operator's rows and the
+table's rows to algebra's product kernel (mul_sums, one running sum per
+output monomial, see algebra).  TimePolynomial.__mul__,
 cutjoin.free_energy and verify.hirota_suite share that kernel.
 """
 
@@ -79,9 +78,9 @@ class DiffOperator:
         if self._terms is None:
             self._terms = {}
             for (tk, dm), nums in self.rows.items():
-                nums = {k: v for k, v in nums.items() if v}
-                if nums:
-                    self._terms[tunpack(tk), dm] = _canonical(nums, self.den)
+                c = _canonical(nums, self.den)
+                if c:
+                    self._terms[tunpack(tk), dm] = c
         return self._terms
 
     def add_term(self, coeff: Coefficient, tpart: TimeMonomial, dpart: TimeMonomial) -> None:
@@ -123,18 +122,17 @@ class DiffOperator:
         derivative part differentiates p once per table, so a caller that
         applies several operators to one p shares one table among them.
 
-        Every row meets its derivative in algebra.mul_sums, which adds the
-        numerator products into one int sum per output monomial; each output
-        coefficient is reduced once, over den * table.den, at the end, and a
-        monomial whose sum cancels is left out."""
+        Every row meets its derivative in algebra.mul_sums, over
+        den * table.den; each output coefficient is reduced once, at the
+        end, and a monomial whose sum cancels is left out."""
         if table is None:
             table = DerivativeTable(p)
         sums: dict = {}
         for (tk, dm), nums in self.rows.items():
             entries = table[dm]
             if entries:
-                mul_sums(sums, [(tk, nums.items())], entries)
-        return reduced(sums, self.den * table.den)
+                mul_sums(sums, [(tk, nums.items())], self.den, entries, table.den)
+        return reduced(sums)
 
 
 class DerivativeTable(dict):

@@ -32,14 +32,13 @@ the set of chosen exponents, that is on nu, so merging the tuples that
 reach one nu before the next column is exact.
 
 Both loops run in integer numerators (algebra's numerator form).  The
-column pass keeps, per partition reached in the current column, int
-numerators over a running denominator D: a pair (nu, l) with d =
-den(C_nu) den(c_{j,l}) that does not divide D first rescales the held
-numerators to lcm(D, d), then adds its numerator products times
-sign * D/d.  Each partition is reduced once per column, to a canonical
-Coefficient.  schur_in_times brings its vector over one denominator D, the
-lcm of its entries' denominators; a hook move adds or subtracts numerator
-dicts, and each leaf lam gets one canonical Coefficient over D z_lam.
+column pass keeps one running sum (algebra) per partition reached in the
+current column: a pair (nu, l) adds its numerator products over
+den(C_nu) den(c_{j,l}) with weight sign, and each partition is reduced
+once per column.  schur_in_times brings its vector over one denominator
+D, the lcm of its entries' denominators; a hook move adds or subtracts
+numerator dicts, and each leaf lam gets one canonical Coefficient over
+D z_lam.
 """
 
 from __future__ import annotations
@@ -47,9 +46,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from math import factorial, lcm, prod
 
-from .algebra import Coefficient, TimeMonomial, TimePolynomial, _canonical, _mul_nums
+from .algebra import (Coefficient, TimeMonomial, TimePolynomial, _canonical, _mul_nums, rescaled,
+                      settled)
 from .cutjoin import SCHUR_ORACLE, TauExpansion
 from .operators import n_coeff
 from .zcalculus import phi_terms
@@ -155,18 +155,9 @@ def plucker_expansion(m: int, N, degree: int, points: int | None = None) -> Plue
                 acc = get(mu)
                 if acc is None:
                     step[mu] = acc = [d, {}]
-                den, nums = acc
-                if den % d:
-                    up = d // gcd(den, d)
-                    for key in nums:
-                        nums[key] *= up
-                    den = acc[0] = den * up
-                _mul_nums(nums, c.terms.items(), coeff.terms.items(), den // d * sign)
-        table = {}
-        for mu, (den, nums) in step.items():
-            nums = {key: v for key, v in nums.items() if v}
-            if nums:
-                table[mu] = _canonical(nums, den)
+                _mul_nums(acc[1], c.terms.items(), coeff.terms.items(),
+                          sign if acc[0] == d else rescaled(acc, d) * sign)
+        table = settled(step)
     return PlueckerTable(m, N, degree, table)
 
 

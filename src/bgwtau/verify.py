@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
 from pathlib import Path
 
 from .algebra import ONE_ROWS, TimeMonomial, TimePolynomial, mul_sums, parse_polynomial, tunpack
@@ -179,13 +178,13 @@ def constraint_suite(m: int, N, T: TauExpansion) -> Report:
     return rep
 
 
-def _combination(*terms) -> list:
+def _combination(den: int, *terms) -> list:
     """The integer combination sum w * rows of (w, rows) pairs whose rows are
-    in numerator form over one denominator, over that denominator too."""
+    in numerator form over den, over den too."""
     sums: dict = {}
     for w, rows in terms:
-        mul_sums(sums, ONE_ROWS, rows, w)
-    rows = ((mono, [(k, v) for k, v in acc.items() if v]) for mono, acc in sums.items())
+        mul_sums(sums, ONE_ROWS, 1, rows, den, w)
+    rows = ((mono, [(k, v) for k, v in nums.items() if v]) for mono, (_, nums) in sums.items())
     return [(mono, nums) for mono, nums in rows if nums]
 
 
@@ -204,8 +203,8 @@ def hirota_suite(T: TauExpansion) -> Report:
     once per order; the symmetric part is taken once per unordered pair,
     weight 6 off the diagonal and 3 on it.  Every derivative of tau[a] comes
     from one DerivativeTable, in numerator form over its den_a; the h^p
-    residual is summed in numerators over the lcm D_p of the den_a den_(p-a)
-    and only tested for zero, so no coefficient is reduced."""
+    residual is summed as running sums (algebra) and only tested for zero,
+    so no coefficient is reduced."""
     rep = Report()
     if T.order < 2:
         raise ValueError("hirota suite needs order K >= 2")
@@ -219,21 +218,19 @@ def hirota_suite(T: TauExpansion) -> Report:
 
     tau, d1, d11, d111, d1111 = dd(), dd((1, 1)), dd((1, 2)), dd((1, 3)), dd((1, 4))
     d2, d22, d3, d13 = dd((2, 1)), dd((2, 2)), dd((3, 1)), dd((1, 1), (3, 1))
-    A = [_combination((1, x), (3, y), (-4, z)) for x, y, z in zip(d1111, d22, d13)]
-    B = [_combination((4, x), (-4, y)) for x, y in zip(d3, d111)]
+    A = [_combination(d, (1, x), (3, y), (-4, z)) for d, x, y, z in zip(dens, d1111, d22, d13)]
+    B = [_combination(d, (4, x), (-4, y)) for d, x, y in zip(dens, d3, d111)]
     for p in range(0, T.order + 1):
-        pair_dens = [dens[a] * dens[p - a] for a in range(p + 1)]
-        D = lcm(*pair_dens)
-        r = [D // d for d in pair_dens]
         sums: dict = {}
         for a in range(0, p + 1):
-            mul_sums(sums, tau[a], A[p - a], r[a])
-            mul_sums(sums, d1[a], B[p - a], r[a])
+            da, db = dens[a], dens[p - a]
+            mul_sums(sums, tau[a], da, A[p - a], db)
+            mul_sums(sums, d1[a], da, B[p - a], db)
         for a in range(0, p // 2 + 1):
-            w = (3 if 2 * a == p else 6) * r[a]
-            mul_sums(sums, d11[a], d11[p - a], w)
-            mul_sums(sums, d2[a], d2[p - a], -w)
-        left = [tunpack(tk) for tk, acc in sums.items() if any(acc.values())]
+            da, db, w = dens[a], dens[p - a], 3 if 2 * a == p else 6
+            mul_sums(sums, d11[a], da, d11[p - a], db, w)
+            mul_sums(sums, d2[a], da, d2[p - a], db, -w)
+        left = [tunpack(tk) for tk, (_, nums) in sums.items() if any(nums.values())]
         bad = f"residual at {min(left, key=lambda mm: (mm.degree, mm))!r}" if left else ""
         rep.add(suite, f"h^{p}", not bad, bad)
     return rep

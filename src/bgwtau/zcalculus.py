@@ -28,11 +28,9 @@ coefficient c_n = numerators/den whose falling factorial is nonzero; its
 reach is the largest kept exponent, or floor - k - 1 if none is kept, as for
 the derivative taken term by term.  _product_sum takes (view, view, int
 weight) triples (compose passes the binomial C(i, s), apply and * pass 1)
-and keeps, per output z-power, int numerators over a running denominator D:
-a pair with denominator d = d1 d2 that does not divide D first rescales the
-held numerators to lcm(D, d), then adds its numerator products times
-(D/d) w w1 w2.  Each z-power is reduced once, at the end, to a canonical
-Coefficient.
+and keeps one running sum (algebra) per output z-power: a pair adds its
+numerator products over d1 d2 with weight w w1 w2, and each z-power is
+reduced once, at the end.
 
 No bound.  A bound is an int or -inf, and -inf means "no bound": a floor
 of -inf is exact everywhere, the top and reach of a known zero are -inf, and
@@ -68,9 +66,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, gcd, inf, lcm, prod
+from math import comb, factorial, inf, lcm, prod
 
-from .algebra import _KEY1, COEFF_ONE, Coefficient, _canonical, _mul_nums, add_into, merged
+from .algebra import (_KEY1, COEFF_ONE, Coefficient, _canonical, _mul_nums, add_into, merged,
+                      rescaled, settled)
 from .operators import n_coeff
 from .rational import QQ
 from .report import Report
@@ -263,8 +262,7 @@ def _views(s: LaurentSeries, n: int) -> list[tuple]:
 
 def _product_sum(triples: list, cut=-inf) -> LaurentSeries:
     """sum w*a*b over the triples (view a, view b, int w): the one product
-    loop of the module, in int numerators over a running denominator per
-    z-power (module docstring).  Its floor is the largest of cut and the
+    loop of the module, one running sum per z-power (module docstring).  Its floor is the largest of cut and the
     product floors, and no coefficient below it is computed."""
     fl = cut
     for (fa, ra, _), (fb, rb, _), _ in triples:
@@ -282,19 +280,8 @@ def _product_sum(triples: list, cut=-inf) -> LaurentSeries:
                 acc = get(n)
                 if acc is None:
                     sums[n] = acc = [d, {}]
-                den, nums = acc
-                if den % d:
-                    up = d // gcd(den, d)
-                    for k in nums:
-                        nums[k] *= up
-                    den = acc[0] = den * up
-                _mul_nums(nums, t1, t2, den // d * w1 * w2)
-    out: dict[int, Coefficient] = {}
-    for n, (den, nums) in sums.items():
-        nums = {k: v for k, v in nums.items() if v}
-        if nums:
-            out[n] = _canonical(nums, den)
-    return LaurentSeries(out, fl)
+                _mul_nums(acc[1], t1, t2, w1 * w2 if acc[0] == d else rescaled(acc, d) * w1 * w2)
+    return LaurentSeries(settled(sums), fl)
 
 
 def z_commutator(a: ZOperator, b: ZOperator) -> ZOperator:
@@ -380,7 +367,7 @@ def _phi_coefficients(m: int, K: int) -> tuple:
     out = [{} for _ in range(K + 1)]
     for (k, r), w in weight.items():
         _mul_nums(out[k], ((_KEY1, w),), nums[r])
-    return tuple(_canonical({key: v for key, v in acc.items() if v}, den * L) for acc in out)
+    return tuple(_canonical(acc, den * L) for acc in out)
 
 
 def phi_terms(m: int, K: int, j: Coefficient) -> list[Coefficient]:
@@ -488,11 +475,11 @@ def ks_operators(m: int, N, depth: int) -> KSOperators:
             out: dict[int, int] = {}
             _mul_nums(out, ((h1, -D),), lower.items())
             _mul_nums(out, [(h1, c0 - (o + 1 - m * k) * D), *hn], same.items())
-            row.append({key: v for key, v in out.items() if v})
+            row.append(out)
         e.append(row)
     d = ZOperator(
-        {o: LaurentSeries({1 - m * k + o: _canonical(ek[o], D ** k)
-                           for k, ek in enumerate(e[o:], o) if ek[o]})
+        {o: LaurentSeries({1 - m * k + o: eko for k, ek in enumerate(e[o:], o)
+                           if (eko := _canonical(ek[o], D ** k))})
          for o in range(k_max + 1)},
         1 - m * (k_max + 1),
     )

@@ -9,7 +9,8 @@ canonical-form check, the per-piece text references (split_terms,
 reference_parse, term_texts, join_terms, reference_text), operators built
 from their canonical view with equality, text, sums, scalings and products
 (Op, operator_text), source mutants and the property check they must fail
-(mutant, fails_its_property), the whole constraint operator from its
+(mutant, fails_its_property; rescale_skipped, the running-sum rescale
+without its rescale loop), the whole constraint operator from its
 h-graded parts, a generator's operator from its term list, the Euler
 operator and commutators, and the paper's odd-index BGW cut-and-join
 operator as a reference."""
@@ -34,6 +35,7 @@ from bgwtau.algebra import (
     _cunpack,
     add_into,
     merged,
+    rescaled,
 )
 from bgwtau.operators import DiffOperator
 from bgwtau.rational import QQ
@@ -287,6 +289,14 @@ def mutant(fn, old: str, new: str = ""):
     exec(source.replace(old, new), namespace)
     return types.FunctionType(namespace[fn.__name__].__code__, fn.__globals__, fn.__name__,
                               fn.__defaults__)
+
+
+def rescale_skipped():
+    """algebra.rescaled without its rescale loop: it raises a running
+    denominator but leaves the numerators held over the old one.  Every
+    product sum calls it through its own module's name, where a control
+    patches it."""
+    return mutant(rescaled, "        for k in nums:\n            nums[k] *= up\n")
 
 
 def fails_its_property(test, *strategies, max_examples: int = 300) -> bool:

@@ -245,9 +245,9 @@ def test_packing_round_trips_and_multiplies_as_the_tuple_monomials(a, b):
         assert algebra.tunpack(algebra.tpack(m)) == m
         assert type(algebra.tunpack(algebra.tpack(m))) is TimeMonomial
     sums: dict = {}
-    rows = [[(algebra.tpack(m), [(algebra._KEY1, 1)])] for m in (a, b)]
-    algebra.mul_sums(sums, *rows)
-    assert algebra.reduced(sums, 1) == TimePolynomial({a * b: Coefficient.one()})
+    ra, rb = ([(algebra.tpack(m), [(algebra._KEY1, 1)])] for m in (a, b))
+    algebra.mul_sums(sums, ra, 1, rb, 1)
+    assert algebra.reduced(sums) == TimePolynomial({a * b: Coefficient.one()})
 
 
 def test_packing_check_sees_a_field_with_no_headroom(monkeypatch):
@@ -390,10 +390,18 @@ def assert_canonical(c: Coefficient):
 
 @settings(max_examples=200, deadline=None)
 @given(ref_coefficients, ref_coefficients, small_fractions, st.integers(-2, 2),
-       st.integers(-4, 4))
-def test_coefficient_ring_matches_fraction_reference(ra, rb, q, k, p):
+       st.integers(-4, 4), st.lists(EXPS, max_size=3))
+def test_coefficient_ring_matches_fraction_reference(ra, rb, q, k, p, zero_exps):
+    """The ring operations, and _canonical on a's numerators held unreduced
+    (times 6) with zero numerators at zero_exps mixed in, and on zeros
+    alone: the zeros are dropped, and all zeros give zero over 1."""
     a, b = build(ra), build(rb)
+    held = {key: v * 6 for key, v in a.terms.items()}
+    with_zeros = {**{algebra._ckey(*e): 0 for e in zero_exps}, **held}
+    assert algebra._canonical(with_zeros, a.den * 6) == algebra._canonical(held, a.den * 6)
     results = [
+        (algebra._canonical(with_zeros, a.den * 6), ra),
+        (algebra._canonical(dict.fromkeys(with_zeros, 0), a.den * 6), {}),
         (a + b, ref_add(ra, rb)),
         (a - b, ref_add(ra, {key: -v for key, v in rb.items()})),
         (-a, {key: -v for key, v in ra.items()}),

@@ -472,8 +472,10 @@ USAGE = json.loads(Path(__file__).with_name("cli_usage.json").read_text())
 @pytest.mark.parametrize("case", USAGE, ids=lambda case: " ".join(case["argv"]) or "(none)")
 def test_help_and_usage_error_text(monkeypatch, case):
     """The exact stdout, stderr and exit code of every help page and of the
-    usage errors, recorded when main built all six subparsers on every call.
-    COLUMNS fixes argparse's wrap width."""
+    usage errors, recorded when main built all six subparsers on every call;
+    the two errors main reports itself were re-recorded when it began to
+    report them through the subcommand's parser.  COLUMNS fixes argparse's
+    wrap width."""
     monkeypatch.setenv("COLUMNS", "80")
     want = tuple("".join(line + "\n" for line in case[k]) for k in ("stdout", "stderr"))
     assert run_in_process(case["argv"]) == (case["exit"], *want)

@@ -9,7 +9,8 @@ from math import factorial, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import as_rational, coefficient, fails_its_property, mutant, partitions, poly_term
+from conftest import (as_rational, coefficient, fails_its_property, mutant, partitions, poly_term,
+                      rescale_skipped)
 from bgwtau import schur
 from bgwtau.algebra import (
     Coefficient,
@@ -611,11 +612,10 @@ def test_column_pass_matches_the_tuple_walk_on_any_columns(case):
 
 
 def test_the_column_property_sees_a_step_without_the_rescale(monkeypatch):
-    """Negative control: a column step that raises a partition's running
-    denominator but leaves the numerators it holds over the old one fails
-    the property above."""
-    rescale = "                    for key in nums:\n                        nums[key] *= up\n"
-    monkeypatch.setattr(schur, "plucker_expansion", mutant(plucker_expansion, rescale))
+    """Negative control: a column step whose shared rescale raises a
+    partition's running denominator but leaves the numerators it holds over
+    the old one fails the property above."""
+    monkeypatch.setattr(schur, "rescaled", rescale_skipped())
     assert fails_its_property(test_column_pass_matches_the_tuple_walk_on_any_columns,
                               _column_cases())
 

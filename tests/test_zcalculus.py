@@ -11,7 +11,7 @@ from conftest import (
     dz,
     fails_its_property,
     items_hnj,
-    mutant,
+    rescale_skipped,
     series_eq,
     series_is_zero,
 )
@@ -382,11 +382,11 @@ def test_compose_and_apply_match_the_full_product_reference_on_any_operator(a, b
 
 
 def test_the_reference_property_sees_a_kernel_that_skips_the_rescale(monkeypatch):
-    """Negative control: a product kernel that raises a z-power's running
-    denominator but leaves the numerators it already holds over the old one
-    fails the property above (its strategy draws non-nested denominators)."""
-    rescale = "                    for k in nums:\n                        nums[k] *= up\n"
-    monkeypatch.setattr(zcalculus, "_product_sum", mutant(zcalculus._product_sum, rescale))
+    """Negative control: a product kernel whose shared rescale raises a
+    z-power's running denominator but leaves the numerators it already holds
+    over the old one fails the property above (its strategy draws non-nested
+    denominators)."""
+    monkeypatch.setattr(zcalculus, "rescaled", rescale_skipped())
     assert fails_its_property(
         test_compose_and_apply_match_the_full_product_reference_on_any_operator,
         _operators, _operators, _series, max_examples=400)
