@@ -221,11 +221,8 @@ class Coefficient:
             return _canonical(merged(self.terms, other.terms), da)
         g = gcd(da, db)
         ma, mb = db // g, da // g
-        # a prime of the new denominator that is not in g divides da or db
-        # only, and every numerator of that operand is prime to it: only g
-        # can cancel
         return _canonical(merged({k: v * ma for k, v in self.terms.items()},
-                                 {k: v * mb for k, v in other.terms.items()}), da * ma, g)
+                                 {k: v * mb for k, v in other.terms.items()}), da * ma)
 
     def __neg__(self) -> "Coefficient":
         return Coefficient({k: -v for k, v in self.terms.items()}, self.den)
@@ -304,10 +301,10 @@ class Coefficient:
 
 def _ratio(q) -> tuple[int, int]:
     """(p, r), q = p/r in lowest terms with r > 0, for an int, a QQ, or
-    anything QQ() accepts; int() lets a gmpy2 mpq through as well."""
+    anything QQ() accepts."""
     if not hasattr(q, "denominator"):
         q = QQ(q)
-    return int(q.numerator), int(q.denominator)
+    return q.numerator, q.denominator
 
 
 def _atom(p: int, r: int, key: int) -> Coefficient:
@@ -315,18 +312,15 @@ def _atom(p: int, r: int, key: int) -> Coefficient:
     return _canonical({key: p}, r)
 
 
-def _canonical(terms: dict, den: int, common: int | None = None) -> Coefficient:
+def _canonical(terms: dict, den: int) -> Coefficient:
     """The Coefficient terms/den in lowest terms, den > 0; zero numerators
-    are dropped.  Only a factor of common (default den) may divide den and
-    every numerator."""
+    are dropped."""
     if not all(terms.values()):
         terms = {k: v for k, v in terms.items() if v}
     if not terms:
         return Coefficient({})
-    if common is None:
-        common = den
-    if common != 1:
-        g = gcd(common, *terms.values())
+    if den != 1:
+        g = gcd(den, *terms.values())
         if g != 1:
             return Coefficient({k: v // g for k, v in terms.items()}, den // g)
     return Coefficient(terms, den)

@@ -23,7 +23,6 @@ import os
 import re
 import sys
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 from . import ENGINE_VERSION
@@ -41,15 +40,14 @@ from .zcalculus import phi_coefficients, phi_series_gen
 
 
 def parse_n(text: str):
-    """The --N value: "symbolic", or a rational read by the fractions.Fraction
-    grammar, so that what --N accepts does not depend on the QQ backend."""
+    """The --N value: "symbolic", or a rational in the fractions.Fraction
+    grammar ("1/2", "-3", "1e3", "1_000", " 1/2")."""
     if text == "symbolic":
         return "symbolic"
     try:
-        q = Fraction(text)
+        return QQ(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad N value {text!r}") from exc
-    return QQ(q.numerator, q.denominator)
 
 
 def int_at_least(lo: int):
@@ -376,8 +374,9 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap = build_parser(argv)
-    args = ap.parse_args(argv)
+    args, extra = build_parser(argv).parse_known_args(argv)
+    if extra:
+        args.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "expand" and args.degree is not None and not args.oracle:
         args.error("--degree needs --oracle (the recursion takes --order)")
     if "order" in args and args.order is None:

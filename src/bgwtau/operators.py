@@ -98,7 +98,7 @@ class DiffOperator:
         if not c:
             return
         self._terms = None
-        ws = [(int(w.numerator), int(w.denominator)) for w, _, _ in terms]
+        ws = [(w.numerator, w.denominator) for w, _, _ in terms]
         den = lcm(self.den, *(c.den * q for _, q in ws))
         if den != self.den:
             f = den // self.den

@@ -305,7 +305,7 @@ def _exp_table(m: int, K: int) -> tuple:
     for l in range(3, cap + 3):
         # factor exp(tstar_l phi^l): sum_s (c_l phi^l u^(l-2))^s / s!
         cl = QQ(prod(range(m + 2, m + l)), factorial(l))  # (m+l-1)! / ((m+1)! l!)
-        cn, cd = int(cl.numerator), int(cl.denominator)
+        cn, cd = cl.numerator, cl.denominator
         smax = cap // (l - 2)
         if smax == 0:
             break

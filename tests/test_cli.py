@@ -361,20 +361,12 @@ def test_negative_n_reads_the_same_spaced_or_with_equals(capsys, argv, n):
     assert spaced[0] == 0 and spaced[1]
 
 
-def test_n_grammar_does_not_depend_on_the_qq_backend(capsys, monkeypatch):
-    """--N is read by the fractions.Fraction grammar and then converted, so a
-    QQ constructor that parses no strings (as gmpy2's mpq parses its own
-    way) still reads "1e3", "1_000" and " 1/2" as before."""
+def test_n_reads_the_fraction_grammar(capsys):
+    """--N reads any string fractions.Fraction reads: "1e3" and "1_000" give
+    the output of "1000", and " 1/2" that of "1/2"."""
     expand = ("expand", "--m", "2", "--order", "2", "--no-cache")
     want = {text: run_cli(capsys, *expand, "--N", text) for text in ("1000", "1/2")}
     assert all(code == 0 and out for code, out, _ in want.values())
-
-    def qq_without_strings(*args):
-        if any(isinstance(a, str) for a in args):
-            raise ValueError(f"no string parsing: {args!r}")
-        return QQ(*args)
-
-    monkeypatch.setattr(cli, "QQ", qq_without_strings)
     for text, value in (("1e3", "1000"), ("1_000", "1000"), (" 1/2", "1/2")):
         assert run_cli(capsys, *expand, "--N", text) == want[value], text
 
@@ -473,9 +465,9 @@ USAGE = json.loads(Path(__file__).with_name("cli_usage.json").read_text())
 def test_help_and_usage_error_text(monkeypatch, case):
     """The exact stdout, stderr and exit code of every help page and of the
     usage errors, recorded when main built all six subparsers on every call;
-    the two errors main reports itself were re-recorded when it began to
-    report them through the subcommand's parser.  COLUMNS fixes argparse's
-    wrap width."""
+    the two errors main reports itself, and the unrecognized arguments after
+    a subcommand, were re-recorded when main began to report them through
+    the subcommand's parser.  COLUMNS fixes argparse's wrap width."""
     monkeypatch.setenv("COLUMNS", "80")
     want = tuple("".join(line + "\n" for line in case[k]) for k in ("stdout", "stderr"))
     assert run_in_process(case["argv"]) == (case["exit"], *want)
