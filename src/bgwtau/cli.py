@@ -307,7 +307,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     )
     names = ("expand", "free-energy", "phi", "schur", "verify", "cache")
     chosen = [name for name in names if name in argv[:1]] or names
-    sub = ap.add_subparsers(dest="command", required=True,
+    sub = ap.add_subparsers(dest="command",
                             metavar="{" + ",".join(names) + "}" if len(chosen) == 1 else None)
 
     def common(p, order=True):
@@ -374,9 +374,11 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args, extra = build_parser(argv).parse_known_args(argv)
+    args, extra = (ap := build_parser(argv)).parse_known_args(argv)
+    if args.command is None and extra in ([], ["--"]):  # not required=True: argparse would
+        ap.error("the following arguments are required: command")  # report it before -x
     if extra:
-        args.error(f"unrecognized arguments: {' '.join(extra)}")
+        (args.error if args.command else ap.error)(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "expand" and args.degree is not None and not args.oracle:
         args.error("--degree needs --oracle (the recursion takes --order)")
     if "order" in args and args.order is None:

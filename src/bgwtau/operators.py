@@ -15,7 +15,9 @@ terms that can act nontrivially on polynomials of weighted degree <= d.
 Materializing to a larger bound never changes the action on such
 polynomials.  A generator is a list of (weight, tpart, dpart) terms with a
 plain rational weight, each (tpart, dpart) at most once; add_scaled adds it
-into an operator, raising den at most once per call.
+into an operator, raising den at most once per call.  L_m and M_k are one rule,
+(1/n) sum :J_a1...J_an: at n = 2, 3: creation and derivative index multisets A,
+B give one term, weight prod(A)/n times their orderings n!/prod mult!.
 
 Application runs in plain ints: a DerivativeTable keeps p's derivatives as
 integer numerators over p's own denominator (it is the engine's one
@@ -27,7 +29,8 @@ cutjoin.free_energy and verify.hirota_suite share that kernel.
 
 from __future__ import annotations
 
-from math import lcm, perm
+from functools import lru_cache
+from math import factorial, lcm, perm
 
 from .algebra import (
     TMASK,
@@ -179,10 +182,10 @@ class DerivativeTable(dict):
 
 
 # ---------------------------------------------------------------------------
-# Heisenberg-Virasoro and cubic generators, as term lists.  A sum over
-# ordered indexes that is symmetric in them runs over ascending indexes only;
-# the weight counts the orderings that give its monomial, so each (tpart,
-# dpart) comes once, where the ordered sum first reached it.
+# Heisenberg-Virasoro and cubic generators, as term lists: (1/n) sum :J_a1...J_an:
+# over ordered nonzero indexes summing to k.  Indexes -A (J_{-a} = a t_a) and B
+# (J_b = d/dt_b) give prod(A) t^A d^B, as do all n!/prod mult! orderings of the
+# two multisets, so each (t^A, d^B) comes once at weight n!/prod mult! prod(A)/n.
 
 
 def current(k: int) -> list:
@@ -192,71 +195,45 @@ def current(k: int) -> list:
     return [(-k, TimeMonomial.var(-k), MONO_ONE)] if k else []
 
 
-def _pair(a: int, b: int) -> tuple[int, TimeMonomial]:
-    """(orderings of (a, b), t_a t_b) for a <= b."""
-    if a == b:
-        return 1, TimeMonomial(((a, 2),))
-    return 2, TimeMonomial(((a, 1), (b, 1)))
+@lru_cache(maxsize=None)
+def _parts(total: int, count: int) -> tuple:
+    """The multisets of count indexes summing to total, ascending, as (t-monomial,
+    product of the indexes, product of the multiplicities' factorials): each is
+    its smallest index a added to one of count - 1 indexes >= a."""
+    if not count:
+        return ((MONO_ONE, 1, 1),) if not total else ()
+    out = []
+    for a in range(1, total // count + 1):
+        for mono, prod, mult in _parts(total - a, count - 1):
+            b, e = mono[0] if mono else (a + 1, 0)
+            if b >= a:
+                e = e + 1 if b == a else 1  # an a already there raises its power
+                out.append((TimeMonomial(((a, e),) + mono[e > 1:]), a * prod, mult * e))
+    return tuple(out)
 
 
-def _triple(a: int, b: int, c: int) -> tuple[int, TimeMonomial]:
-    """(orderings of (a, b, c), t_a t_b t_c) for a <= b <= c."""
-    if a == c:
-        return 1, TimeMonomial(((a, 3),))
-    if a == b:
-        return 3, TimeMonomial(((a, 2), (c, 1)))
-    if b == c:
-        return 3, TimeMonomial(((a, 1), (b, 2)))
-    return 6, TimeMonomial(((a, 1), (b, 1), (c, 1)))
+def _normal_power(n: int, k: int, bound: int) -> list:
+    """(1/n) sum :J_a1...J_an: to derivative weight <= bound: p = n..0
+    creation indexes A, n - p derivative indexes B, sum(B) - sum(A) = k."""
+    terms, orderings = [], factorial(n)
+    for p in range(n, -1, -1):
+        for sb in range(max(k, 0), bound + 1):
+            creations = _parts(sb - k, p)
+            for dm, _, mb in _parts(sb, n - p) if creations else ():
+                for tm, pa, ma in creations:
+                    w = orderings // (ma * mb) * pa
+                    terms.append((w // n if w % n == 0 else QQ(w, n), tm, dm))
+    return terms
 
 
 def virasoro(m: int, bound: int) -> list:
     """L_m's terms to derivative weight <= bound."""
-    terms = []
-    if m <= -2:
-        # (1/2) a b t_a t_b, a + b = -m
-        for a in range(1, -m // 2 + 1):
-            n, tm = _pair(a, -m - a)
-            terms.append((QQ(n * a * (-m - a), 2), tm, MONO_ONE))
-    for k in range(max(1, 1 - m), bound - m + 1):
-        terms.append((k, TimeMonomial.var(k), TimeMonomial.var(k + m)))
-    if 2 <= m <= bound:
-        # (1/2) d_a d_b, a + b = m
-        for a in range(1, m // 2 + 1):
-            n, dm = _pair(a, m - a)
-            terms.append((QQ(n, 2), MONO_ONE, dm))
-    return terms
+    return _normal_power(2, m, bound)
 
 
 def cubic(k: int, bound: int) -> list:
     """M_k's terms to derivative weight <= bound."""
-    terms = []
-    if k <= -3:
-        # (1/3) a b c t_a t_b t_c, a + b + c = -k
-        for a in range(1, -k // 3 + 1):
-            for b in range(a, (-k - a) // 2 + 1):
-                c = -k - a - b
-                n, tm = _triple(a, b, c)
-                terms.append((QQ(n * a * b * c, 3), tm, MONO_ONE))
-    # a b t_a t_b d_c, a + b = c - k
-    for c in range(1, bound + 1):
-        s = c - k
-        dm = TimeMonomial.var(c)
-        for a in range(1, s // 2 + 1):
-            n, tm = _pair(a, s - a)
-            terms.append((n * a * (s - a), tm, dm))
-    # a t_a d_b d_c, a = b + c - k
-    for b in range(1, bound // 2 + 1):
-        for c in range(max(b, k + 1 - b), bound - b + 1):
-            n, dm = _pair(b, c)
-            terms.append((n * (b + c - k), TimeMonomial.var(b + c - k), dm))
-    if 3 <= k <= bound:
-        # (1/3) d_a d_b d_c, a + b + c = k
-        for a in range(1, k // 3 + 1):
-            for b in range(a, (k - a) // 2 + 1):
-                n, dm = _triple(a, b, k - a - b)
-                terms.append((QQ(n, 3), MONO_ONE, dm))
-    return terms
+    return _normal_power(3, k, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -467,7 +467,8 @@ def test_help_and_usage_error_text(monkeypatch, case):
     usage errors, recorded when main built all six subparsers on every call;
     the two errors main reports itself, and the unrecognized arguments after
     a subcommand, were re-recorded when main began to report them through
-    the subcommand's parser.  COLUMNS fixes argparse's wrap width."""
+    the subcommand's parser, and -x when main began to name an unrecognized
+    argument before any subcommand.  COLUMNS fixes argparse's wrap width."""
     monkeypatch.setenv("COLUMNS", "80")
     want = tuple("".join(line + "\n" for line in case[k]) for k in ("stdout", "stderr"))
     assert run_in_process(case["argv"]) == (case["exit"], *want)

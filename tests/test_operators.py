@@ -14,6 +14,7 @@ from conftest import (
     marker_poly,
     monomials,
     monomials_up_to,
+    mutant,
     not_canonical,
     op_of,
     operator_text,
@@ -29,7 +30,7 @@ from bgwtau.algebra import (
     TimePolynomial,
     parse_polynomial,
 )
-from bgwtau import algebra
+from bgwtau import algebra, operators
 from bgwtau.operators import (
     DerivativeTable,
     DiffOperator,
@@ -259,20 +260,68 @@ def brute_cubic(k: int, bound: int) -> DiffOperator:
     return op
 
 
+# bound 16 is one the engine uses (constraint maxdeg at order 8, W1/W2 at
+# order 9); brute_cubic is O(bound^3), so M_k is checked there on a subset
+# with creation-only, mixed and derivative-only parts and repeated triples
+LARGE_BOUND = 16
+CUBIC_LARGE_INDEXES = (-9, -6, -3, -1, 0, 2, 6, 9)
+
+
+def cubic_cases():
+    """(k, bound) pairs where brute_cubic reaches all of M_k's indexes (its
+    indexes reach 3 bound + 3, all of M_k's when -k <= 2 bound + 3)."""
+    cases = [(k, bound) for k in GENERATOR_INDEXES for bound in GENERATOR_BOUNDS]
+    cases += [(k, LARGE_BOUND) for k in CUBIC_LARGE_INDEXES]
+    return [(k, bound) for k, bound in cases if -k <= 2 * bound + 3]
+
+
+def virasoro_cases():
+    return [(k, bound) for k in GENERATOR_INDEXES for bound in (*GENERATOR_BOUNDS, LARGE_BOUND)]
+
+
 def test_cubic_against_brute_enumeration():
     """The operator of M_k's term list, built with add_scaled, equals the
-    ordered-index enumeration term for term (brute_cubic's indexes reach
-    3 bound + 3, all of M_k's indexes when -k <= 2 bound + 3)."""
-    for k in GENERATOR_INDEXES:
-        for bound in GENERATOR_BOUNDS:
-            if -k <= 2 * bound + 3:
-                assert op_of(cubic(k, bound)) == brute_cubic(k, bound), (k, bound)
+    ordered-index enumeration term for term."""
+    for k, bound in cubic_cases():
+        assert op_of(cubic(k, bound)) == brute_cubic(k, bound), (k, bound)
 
 
 def test_virasoro_against_brute_enumeration():
-    for k in GENERATOR_INDEXES:
-        for bound in GENERATOR_BOUNDS:
-            assert op_of(virasoro(k, bound)) == brute_virasoro(k, bound), (k, bound)
+    for k, bound in virasoro_cases():
+        assert op_of(virasoro(k, bound)) == brute_virasoro(k, bound), (k, bound)
+
+
+def test_brute_enumeration_sees_a_missing_multiplicity_divisor(monkeypatch):
+    """Negative control: a _normal_power that counts every ordering of a
+    multiset with repeated indexes as distinct fails both brute comparisons."""
+    monkeypatch.setattr(operators, "_normal_power",
+                        mutant(operators._normal_power, " // (ma * mb)", ""))
+    assert any(op_of(virasoro(k, b)) != brute_virasoro(k, b) for k, b in virasoro_cases())
+    assert any(op_of(cubic(k, b)) != brute_cubic(k, b) for k, b in cubic_cases())
+
+
+def test_generator_memo_leaks_no_state():
+    """The term lists are the same with the _parts memo cleared before each
+    call and warm, and mutating returned lists leaves the next calls' lists
+    as they were."""
+    cases = [(gen, k, bound) for gen in (virasoro, cubic) for k in GENERATOR_INDEXES
+             for bound in (*GENERATOR_BOUNDS, LARGE_BOUND)]
+
+    def lists(clear: bool) -> list:
+        out = []
+        for gen, k, bound in cases:
+            if clear:
+                operators._parts.cache_clear()
+            out.append(gen(k, bound))
+        return out
+
+    cold = lists(clear=True)
+    want = [list(terms) for terms in cold]
+    assert lists(clear=False) == want
+    for terms in cold:
+        terms[:] = [(w + 1, tm, dm) for w, tm, dm in terms] + [(1, MONO_ONE, MONO_ONE)]
+    assert lists(clear=False) == want
+    assert lists(clear=True) == want
 
 
 def test_commutator_jj():

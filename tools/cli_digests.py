@@ -114,6 +114,8 @@ COMMANDS = (
     "expand --m 1 --N symbolic --order 30 --no-cache",
     "expand --m 2 --N 7/11 --order 12 --no-cache",
     "verify --suite constraints,hirota --m 2 --N symbolic --order 10",
+    "verify --suite constraints --m 2 --N symbolic --order 10",
+    "verify --suite constraints --m 3 --order 4",
     "verify --suite ks --m 3 --N 7/11 --depth 20",
     "verify --suite ks --m 1 --N symbolic --depth 12",
     "verify --suite ks --m 2 --N=-5/13 --depth 20",
