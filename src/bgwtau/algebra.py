@@ -29,10 +29,11 @@ not divide D first raises D to lcm(D, d), rescaling the held numerators
 settled reduces each key once, at the end, to a canonical Coefficient
 (_canonical drops zero numerators) and leaves out the keys that cancel.
 
-Binding.  Coefficient.substitute binds N to a rational.  j is bound once
-per basis-vector series: zcalculus.phi_terms builds the powers J^0..J^(2K)
-of the bound value once and evaluates every coefficient from that table by
-Coefficient.at_j.
+Binding.  Coefficient.bind(shift, powers) sets the variable whose exponent
+field starts at bit shift (_NSHIFT for N, 0 for j) to a value V, given the
+table powers = [V^0, V^1, ...].  substitute binds N to a rational;
+zcalculus.phi_terms builds the powers of the bound j once per basis-vector
+series and binds every coefficient from that table.
 
 All arithmetic is exact; there is no floating point anywhere in this module.
 
@@ -68,17 +69,18 @@ INHOMOGENEOUS = "inhomogeneous"
 # h_exp may be negative (|h_exp| < 2^15); N_exp, j_exp in [0, 2^16).
 _HOFF = 1 << 15
 _HBASE = _HOFF << 32
+_NSHIFT = 16  # the bit where N_exp's field starts; j_exp's starts at 0
 _MASK16 = (1 << 16) - 1
 
 
 def _ckey(h: int, n: int, j: int) -> int:
     if not (-_HOFF < h < _HOFF and 0 <= n < _MASK16 and 0 <= j < _MASK16):
         raise ValueError(f"exponent out of packing range: {(h, n, j)}")
-    return ((h + _HOFF) << 32) | (n << 16) | j
+    return ((h + _HOFF) << 32) | (n << _NSHIFT) | j
 
 
 def _cunpack(key: int) -> tuple[int, int, int]:
-    return (key >> 32) - _HOFF, (key >> 16) & _MASK16, key & _MASK16
+    return (key >> 32) - _HOFF, (key >> _NSHIFT) & _MASK16, key & _MASK16
 
 
 _KEY1 = _ckey(0, 0, 0)
@@ -180,13 +182,15 @@ class Coefficient:
 
     @classmethod
     def rational(cls, q) -> "Coefficient":
-        return _atom(*_ratio(q), _KEY1)
+        p, r = _ratio(q)
+        return _canonical({_KEY1: p}, r)
 
     @classmethod
     def monomial(cls, q, h: int = 0, n: int = 0, j: int = 0) -> "Coefficient":
         if n < 0 or j < 0:
             raise ValueError("N and j exponents must be nonnegative")
-        return _atom(*_ratio(q), _ckey(h, n, j))
+        p, r = _ratio(q)
+        return _canonical({_ckey(h, n, j): p}, r)
 
     @classmethod
     def zero(cls) -> "Coefficient":
@@ -198,9 +202,6 @@ class Coefficient:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coefficient):
@@ -265,34 +266,27 @@ class Coefficient:
             {k - off: v for k, v in self.terms.items() if (k >> 32) - _HOFF == p}, self.den
         )
 
-    def h_range(self) -> tuple[int, int]:
-        hs = [(k >> 32) - _HOFF for k in self.terms]
-        return (min(hs), max(hs)) if hs else (0, 0)
-
     def substitute(self, n) -> "Coefficient":
-        """The value at N = n, a rational: every N^e numerator over the
-        common denominator of the powers of n (_powers)."""
-        nnum, nden = _powers(n, max((k >> 16 & _MASK16 for k in self.terms), default=0))
-        out: dict[int, int] = {}
-        for k, v in self.terms.items():
-            e = k >> 16 & _MASK16
-            add_into(out, k - (e << 16), v * nnum[e])
-        return _canonical(out, self.den * nden)
+        """The value at N = n, a rational."""
+        q, hi = QQ(n), max((k >> _NSHIFT & _MASK16 for k in self.terms), default=0)
+        return self.bind(_NSHIFT, [Coefficient.rational(q ** e) for e in range(hi + 1)])
 
-    def at_j(self, powers: list) -> "Coefficient":
-        """The value at j = J, given powers = [J^0, J^1, ...] up to at least
-        the j-degree of self.  Every numerator is brought over the
-        denominator of the top power used: for J = (c/d) f with f primitive,
-        J^e has denominator exactly d^e, so each lower one divides it."""
-        den = powers[max((k & _MASK16 for k in self.terms), default=0)].den
+    def bind(self, shift: int, powers: list) -> "Coefficient":
+        """The value at V of the variable whose exponent field starts at bit
+        shift (_NSHIFT for N, 0 for j), given powers = [V^0, V^1, ...] up to
+        at least its degree in self.  Every numerator is brought over the
+        denominator of the top power used: for V = (c/d) f with f primitive,
+        V^e has denominator exactly d^e, so each lower one divides it."""
+        mask = _MASK16 << shift
+        den = powers[max((k & mask for k in self.terms), default=0) >> shift].den
         out: dict[int, int] = {}
         for k, v in self.terms.items():
-            e = k & _MASK16
-            jp = powers[e]
-            v *= den // jp.den
-            off = k - e - _HBASE
-            for kj, w in jp.terms.items():
-                add_into(out, kj + off, v * w)
+            f = k & mask
+            vp = powers[f >> shift]
+            v *= den // vp.den
+            off = k - f - _HBASE
+            for kv, w in vp.terms.items():
+                add_into(out, kv + off, v * w)
         return _canonical(out, self.den * den)
 
     def __repr__(self):
@@ -305,11 +299,6 @@ def _ratio(q) -> tuple[int, int]:
     if not hasattr(q, "denominator"):
         q = QQ(q)
     return q.numerator, q.denominator
-
-
-def _atom(p: int, r: int, key: int) -> Coefficient:
-    """The one-term Coefficient (p/r) * key, r > 0."""
-    return _canonical({key: p}, r)
 
 
 def _canonical(terms: dict, den: int) -> Coefficient:
@@ -356,13 +345,6 @@ def _scaled(terms: dict, den: int, p: int, r: int, off: int) -> Coefficient:
             r //= g
             return Coefficient({k + off: v // g * p for k, v in terms.items()}, den * r)
     return Coefficient({k + off: v * p for k, v in terms.items()}, den * r)
-
-
-def _powers(q, hi: int) -> tuple[list[int], int]:
-    """Numerators of q^e for e = 0..hi over the common denominator r^hi,
-    q = p/r: q^e = p^e r^(hi-e) / r^hi."""
-    p, r = _ratio(q)
-    return [p ** e * r ** (hi - e) for e in range(hi + 1)], r ** hi
 
 
 COEFF_ONE = Coefficient.one()
@@ -436,9 +418,6 @@ class TimePolynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, TimePolynomial):
             return NotImplemented
@@ -446,9 +425,6 @@ class TimePolynomial:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def add_term(self, mono: TimeMonomial, coeff: Coefficient) -> None:
-        add_into(self.terms, mono, coeff)
 
     def __add__(self, other: "TimePolynomial") -> "TimePolynomial":
         return TimePolynomial(merged(self.terms, other.terms))
@@ -472,15 +448,14 @@ class TimePolynomial:
             return TimePolynomial({})
         return TimePolynomial({m: c0 * c for m, c0 in self.terms.items()})
 
-    def h_coefficient(self, p: int) -> "TimePolynomial":
-        """Polynomial multiplying h^p, with the h-power stripped."""
-        parts = ((m, c.h_part(p)) for m, c in self.terms.items())
-        return TimePolynomial({m: part for m, part in parts if part})
-
-    def h_range(self) -> tuple[int, int]:
-        """(lowest, highest) h-power over the coefficients; (0, 0) for zero."""
-        spans = [c.h_range() for c in self.terms.values()]
-        return (min(lo for lo, _ in spans), max(hi for _, hi in spans)) if spans else (0, 0)
+    def h_parts(self) -> dict[int, "TimePolynomial"]:
+        """{p: the polynomial multiplying h^p, its h-power stripped} for
+        every h-power p present, in one pass over the coefficients."""
+        parts: dict[int, dict] = {}
+        for m, c in self.terms.items():
+            for p in {(k >> 32) - _HOFF for k in c.terms}:
+                parts.setdefault(p, {})[m] = c.h_part(p)
+        return {p: TimePolynomial(terms) for p, terms in parts.items()}
 
     def variables(self) -> set[int]:
         out: set[int] = set()
@@ -490,10 +465,7 @@ class TimePolynomial:
 
     def substitute(self, n) -> "TimePolynomial":
         """The polynomial at N = n, a rational."""
-        out: dict[TimeMonomial, Coefficient] = {}
-        for m, c in self.terms.items():
-            add_into(out, m, c.substitute(n))
-        return TimePolynomial(out)
+        return TimePolynomial({m: b for m, c in self.terms.items() if (b := c.substitute(n))})
 
     def __repr__(self):
         return canonical_text(self)

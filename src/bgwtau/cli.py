@@ -375,6 +375,8 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args, extra = (ap := build_parser(argv)).parse_known_args(argv)
+    if args.command and extra[:1] == ["--"]:  # argparse leaves the "--" that ends the options
+        del extra[0]
     if args.command is None and extra in ([], ["--"]):  # not required=True: argparse would
         ap.error("the following arguments are required: command")  # report it before -x
     if extra:

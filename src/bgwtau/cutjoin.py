@@ -181,7 +181,7 @@ def check_expansion_invariants(T: TauExpansion) -> Report:
     for k, p in enumerate(T.coeffs):
         if k == 0:
             continue
-        if p.is_zero():
+        if not p:
             rep.add(suite, f"homogeneous[k={k}]", True)
         else:
             d = weighted_degree(p)

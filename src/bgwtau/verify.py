@@ -75,7 +75,7 @@ def load_golden(source: str) -> GoldenTable:
 
 def _first_diff(a: TimePolynomial, b: TimePolynomial) -> str:
     d = a - b
-    if d.is_zero():
+    if not d:
         return ""
     mono = sorted(d.terms, key=lambda m: (m.degree, m))[0]
     got = a.terms.get(mono)
@@ -154,11 +154,8 @@ def constraint_suite(m: int, N, T: TauExpansion) -> Report:
     # tau = sum_k h^k tau_k split by h-power; tau_k itself may carry h
     tau: dict[int, TimePolynomial] = {}
     for k, tk in enumerate(T.coeffs):
-        lo, hi = tk.h_range()
-        for s in range(lo, hi + 1):
-            part = tk.h_coefficient(s)
-            if part:
-                tau[k + s] = tau.get(k + s, TimePolynomial.zero()) + part
+        for s, part in tk.h_parts().items():
+            tau[k + s] = tau.get(k + s, TimePolynomial.zero()) + part
     tables = {q: DerivativeTable(tq) for q, tq in tau.items()}
     p_max = K - 2
     for kind, k_lo in (("J", 1), ("L", 0), ("M", -1)):
@@ -170,7 +167,7 @@ def constraint_suite(m: int, N, T: TauExpansion) -> Report:
                 for e, op_e in parts.items():
                     if p - e in tau:
                         resid = resid + op_e.apply(tau[p - e], tables[p - e])
-                if not resid.is_zero():
+                if resid:
                     mono = sorted(resid.terms, key=lambda mm: (mm.degree, mm))[0]
                     bad = f"h^{p} residual at {mono!r}"
                     break

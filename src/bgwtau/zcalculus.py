@@ -378,25 +378,20 @@ def phi_terms(m: int, K: int, j: Coefficient) -> list[Coefficient]:
     powers = [COEFF_ONE]
     for _ in range(2 * K):
         powers.append(powers[-1] * j)
-    return [c.at_j(powers).times_h(k) for k, c in enumerate(phi_coefficients(m, K))]
+    return [c.bind(0, powers).times_h(k) for k, c in enumerate(phi_coefficients(m, K))]
 
 
-@lru_cache(maxsize=4096)
 def phi_series(m: int, j: int, K: int) -> LaurentSeries:
     """Basis vector Phi_j^(m) = z^(j-1)(1 + ...) to depth K, exact down to
-    z^(j-1-mK)."""
-    terms = phi_terms(m, K, Coefficient.rational(j))
-    return LaurentSeries({j - 1 - m * k: c for k, c in enumerate(terms) if c}, j - 1 - m * K)
+    z^(j-1-mK); phi_series_gen at N = 0, served from its cache."""
+    return phi_series_gen(m, 0, j, K)
 
 
 @lru_cache(maxsize=4096)
 def phi_series_gen(m: int, N, j: int, K: int) -> LaurentSeries:
     """Generalized basis vector Phi_j^(m,N) = z^N Phi_{j-N}^(m): the j -> j-N
     shift applied inside the symbolic-j coefficients, leading power z^(j-1)."""
-    nc = n_coeff(N)
-    if nc.is_zero():
-        return phi_series(m, j, K)
-    terms = phi_terms(m, K, Coefficient.rational(j) - nc)
+    terms = phi_terms(m, K, Coefficient.rational(j) - n_coeff(N))
     return LaurentSeries({j - 1 - m * k: c for k, c in enumerate(terms) if c}, j - 1 - m * K)
 
 
@@ -628,7 +623,7 @@ def check_spectral_curve(m: int, N, j_max: int, depth: int) -> Report:
         coeff = (Coefficient.rational(m + 1 - j) + nc).scale(m + 1) * hpow
         resid = dm.apply(phi).scale(coeff) + b_dm1.apply(phi) - phi
         _series_eq_case(rep, suite, f"curve residual j={j}", resid, LaurentSeries.zero())
-    if m == 1 and nc.is_zero():
+    if m == 1 and not nc:
         bessel = (
             ZOperator.ddz(2)
             + ZOperator.ddz(1).scale(Coefficient.monomial(2, h=-1))
@@ -636,7 +631,7 @@ def check_spectral_curve(m: int, N, j_max: int, depth: int) -> Report:
         )
         phi1 = phi_series(1, 1, K)
         _series_eq_case(rep, suite, "quantum Bessel", bessel.apply(phi1), LaurentSeries.zero())
-    if nc.is_zero() and m >= 2:
+    if not nc and m >= 2:
         hinv = Coefficient.monomial(1, h=-1)
         curve = dm.scale(Coefficient.monomial(m * (m + 1), h=1)) + b_dm1 - ZOperator.identity()
         dh = ks.d.power(m - 1).scale(hinv)

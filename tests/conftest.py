@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import inspect
 import re
+import textwrap
 import types
 from math import gcd
 
@@ -30,7 +31,7 @@ from bgwtau.algebra import (
     Coefficient,
     TimeMonomial,
     TimePolynomial,
-    _atom,
+    _canonical,
     _ckey,
     _cunpack,
     add_into,
@@ -218,7 +219,7 @@ def reference_parse(text: str) -> TimePolynomial:
                 if e < 0:
                     raise ValueError("negative j exponent")
                 j += e
-        out.add_term(TimeMonomial.from_dict(tvars), _atom(p, r, _ckey(h, n, j)))
+        add_into(out.terms, TimeMonomial.from_dict(tvars), _canonical({_ckey(h, n, j): p}, r))
     return out
 
 
@@ -276,14 +277,14 @@ def polynomials(draw):
         return TimePolynomial.zero() if kind == "zero" else TimePolynomial.one()
     p = TimePolynomial.zero()
     for mono, c in draw(st.lists(st.tuples(monomials, coefficients), max_size=6)):
-        p.add_term(mono, c)
+        add_into(p.terms, mono, c)
     return p
 
 
 def mutant(fn, old: str, new: str = ""):
-    """fn with one fragment of its source replaced; its globals stay fn's
-    live module, so a name patched there reaches it."""
-    source = inspect.getsource(fn)
+    """fn (a function or a method) with one fragment of its source replaced;
+    its globals stay fn's live module, so a name patched there reaches it."""
+    source = textwrap.dedent(inspect.getsource(fn))
     assert source.count(old) == 1
     namespace = dict(fn.__globals__)
     exec(source.replace(old, new), namespace)
@@ -317,7 +318,7 @@ def marker_poly(monomials) -> TimePolynomial:
     polynomial equivalent to applications on every monomial separately."""
     p = TimePolynomial({})
     for i, m in enumerate(monomials):
-        p.add_term(m, Coefficient.monomial(1, j=i))
+        add_into(p.terms, m, Coefficient.monomial(1, j=i))
     return p
 
 

@@ -164,7 +164,7 @@ def test_criterion_9_structural_invariants():
     for m in (1, 2, 3):
         s = phi_series(m, 3, 5)
         clean = all(
-            n == 2 - m * ((2 - n) // m) and c.h_range() == ((2 - n) // m,) * 2
+            n == 2 - m * (k := (2 - n) // m) and c.h_part(k).times_h(k) == c
             for n, c in s.coeffs.items()
         )
         rep.add("phi-structure", f"m={m}", clean)

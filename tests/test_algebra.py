@@ -15,8 +15,10 @@ from conftest import (
     monomials_up_to,
     mutant,
     poly_term,
+    polynomials as mixed_polynomials,
     reference_parse,
     reference_text,
+    times_h,
 )
 from bgwtau import algebra
 from bgwtau.algebra import (
@@ -87,11 +89,11 @@ def test_weighted_degree():
 
 
 def test_substitute():
-    assert P("1/1*N*t1^2").substitute(n=0).is_zero()
+    assert not P("1/1*N*t1^2").substitute(n=0)
     # basis-vector coefficient at j -> 1-N
     phi = Coefficient.monomial(QQ(-1, 2), j=2) + Coefficient.monomial(QQ(3, 2), j=1) \
         + Coefficient.rational(QQ(-5, 6))
-    shifted = phi.at_j(powers_of(Coefficient.rational(1) - Coefficient.monomial(1, n=1), 2))
+    shifted = phi.bind(0, powers_of(Coefficient.rational(1) - Coefficient.monomial(1, n=1), 2))
     expect = Coefficient.rational(QQ(1, 6)) + Coefficient.monomial(QQ(-1, 2), n=1) \
         + Coefficient.monomial(QQ(-1, 2), n=2)
     assert shifted == expect
@@ -416,6 +418,32 @@ def test_coefficient_ring_matches_fraction_reference(ra, rb, q, k, p, zero_exps)
         assert ref_of(c) == ref
 
 
+@settings(max_examples=200, deadline=None)
+@given(mixed_polynomials())
+def test_h_parts_split_a_polynomial_by_h_power(p):
+    """h_parts keys exactly the h-powers present; each part is h-free,
+    nonzero and the per-power h_part reference, and sum_p h^p part_p
+    rebuilds p."""
+    parts = p.h_parts()
+    assert set(parts) == {h for c in p.terms.values() for (h, _, _), _ in items_hnj(c)}
+    rebuilt = TimePolynomial.zero()
+    for h, part in parts.items():
+        assert part and all(e[0] == 0 for c in part.terms.values() for e, _ in items_hnj(c))
+        ref = {m: c.h_part(h) for m, c in p.terms.items()}
+        assert part == TimePolynomial({m: c for m, c in ref.items() if c})
+        rebuilt = rebuilt + times_h(part, h)
+    assert rebuilt == p
+
+
+def test_the_h_parts_property_sees_a_dropped_h_power(monkeypatch):
+    """An h_parts that keeps only the first h-power of each coefficient
+    loses the rest of a coefficient that spans two."""
+    first_only = mutant(TimePolynomial.h_parts, "{(k >> 32) - _HOFF for k in c.terms}",
+                        "[(next(iter(c.terms)) >> 32) - _HOFF]")
+    monkeypatch.setattr(TimePolynomial, "h_parts", first_only)
+    assert fails_its_property(test_h_parts_split_a_polynomial_by_h_power, mixed_polynomials())
+
+
 def powers_of(j: Coefficient, top: int) -> list:
     """[j^0, ..., j^top]."""
     out = [Coefficient.one()]
@@ -424,23 +452,37 @@ def powers_of(j: Coefficient, top: int) -> list:
     return out
 
 
+_j_polynomials = st.dictionaries(st.tuples(st.integers(-1, 1), st.integers(0, 2), st.just(0)),
+                                 small_fractions.filter(bool), max_size=3)
+
+
 @settings(max_examples=150, deadline=None)
-@given(ref_coefficients, small_fractions, small_fractions,
-       st.dictionaries(st.tuples(st.integers(-1, 1), st.integers(0, 2), st.just(0)),
-                       small_fractions.filter(bool), max_size=3), st.integers(0, 3))
+@given(ref_coefficients, small_fractions, small_fractions, _j_polynomials, st.integers(0, 3))
 def test_coefficient_substitute_matches_fraction_reference(ra, nq, jq, rj, extra):
-    """substitute binds N; at_j binds j, rational or a polynomial, from a
-    power table that may run past the j-degree (phi_terms passes one table
-    to every coefficient of a series)."""
+    """bind sets N (shift _NSHIFT) to a rational and j (shift 0) to a
+    rational or a polynomial, from a power table that may run past the
+    degree (phi_terms passes one table to every coefficient of a series);
+    substitute is bind at a rational N."""
     a = build(ra)
-    top = max((j for _, _, j in ra), default=0) + extra
+    top = max((max(n, j) for _, n, j in ra), default=0) + extra
+    rational_n = powers_of(Coefficient.rational(nq), top)
     rational_j, poly_j = powers_of(Coefficient.rational(jq), top), powers_of(build(rj), top)
     for c, ref in [(a.substitute(n=nq), ref_substitute(ra, n=nq)),
-                   (a.at_j(rational_j), ref_substitute(ra, j=jq)),
-                   (a.at_j(poly_j), ref_substitute(ra, j=rj)),
-                   (a.substitute(n=nq).at_j(poly_j), ref_substitute(ra, n=nq, j=rj))]:
+                   (a.bind(algebra._NSHIFT, rational_n), ref_substitute(ra, n=nq)),
+                   (a.bind(0, rational_j), ref_substitute(ra, j=jq)),
+                   (a.bind(0, poly_j), ref_substitute(ra, j=rj)),
+                   (a.bind(algebra._NSHIFT, rational_n).bind(0, poly_j),
+                    ref_substitute(ra, n=nq, j=rj))]:
         assert_canonical(c)
         assert ref_of(c) == ref
+
+
+def test_the_binding_property_sees_a_missing_rescale(monkeypatch):
+    """bind brings each power's numerators over the top power's denominator,
+    which each lower one divides; without that rescale the property fails."""
+    monkeypatch.setattr(Coefficient, "bind", mutant(Coefficient.bind, "den // vp.den", "1"))
+    assert fails_its_property(test_coefficient_substitute_matches_fraction_reference, ref_coefficients,
+                              small_fractions, small_fractions, _j_polynomials, st.integers(0, 3))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -497,7 +539,7 @@ def test_parse_reduces_to_lowest_terms():
 def _polynomial_of(atoms) -> TimePolynomial:
     p = TimePolynomial.zero()
     for mono, a, b, h, n, j in atoms:
-        p.add_term(mono, Coefficient.monomial(QQ(a, b), h=h, n=n, j=j))
+        add_into(p.terms, mono, Coefficient.monomial(QQ(a, b), h=h, n=n, j=j))
     return p
 
 

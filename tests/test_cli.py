@@ -468,7 +468,9 @@ def test_help_and_usage_error_text(monkeypatch, case):
     the two errors main reports itself, and the unrecognized arguments after
     a subcommand, were re-recorded when main began to report them through
     the subcommand's parser, and -x when main began to name an unrecognized
-    argument before any subcommand.  COLUMNS fixes argparse's wrap width."""
+    argument before any subcommand; "expand --order 1 -- z" was recorded when
+    main began to drop the "--" after a subcommand.  COLUMNS fixes argparse's
+    wrap width."""
     monkeypatch.setenv("COLUMNS", "80")
     want = tuple("".join(line + "\n" for line in case[k]) for k in ("stdout", "stderr"))
     assert run_in_process(case["argv"]) == (case["exit"], *want)
@@ -496,6 +498,20 @@ def registered(ap) -> list[str]:
 ])
 def test_parser_configures_only_the_named_subcommand(argv, want):
     assert registered(cli.build_parser(argv)) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--order", "1", "--no-cache"),
+    ("phi", "--m", "2", "--depth", "2"),
+    ("cache", "dir", "--cache-dir", "DIR"),
+])
+def test_a_trailing_double_dash_after_a_subcommand_changes_nothing(capsys, tmp_path, argv):
+    """argparse leaves the "--" in the unrecognized arguments; main once
+    reported it as a usage error after every subcommand but cache."""
+    argv = [str(tmp_path) if a == "DIR" else a for a in argv]
+    want = run_cli(capsys, *argv)
+    assert want[0] == 0 and want[1]
+    assert run_cli(capsys, *argv, "--") == want
 
 
 def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):

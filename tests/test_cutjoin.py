@@ -50,7 +50,7 @@ def test_w1_w2_on_constants():
 def test_w1_w2_do_not_commute():
     w1, w2 = w1_w2(0, 12)
     witness = commutator(w1, w2).apply(P("1/1*t1"))
-    assert not witness.is_zero()
+    assert witness
 
 
 def test_tau_expand_first_orders():

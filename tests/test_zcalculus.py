@@ -104,8 +104,7 @@ def test_phi_parity_and_reality():
         for n, c in s.coeffs.items():
             k = (4 - 1 - n) // m
             assert n == 3 - m * k
-            lo, hi = c.h_range()
-            assert lo == hi == k
+            assert c and c.h_part(k).times_h(k) == c
             assert all(ne == 0 and je == 0 for (_, ne, je), _ in items_hnj(c))
 
 

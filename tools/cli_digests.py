@@ -4,7 +4,8 @@ sha256 of each one's stdout and its exit code with tools/cli_digests.json.
     python tools/cli_digests.py            # compare; exit 1 on any difference
     python tools/cli_digests.py --record   # (re)write tools/cli_digests.json
 
-The commands cover every verify suite at m = 1, 2, 3, the ks suite at
+The commands cover every verify suite at m = 1, 2, 3 (three of them with
+--format json, whose summary no text command prints), the ks suite at
 m = 1..4 (N = 0, -1/2, -1, 1/3, 1, 3/2, 7/11, -5/13, -9/13, symbolic, and
 N = -m/2 at m = 4, where the zeroth-order term of the step vanishes; the
 quantum Bessel and closing identity cases included; depth up to 20), the
@@ -127,6 +128,9 @@ COMMANDS = (
     "phi --m 3 --depth 12",
     "phi --m 6 --depth 10 --format json",
     "verify --suite ks --m 1 --N=-9/13 --depth 16",
+    "verify --suite all --m 2 --order 5 --depth 6 --format json",
+    "verify --suite golden-B --format json",
+    "verify --suite constraints,hirota --m 3 --order 3 --format json",
     "-h",
     "expand -h",
     "free-energy -h",

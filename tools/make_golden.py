@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bgwtau.algebra import Coefficient, TimeMonomial, TimePolynomial, canonical_text
+from bgwtau.algebra import Coefficient, TimeMonomial, TimePolynomial, add_into, canonical_text
 from bgwtau.rational import QQ
 
 GOLDEN = Path(__file__).resolve().parent.parent / "src" / "bgwtau" / "golden"
@@ -194,9 +194,7 @@ def to_time_polynomial(poly, m_value=None) -> TimePolynomial:
                 if m_value is None:
                     raise ValueError("unbound m")
                 q = q * QQ(m_value) ** e
-        out.add_term(
-            TimeMonomial.from_dict(tvars), Coefficient.monomial(q, h=h, n=n, j=j)
-        )
+        add_into(out.terms, TimeMonomial.from_dict(tvars), Coefficient.monomial(q, h=h, n=n, j=j))
     return out
 
 
@@ -238,9 +236,9 @@ def main() -> None:
         for k in range(1, 5):
             p = to_time_polynomial(parse_display(blocks[f"Am_{k}"]), m_value=mv)
             files["appendix_a.txt"].append(f"PhiGen[m={mv},k={k}] = {canonical_text(p)}")
-    inline = to_time_polynomial(parse_display(blocks["INLINE"]))
+    inline = to_time_polynomial(parse_display(blocks["INLINE"])).h_parts()
     for k in range(1, 4):
-        files["inline.txt"].append(f"inline[{k}] = {canonical_text(inline.h_coefficient(k))}")
+        files["inline.txt"].append(f"inline[{k}] = {canonical_text(inline[k])}")
 
     sums = []
     for name, lines in files.items():
