@@ -193,10 +193,6 @@ class Coefficient:
         return _canonical({_ckey(h, n, j): p}, r)
 
     @classmethod
-    def zero(cls) -> "Coefficient":
-        return cls({})
-
-    @classmethod
     def one(cls) -> "Coefficient":
         return cls({_KEY1: 1})
 
@@ -361,10 +357,6 @@ class TimeMonomial(tuple):
         if k < 1 or e < 1:
             raise ValueError("variable index and exponent must be positive")
         return cls(((k, e),))
-
-    @classmethod
-    def from_dict(cls, d: dict[int, int]) -> "TimeMonomial":
-        return cls(sorted((k, e) for k, e in d.items() if e))
 
     @property
     def exps(self) -> "TimeMonomial":

@@ -154,121 +154,102 @@ def cache_load(m: int, N, K: int, directory: Path) -> TauExpansion | None:
     return T
 
 
-def _expansion(m: int, N, K: int, oracle: bool, use_cache: bool, cdir: Path) -> TauExpansion:
-    if not oracle and m not in (1, 2):
-        raise SystemExit2(
-            f"recursion unavailable for m={m}; rerun with --oracle to use the"
-            " determinant oracle"
-        )
-    if use_cache and not oracle:
-        hit = cache_load(m, N, K, cdir)
-        if hit is not None:
-            return hit
-    if oracle:
+class CliError(Exception):
+    """A command's failure: main prints "error: <message>" on stderr and exits
+    with code (1 a failed check, 2 a usage error)."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _expansion(args) -> TauExpansion:
+    """tau_0..tau_K of an expand or free-energy command: the determinant
+    oracle's with --oracle (checked, never cached), else the recursion's,
+    through the disk cache unless --no-cache."""
+    m, N, K = args.m, args.N, args.order
+    if args.oracle:
         T = tau_from_schur(plucker_expansion(m, N, m * K))
-        rep = check_expansion_invariants(T)
-        if not rep.ok:
-            raise SystemExit1("oracle expansion failed invariant checks")
-    else:
+        if not check_expansion_invariants(T).ok:
+            raise CliError(1, "oracle expansion failed invariant checks")
+        return T
+    if m not in (1, 2):
+        raise CliError(2, f"recursion unavailable for m={m}; rerun with --oracle to use the"
+                          " determinant oracle")
+    if args.no_cache:
+        return tau_expand(m, N, K)
+    cdir = cache_dir(args.cache_dir)
+    T = cache_load(m, N, K, cdir)
+    if T is None:
         T = tau_expand(m, N, K)
-    if use_cache and not oracle:
         cache_store(T, cdir)
     return T
-
-
-class SystemExit1(Exception):
-    pass
-
-
-class SystemExit2(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _emit(T: TauExpansion, fmt: str, key: str, label: str, polys, start: int) -> None:
-    """Print polys as label[start], label[start+1], ... or as one JSON
-    document holding them under key."""
-    if fmt == "json":
-        doc = {"m": T.m, "N": n_text(T.N), "K": T.order, key: [canonical_text(p) for p in polys]}
+def _show(args, doc: dict, lines: list[str]) -> int:
+    """Print doc as one JSON line under --format json, else lines one a line
+    (none for an empty list); the exit code 0."""
+    if args.format == "json":
         print(json.dumps(doc, sort_keys=True))
     else:
-        for k, p in enumerate(polys, start=start):
-            print(f"{label}[{k}] = {canonical_text(p)}")
+        for line in lines:
+            print(line)
+    return 0
 
 
-def _cached_expansion(args) -> TauExpansion:
-    return _expansion(args.m, args.N, args.order, args.oracle, not args.no_cache,
-                      cache_dir(args.cache_dir))
+def _text(c) -> str:
+    """Canonical text of one coefficient."""
+    return canonical_text(TimePolynomial.constant(c))
 
 
 def cmd_expand(args) -> int:
-    T = _cached_expansion(args)
-    _emit(T, args.format, "coeffs", "tau", T.coeffs, 0)
-    return 0
+    T = _expansion(args)
+    texts = [canonical_text(p) for p in T.coeffs]
+    return _show(args, {"m": T.m, "N": n_text(T.N), "K": T.order, "coeffs": texts},
+                 [f"tau[{k}] = {s}" for k, s in enumerate(texts)])
 
 
 def cmd_free_energy(args) -> int:
-    T = _cached_expansion(args)
-    _emit(T, args.format, "free_energy", "F", free_energy(T), 1)
-    return 0
+    T = _expansion(args)
+    texts = [canonical_text(p) for p in free_energy(T)]
+    return _show(args, {"m": T.m, "N": n_text(T.N), "K": T.order, "free_energy": texts},
+                 [f"F[{k}] = {s}" for k, s in enumerate(texts, start=1)])
 
 
 def cmd_phi(args) -> int:
+    m = args.m
     if args.j == "symbolic":
-        coeffs = phi_coefficients(args.m, args.depth)
-        rows = [(k, canonical_text(TimePolynomial.constant(c))) for k, c in enumerate(coeffs)]
-        if args.format == "json":
-            print(json.dumps({"m": args.m, "coeffs": {f"z^-{args.m * k}": s for k, s in rows}},
-                             sort_keys=True))
-        else:
-            for k, s in rows:
-                print(f"phi[m={args.m},k={k}] = {s}   # * h^{k} z^-{args.m * k}")
-        return 0
-    series = phi_series_gen(args.m, args.N, args.j, args.depth)
-    items = sorted(series.coeffs.items(), reverse=True)
-    if args.format == "json":
-        print(json.dumps(
-            {"m": args.m, "N": n_text(args.N), "j": args.j,
-             "series": {f"z^{n}": canonical_text(TimePolynomial.constant(c)) for n, c in items},
-             "floor": series.floor},
-            sort_keys=True))
-    else:
-        for n, c in items:
-            print(f"z^{n}: {canonical_text(TimePolynomial.constant(c))}")
-        print(f"floor: z^{series.floor}")
-    return 0
+        rows = list(enumerate(map(_text, phi_coefficients(m, args.depth))))
+        return _show(args, {"m": m, "coeffs": {f"z^-{m * k}": s for k, s in rows}},
+                     [f"phi[m={m},k={k}] = {s}   # * h^{k} z^-{m * k}" for k, s in rows])
+    series = phi_series_gen(m, args.N, args.j, args.depth)
+    rows = [(f"z^{n}", _text(c)) for n, c in sorted(series.coeffs.items(), reverse=True)]
+    return _show(args, {"m": m, "N": n_text(args.N), "j": args.j, "series": dict(rows),
+                        "floor": series.floor},
+                 [f"{key}: {s}" for key, s in rows] + [f"floor: z^{series.floor}"])
 
 
 def cmd_schur(args) -> int:
-    table = plucker_expansion(args.m, args.N, args.degree, args.points)
-    rows = sorted(table.table.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    if args.format == "json":
-        doc = {
-            "m": args.m, "N": n_text(args.N), "degree": args.degree,
-            "coefficients": {
-                "[" + ",".join(map(str, mu)) + "]":
-                    canonical_text(TimePolynomial.constant(c)) for mu, c in rows
-            },
-        }
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        for mu, c in rows:
-            key = "[" + ",".join(map(str, mu)) + "]"
-            print(f"C{key} = {canonical_text(TimePolynomial.constant(c))}")
-    return 0
+    table = plucker_expansion(args.m, args.N, args.degree, args.points).table
+    rows = [("[" + ",".join(map(str, mu)) + "]", _text(c))
+            for mu, c in sorted(table.items(), key=lambda kv: (sum(kv[0]), kv[0]))]
+    return _show(args, {"m": args.m, "N": n_text(args.N), "degree": args.degree,
+                        "coefficients": dict(rows)},
+                 [f"C{key} = {s}" for key, s in rows])
 
 
 def cmd_verify(args) -> int:
     names = [s.strip() for s in args.suite.split(",") if s.strip()]
     if not names:
-        raise SystemExit2("empty suite selector")
+        raise CliError(2, "empty suite selector")
     try:
         rep = run_suites(names, m=args.m, N=args.N, order=args.order, depth=args.depth)
     except ValueError as exc:
-        raise SystemExit2(str(exc)) from exc
+        raise CliError(2, str(exc)) from exc
     for line in rep.lines():
         print(line)
     if args.format == "json":
@@ -281,7 +262,7 @@ def cmd_cache(args) -> int:
     if args.action == "dir":
         print(cdir)
     elif cdir.exists() and not cdir.is_dir():
-        raise SystemExit2(f"cache directory {str(cdir)!r} is not a directory")
+        raise CliError(2, f"cache directory {str(cdir)!r} is not a directory")
     elif args.action == "list":
         if cdir.exists():
             for p in sorted(cdir.glob("*.tau")):
@@ -293,7 +274,7 @@ def cmd_cache(args) -> int:
                 try:
                     p.unlink()
                 except OSError as exc:
-                    raise SystemExit2(f"cannot remove {str(p)!r}: {exc.strerror}") from exc
+                    raise CliError(2, f"cannot remove {str(p)!r}: {exc.strerror}") from exc
         print("cache cleared")
     return 0
 
@@ -390,12 +371,9 @@ def main(argv=None) -> int:
         args.error("--points must be at least --degree")
     try:
         return args.func(args)
-    except SystemExit2 as exc:
+    except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SystemExit1 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.code
 
 
 if __name__ == "__main__":

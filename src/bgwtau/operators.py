@@ -251,6 +251,11 @@ def a_constant(m: int, N) -> Coefficient:
     return n_coeff(N).scale(m - 1)
 
 
+# the constraint kinds, in the order the constraint suite checks them, and the
+# lowest index k of each
+CONSTRAINT_KINDS = {"J": 1, "L": 0, "M": -1}
+
+
 def constraint(m: int, N, kind: str, k: int, bound: int) -> dict[int, DiffOperator]:
     """The operator annihilating tau^(m,N), kind "J" (k>=1), "L" (k>=0) or
     "M" (k>=-1), as its h-graded parts: e -> the h-free operator that
@@ -258,7 +263,7 @@ def constraint(m: int, N, kind: str, k: int, bound: int) -> dict[int, DiffOperat
     the delta_{k,0} constants included; a part that vanishes is left out.
     The whole operator is sum_e h^e parts[e].  N=0 gives the undeformed
     family."""
-    k_lo = {"J": 1, "L": 0, "M": -1}.get(kind)
+    k_lo = CONSTRAINT_KINDS.get(kind)
     if k_lo is None:
         raise ValueError(f"unknown constraint kind {kind!r}")
     if k < k_lo:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .algebra import ONE_ROWS, TimeMonomial, TimePolynomial, mul_sums, parse_polynomial, tunpack
 from .cutjoin import TauExpansion, check_expansion_invariants, free_energy, tau_expand
-from .operators import DerivativeTable, constraint, constraint_index_bound
+from .operators import CONSTRAINT_KINDS, DerivativeTable, constraint, constraint_index_bound
 from .report import Report
 from .schur import plucker_expansion, tau_from_schur
 from .zcalculus import (
@@ -158,7 +158,7 @@ def constraint_suite(m: int, N, T: TauExpansion) -> Report:
             tau[k + s] = tau.get(k + s, TimePolynomial.zero()) + part
     tables = {q: DerivativeTable(tq) for q, tq in tau.items()}
     p_max = K - 2
-    for kind, k_lo in (("J", 1), ("L", 0), ("M", -1)):
+    for kind, k_lo in CONSTRAINT_KINDS.items():
         for k in range(k_lo, kb + 1):
             parts = constraint(m, N, kind, k, maxdeg)
             bad = ""

@@ -68,8 +68,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, inf, lcm, prod
 
-from .algebra import (_KEY1, COEFF_ONE, Coefficient, _canonical, _mul_nums, add_into, merged,
-                      rescaled, settled)
+from .algebra import (_KEY1, COEFF_ONE, Coefficient, _canonical, _ckey, _mul_nums, add_into,
+                      merged, rescaled, settled)
 from .operators import n_coeff
 from .rational import QQ
 from .report import Report
@@ -401,7 +401,6 @@ def phi_series_gen(m: int, N, j: int, K: int) -> LaurentSeries:
 
 @dataclass(frozen=True)
 class KSOperators:
-    m: int
     a: ZOperator
     b: ZOperator
     c: ZOperator
@@ -460,7 +459,7 @@ def ks_operators(m: int, N, depth: int) -> KSOperators:
     # e[k][o]: numerators over D^k of the z^(1-mk+o) d^o coefficient of T^k z,
     # D = den(m/2 + N); one more factor -h z^-m (theta + alpha_k) gives
     # -h (D e[o-1] + ((o + 1 - mk) D - D (m/2 + N)) e[o]) over D^(k+1)
-    D, h1 = hmn.den, _KEY1 + (1 << 32)  # h1: the key of h
+    D, h1 = hmn.den, _ckey(1, 0, 0)  # h1: the key of h
     c0 = hmn.terms.get(h1, 0)
     hn = [(key, v) for key, v in hmn.terms.items() if key != h1]  # h D (N-part)
     e = [[{_KEY1: 1}]]
@@ -479,7 +478,7 @@ def ks_operators(m: int, N, depth: int) -> KSOperators:
         1 - m * (k_max + 1),
     )
     d_inv = (ZOperator.identity() - step).shift(-1)
-    return KSOperators(m, a, b, c, d, d_inv, step, k_max)
+    return KSOperators(a, b, c, d, d_inv, step, k_max)
 
 
 def canonical_pair(m: int, N, depth: int) -> tuple[ZOperator, ZOperator, KSOperators]:

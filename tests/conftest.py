@@ -1,4 +1,5 @@
-"""Shared helpers: partitions and monomial enumeration, the
+"""Shared helpers: partitions, a monomial from its exponent dict
+(monomial_of) and monomial enumeration, the
 linear-independence marker trick for checking operator identities on a
 whole degree window at once, one-term polynomials and the value of a plain
 rational coefficient, the test-only views items_hnj, times_h and a Schur
@@ -54,6 +55,11 @@ def partitions(n: int, max_part: int | None = None):
             yield (p,) + rest
 
 
+def monomial_of(d: dict[int, int]) -> TimeMonomial:
+    """The monomial prod t_k^d[k] (zero exponents dropped)."""
+    return TimeMonomial(sorted((k, e) for k, e in d.items() if e))
+
+
 def monomials_up_to(maxdeg: int, variable_filter=None) -> list[TimeMonomial]:
     out = [TimeMonomial()]
     for n in range(1, maxdeg + 1):
@@ -63,7 +69,7 @@ def monomials_up_to(maxdeg: int, variable_filter=None) -> list[TimeMonomial]:
             d: dict[int, int] = {}
             for p in mu:
                 d[p] = d.get(p, 0) + 1
-            out.append(TimeMonomial.from_dict(d))
+            out.append(monomial_of(d))
     return out
 
 
@@ -86,7 +92,7 @@ def times_h(p: TimePolynomial, k: int) -> TimePolynomial:
 
 def coefficient(table, mu) -> Coefficient:
     """C_mu of a PlueckerTable, zero when mu is not stored."""
-    return table.table.get(tuple(mu), Coefficient.zero())
+    return table.table.get(tuple(mu), Coefficient())
 
 
 def mul_into(terms: dict, a: dict, b: dict) -> None:
@@ -219,7 +225,7 @@ def reference_parse(text: str) -> TimePolynomial:
                 if e < 0:
                     raise ValueError("negative j exponent")
                 j += e
-        add_into(out.terms, TimeMonomial.from_dict(tvars), _canonical({_ckey(h, n, j): p}, r))
+        add_into(out.terms, monomial_of(tvars), _canonical({_ckey(h, n, j): p}, r))
     return out
 
 
@@ -265,7 +271,7 @@ coefficients = st.lists(
               h=st.integers(-2, 2), n=st.integers(0, 2), j=st.integers(0, 2)),
     min_size=1, max_size=3).map(lambda cs: sum(cs[1:], cs[0]))
 monomials = st.dictionaries(st.integers(1, 4), st.integers(1, 3), max_size=3).map(
-    TimeMonomial.from_dict)
+    monomial_of)
 
 
 @st.composite

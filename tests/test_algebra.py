@@ -12,6 +12,7 @@ from conftest import (
     as_rational,
     fails_its_property,
     items_hnj,
+    monomial_of,
     monomials_up_to,
     mutant,
     poly_term,
@@ -48,11 +49,11 @@ def convolution_oracle(a: TimePolynomial, b: TimePolynomial) -> TimePolynomial:
             d = dict(m1.exps)
             for k, e in m2.exps:
                 d[k] = d.get(k, 0) + e
-            prod = Coefficient.zero()
+            prod = Coefficient()
             for (h1, n1, j1), q1 in items_hnj(c1):
                 for (h2, n2, j2), q2 in items_hnj(c2):
                     prod = prod + Coefficient.monomial(q1 * q2, h=h1 + h2, n=n1 + n2, j=j1 + j2)
-            out = out + poly_term(prod, TimeMonomial.from_dict(d))
+            out = out + poly_term(prod, monomial_of(d))
     return out
 
 
@@ -62,7 +63,7 @@ def test_monomial_products():
 
 
 def test_time_monomial_is_a_tuple_of_its_pairs():
-    mono = TimeMonomial.from_dict({3: 2, 1: 1, 5: 0})
+    mono = monomial_of({3: 2, 1: 1, 5: 0})
     assert tuple(mono) == ((1, 1), (3, 2))
     assert hash(mono) == hash(tuple(mono))
     assert mono.exps == mono and mono.exps is mono
@@ -132,7 +133,7 @@ def polynomials(draw, max_terms=5):
             st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=3)
         )
         c = draw(coeff_strategy)
-        p = p + poly_term(c, TimeMonomial.from_dict(exps))
+        p = p + poly_term(c, monomial_of(exps))
     return p
 
 
@@ -190,12 +191,12 @@ def test_mul_matches_convolution_oracle_random():
             a = a + poly_term(
                 Coefficient.monomial(QQ(rng.randint(-5, 5), rng.randint(1, 4)),
                                      h=rng.randint(-1, 1), n=rng.randint(0, 2)),
-                TimeMonomial.from_dict({rng.randint(1, 5): rng.randint(1, 3)}),
+                monomial_of({rng.randint(1, 5): rng.randint(1, 3)}),
             )
             b = b + poly_term(
                 Coefficient.monomial(QQ(rng.randint(-5, 5), rng.randint(1, 4)),
                                      j=rng.randint(0, 2)),
-                TimeMonomial.from_dict({rng.randint(1, 5): rng.randint(1, 2)}),
+                monomial_of({rng.randint(1, 5): rng.randint(1, 2)}),
             )
         assert a * b == convolution_oracle(a, b)
 
@@ -228,7 +229,7 @@ def test_exponents_up_to_the_packing_bound_multiply_and_past_it_raise():
 _exponents = (st.integers(1, 3) | st.integers(1, algebra._TMAX - 1)
               | st.integers(algebra._TMAX - 50, algebra.TMASK))
 packing_monomials = st.dictionaries(st.integers(1, 40), _exponents, max_size=5).map(
-    TimeMonomial.from_dict)
+    monomial_of)
 
 
 @settings(max_examples=300, deadline=None)
@@ -267,7 +268,7 @@ def test_packing_check_sees_a_field_with_no_headroom(monkeypatch):
 def test_add_into_deletes_a_cancelled_key_and_never_stores_zero():
     terms = {}
     add_into(terms, "a", QQ(0))
-    add_into(terms, "b", Coefficient.zero())
+    add_into(terms, "b", Coefficient())
     assert terms == {}
     add_into(terms, "a", QQ(1, 2))
     add_into(terms, "a", QQ(-1, 2))
@@ -324,13 +325,13 @@ def test_laurent_product_stores_nothing_below_its_floor(ca, cb, fa, fb):
     a = LaurentSeries({n: c for n, c in ca.items() if c}).truncate(fa)
     b = LaurentSeries({n: c for n, c in cb.items() if c}).truncate(fb)
     prod = a * b
-    reference = [Coefficient.zero()] * 19  # exponents -12..6
+    reference = [Coefficient()] * 19  # exponents -12..6
     for n1, c1 in a.coeffs.items():
         for n2, c2 in b.coeffs.items():
             reference[n1 + n2 + 12] = reference[n1 + n2 + 12] + c1 * c2
     assert all(c and n >= prod.floor for n, c in prod.coeffs.items())
     for n in range(max(prod.floor, -12), 7):
-        assert prod.coeffs.get(n, Coefficient.zero()) == reference[n + 12]
+        assert prod.coeffs.get(n, Coefficient()) == reference[n + 12]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +344,7 @@ ref_coefficients = st.dictionaries(EXPS, small_fractions.filter(bool), max_size=
 
 def build(ref: dict) -> Coefficient:
     """A Coefficient summed from one-term monomials."""
-    out = Coefficient.zero()
+    out = Coefficient()
     for (h, n, j), q in ref.items():
         out = out + Coefficient.monomial(q, h=h, n=n, j=j)
     return out
@@ -519,7 +520,7 @@ def test_zero_and_rationals_are_canonical():
     assert Coefficient.rational(QQ(2, 4)).terms == Coefficient.rational(QQ(1, 2)).terms
     zero = Coefficient.monomial(3, h=1) - Coefficient.monomial(QQ(6, 2), h=1)
     assert (zero.terms, zero.den) == ({}, 1)
-    assert zero == Coefficient.zero() == 0 and hash(zero) == hash(Coefficient.zero())
+    assert zero == Coefficient() == 0 and hash(zero) == hash(Coefficient())
     third = Coefficient.rational(QQ(1, 3))
     assert third == QQ(1, 3) and as_rational(third) == QQ(1, 3)
     assert (third.scale(3).terms, third.scale(3).den) == (Coefficient.one().terms, 1)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,6 +17,7 @@ from bgwtau import cli
 from bgwtau.cli import _cache_header, _cache_path, cache_load, cache_store, main, parse_n
 from bgwtau.cutjoin import tau_expand
 from bgwtau.rational import QQ
+from bgwtau.report import Report
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +63,16 @@ def test_expand_m3_without_oracle_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "oracle" in err
+
+
+def test_oracle_expansion_failing_its_invariants_exits_1(capsys, monkeypatch):
+    failing = Report()
+    failing.add("expansion-invariants", "forced", False)
+    monkeypatch.setattr(cli, "check_expansion_invariants", lambda T: failing)
+    code, out, err = run_cli(capsys, "expand", "--m", "3", "--oracle", "--degree", "3")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: oracle expansion failed invariant checks"]
 
 
 def test_expand_degree_zero(tmp_path, capsys):
@@ -138,6 +150,43 @@ def test_schur_many_points_matches_few_points(capsys):
     code, many, _ = run_cli(capsys, *args, "1100")
     assert code == 0
     assert many == run_cli(capsys, *args, "4")[1]
+
+
+def _by_partition(row):
+    """(|mu|, mu) of a schur text row ("C[2,1]", ...): the order schur prints."""
+    mu = tuple(int(p) for p in row[0][2:-1].split(",") if p)
+    return sum(mu), mu
+
+
+# each command with the (label, right-hand side) rows its text lines must
+# spell, in order, from the strings of its --format json document
+TEXT_ROWS_OF_JSON = [
+    (("expand", "--m", "2", "--N", "1/3", "--order", "5", "--no-cache"),
+     lambda d: [(f"tau[{k}]", s) for k, s in enumerate(d["coeffs"])]),
+    (("expand", "--m", "3", "--N", "symbolic", "--oracle", "--degree", "6"),
+     lambda d: [(f"tau[{k}]", s) for k, s in enumerate(d["coeffs"])]),
+    (("free-energy", "--m", "1", "--N", "symbolic", "--order", "5", "--no-cache"),
+     lambda d: [(f"F[{k}]", s) for k, s in enumerate(d["free_energy"], start=1)]),
+    (("phi", "--m", "3", "--depth", "5"),
+     lambda d: [(f"phi[m=3,k={k}]", f"{d['coeffs'][f'z^-{3 * k}']}   # * h^{k} z^-{3 * k}")
+                for k in range(len(d["coeffs"]))]),
+    (("phi", "--m", "2", "--N", "symbolic", "--j", "3", "--depth", "6"),
+     lambda d: sorted(d["series"].items(), key=lambda kv: -int(kv[0][2:]))
+     + [("floor", f"z^{d['floor']}")]),
+    (("schur", "--m", "2", "--N", "7/11", "--degree", "6"),
+     lambda d: sorted(((f"C{key}", s) for key, s in d["coefficients"].items()), key=_by_partition)),
+]
+
+
+@pytest.mark.parametrize("argv, rows", TEXT_ROWS_OF_JSON,
+                         ids=[" ".join(argv) for argv, _ in TEXT_ROWS_OF_JSON])
+def test_text_lines_spell_the_json_strings(capsys, argv, rows):
+    code, text, _ = run_cli(capsys, *argv)
+    json_code, doc, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == json_code == 0
+    got = [tuple(re.split(" = |: ", line, maxsplit=1)) for line in text.splitlines()]
+    assert got == rows(json.loads(doc))
+    assert len(got) > 2
 
 
 def test_verify_exit_codes(capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import Op, commutator, euler, marker_poly, monomials_up_to, op_of, w_bgw
+from conftest import Op, commutator, euler, marker_poly, monomial_of, monomials_up_to, op_of, w_bgw
 from bgwtau.algebra import (
     MONO_ONE,
     Coefficient,
@@ -68,7 +68,7 @@ def test_tau_expand_symbolic_first_order():
 
 def test_tau_expand_spec_quoted_deep_coefficient():
     T = tau_expand(2, 0, 7)
-    mono = TimeMonomial.from_dict({1: 4, 2: 5})
+    mono = monomial_of({1: 4, 2: 5})
     assert T.coeffs[7].terms[mono] == Coefficient.rational(QQ(-1416545, 69984))
 
 

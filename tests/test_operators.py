@@ -12,6 +12,7 @@ from conftest import (
     commutator,
     euler,
     marker_poly,
+    monomial_of,
     monomials,
     monomials_up_to,
     mutant,
@@ -201,7 +202,7 @@ def test_term_list_monomials_are_canonical():
                     assert not isinstance(w, Coefficient) and w
                     for mono in (tm, dm):
                         assert type(mono) is TimeMonomial
-                        assert mono == TimeMonomial.from_dict(dict(mono)), (k, bound, mono)
+                        assert mono == monomial_of(dict(mono)), (k, bound, mono)
                         seen_powers.update(e for _, e in mono)
     assert seen_powers == {1, 2, 3}
     assert (QQ(8, 3), _ordered_monomial(2, 2, 2), MONO_ONE) in cubic(-6, 0)
@@ -237,7 +238,7 @@ def brute_cubic(k: int, bound: int) -> DiffOperator:
                 if a + b + c == -k:
                     op.add_term(
                         Coefficient.rational(QQ(a * b * c, 3)),
-                        TimeMonomial.from_dict({a: 1}) * TimeMonomial.var(b) * TimeMonomial.var(c),
+                        monomial_of({a: 1}) * TimeMonomial.var(b) * TimeMonomial.var(c),
                         TimeMonomial(),
                     )
                 if c - a - b == k and c <= bound:
@@ -516,7 +517,7 @@ def parse_operator(text: str) -> DiffOperator:
         for fm in _DFACTOR_RE.finditer(mt.group(2)):
             k = int(fm.group(1))
             dvars[k] = dvars.get(k, 0) + int(fm.group(2) or 1)
-        dm = TimeMonomial.from_dict(dvars)
+        dm = monomial_of(dvars)
         for tm, c in poly.terms.items():
             op.add_term(c, tm, dm)
     return op

@@ -181,7 +181,7 @@ _atoms = st.tuples(st.integers(-9, 9), st.integers(1, 5), st.integers(-2, 2),
 
 
 def _coefficient(atoms) -> Coefficient:
-    out = Coefficient.zero()
+    out = Coefficient()
     for p, q, h, n, j in atoms:
         out = out + Coefficient.monomial(QQ(p, q), h=h, n=n, j=j)
     return out
@@ -194,7 +194,7 @@ _vectors = st.integers(0, 9).flatmap(lambda n: st.dictionaries(
 
 @settings(max_examples=60, deadline=None)
 @given(_vectors)
-@example({(): Coefficient.zero()})
+@example({(): Coefficient()})
 def test_vector_walk_matches_the_per_mu_reference(vec):
     """Sparse C vectors over mu of one size n <= 9, with rational and
     symbolic (h, N, j) coefficients whose denominators 1..5 need not divide
@@ -373,7 +373,7 @@ class EpsSeries:
 
 def eval_times(p: TimePolynomial, values: dict[int, object]) -> Coefficient:
     """Evaluate p at rational time values (all variables must be bound)."""
-    out = Coefficient.zero()
+    out = Coefficient()
     for m, c in p.terms.items():
         q = QQ(1)
         for k, e in m:
@@ -447,7 +447,7 @@ def _frobenius(mu):
 
 def _det(rows) -> Coefficient:
     """Leibniz determinant over Coefficient entries."""
-    total = Coefficient.zero()
+    total = Coefficient()
     for perm in permutations(range(len(rows))):
         inv = sum(perm[i] > perm[k] for i in range(len(perm)) for k in range(i + 1, len(perm)))
         term = Coefficient.one()

@@ -15,6 +15,7 @@ from conftest import (
     coefficients,
     derivative,
     fails_its_property,
+    monomial_of,
     monomials,
     mul_into,
     not_canonical,
@@ -114,7 +115,7 @@ def test_defect_is_constraint_forced():
     T = tau_expand(2, 0, 6)
     assert T.coeffs[5] == tau5  # the input of the forcing identity is golden
     forced = op_of(virasoro(9, 12)).apply(tau5)
-    mono = TimeMonomial.from_dict({1: 1, 11: 1})
+    mono = monomial_of({1: 1, 11: 1})
     lhs = derivative(T.coeffs[6], TimeMonomial.var(11))
     assert lhs == forced
     computed = T.coeffs[6].terms[mono]
@@ -137,7 +138,7 @@ def test_defect_cascades_into_higher_orders():
         ({1: 1, 3: 1, 10: 1}, QQ(30250, 567)),
         ({1: 1, 5: 1, 8: 1}, QQ(-2953400, 1701)),
     ):
-        mono = TimeMonomial.from_dict(spec)
+        mono = monomial_of(spec)
         assert alt7.terms.get(mono) == Coefficient.rational(val)
         assert golden.entries["tau2[7]"].terms.get(mono) == Coefficient.rational(val)
         # whereas the true expansion is 3-reduced or differs
@@ -151,7 +152,7 @@ def test_f6_defect_matches_b_defect_at_n0():
     tau2[6] value: both tables inherit the same upstream error."""
     golden_c = load_golden("AppendixC")
     golden_b = load_golden("AppendixB")
-    mono = TimeMonomial.from_dict({1: 1, 11: 1})
+    mono = monomial_of({1: 1, 11: 1})
     f6_at_0 = TimePolynomial({mono: golden_c.entries["F[6]"].terms[mono]}).substitute(n=0)
     assert f6_at_0.terms[mono] == golden_b.entries["tau2[6]"].terms[mono]
 
@@ -164,7 +165,7 @@ def test_symbolic_tau6_t1t11_is_oracle_confirmed():
     assert T.coeffs[6] == R.coeffs[6]
     F = free_energy(R)
     golden_c = load_golden("AppendixC")
-    mono = TimeMonomial.from_dict({1: 1, 11: 1})
+    mono = monomial_of({1: 1, 11: 1})
     assert F[5].terms[mono] != golden_c.entries["F[6]"].terms[mono]
 
 
@@ -483,7 +484,7 @@ def _from_rows(rows: list, den: int) -> TimePolynomial:
     out = {}
     for mono, nums in rows:
         assert nums and all(v for _, v in nums)
-        c = Coefficient.zero()
+        c = Coefficient()
         for key, v in nums:
             h, n, j = _cunpack(key)
             c = c + Coefficient.monomial(QQ(v, den), h=h, n=n, j=j)

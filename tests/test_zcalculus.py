@@ -49,7 +49,7 @@ P = parse_polynomial
 
 def cst(text):
     poly = P(text)
-    return poly.terms.get(next(iter(poly.terms))) if poly.terms else Coefficient.zero()
+    return poly.terms.get(next(iter(poly.terms))) if poly.terms else Coefficient()
 
 
 def test_phi_m2_symbolic():
@@ -140,10 +140,10 @@ class PhiRingElement:
     def finalize(self, K: int) -> list[Coefficient]:
         """Collapse i^2 -> -1 and map u^(2k) to slot k; odd u-powers or a
         nonzero imaginary part signal an internal inconsistency."""
-        out = [Coefficient.zero() for _ in range(K + 1)]
+        out = [Coefficient() for _ in range(K + 1)]
         by_u: dict[int, list[Coefficient]] = {}
         for (i4, u), c in self.terms.items():
-            slot = by_u.setdefault(u, [Coefficient.zero()] * 4)
+            slot = by_u.setdefault(u, [Coefficient()] * 4)
             slot[i4] = slot[i4] + c
         for u, (c0, c1, c2, c3) in sorted(by_u.items()):
             real = c0 - c2
@@ -223,7 +223,7 @@ def test_floor_conservative_under_depth_increase():
     lo = phi_series(2, 1, 3)
     hi = phi_series(2, 1, 8)
     for n, c in lo.coeffs.items():
-        assert hi.coeffs.get(n, Coefficient.zero()) == c
+        assert hi.coeffs.get(n, Coefficient()) == c
 
 
 def test_zop_apply_basics():

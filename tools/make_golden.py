@@ -194,7 +194,8 @@ def to_time_polynomial(poly, m_value=None) -> TimePolynomial:
                 if m_value is None:
                     raise ValueError("unbound m")
                 q = q * QQ(m_value) ** e
-        add_into(out.terms, TimeMonomial.from_dict(tvars), Coefficient.monomial(q, h=h, n=n, j=j))
+        mono = TimeMonomial(sorted((k, e) for k, e in tvars.items() if e))
+        add_into(out.terms, mono, Coefficient.monomial(q, h=h, n=n, j=j))
     return out
 
 
