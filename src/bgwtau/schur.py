@@ -15,30 +15,25 @@ exponents contribute zero.  Only l_j in m*Z appear (the Phi support), so
 |mu| is a multiple of m and C_mu carries h^(|mu|/m).
 
 plucker_expansion sums these terms in one pass over the columns, numbered
-j = 0..M-1 from here on.  After columns 0..j-1 the chosen exponents, sorted
-in descending order, are nu_i + M - 1 - i for a partition nu (zero parts
-dropped), so the state is {nu: signed sum of the column products that reach
-nu}.  Column j with exponent M - 1 - j + l keeps nu when l = 0.  For l > 0,
-with r = len(nu) and x = l - j, the exponent collides with one already
-chosen unless l > j - r (above the j - r columns still at their base) and
-x is none of the nu_i - i; it then lands at sorted position
-k = #{i: nu_i - i > x}, giving
-
-    nu' = (nu_0, .., nu_(k-1), x + k, nu_k + 1, .., nu_(r-1) + 1, 1^(j-r))
-
-with sign (-1)^(j-k), one factor for each chosen exponent below the new
-one.  Which placements are allowed later, and their signs, depend only on
-the set of chosen exponents, that is on nu, so merging the tuples that
-reach one nu before the next column is exact.
+j = 0..M-1 from here on, its state {(|nu|, S): signed sum of the column
+products that reach S}, S the bitmask of the exponents chosen so far and
+|nu| the sum of their shifts l.  Column j with shift l takes exponent
+e = M - 1 - j + l: it is skipped when bit e of S is set (colliding
+exponents: the alternating determinant vanishes), and otherwise adds 1 << e
+with sign (-1)^popcount(S & (2^e - 1)), one factor per chosen exponent
+below e.  What later columns may place, and their signs, depend only on S,
+so merging the tuples that reach one S is exact.  After M columns S is the
+beta-set of mu on M beads: its set bits b_0 > b_1 > .. give
+mu_i = b_i - (M - 1 - i), zero parts dropped.  schur_in_times walks on the
+same masks, each mu of its vector on R beads (R its longest length): a rim
+hook of length k is a bead moved from b down to a clear bit b - k, its
+height the number of beads it passes.
 
 Both loops run in integer numerators (algebra's numerator form).  The
-column pass keeps one running sum (algebra) per partition reached in the
-current column: a pair (nu, l) adds its numerator products over
-den(C_nu) den(c_{j,l}) with weight sign, and each partition is reduced
-once per column.  schur_in_times brings its vector over one denominator
-D, the lcm of its entries' denominators; a hook move adds or subtracts
-numerator dicts, and each leaf lam gets one canonical Coefficient over
-D z_lam.
+column pass keeps one running sum (algebra) per bead set, reduced once per
+column; schur_in_times brings its vector over one denominator D, the lcm of
+its entries' denominators, a hook move adds or subtracts numerator dicts,
+and each leaf lam gets one canonical Coefficient over D z_lam.
 """
 
 from __future__ import annotations
@@ -57,57 +52,56 @@ from .zcalculus import phi_terms
 Partition = tuple[int, ...]
 
 
+def _partition(beads: int) -> Partition:
+    """The partition whose beta-set has the bitmask beads: the i-th highest
+    of its r beads, at b, gives the part b - (r - 1 - i), zero parts dropped."""
+    bits = [b for b in range(beads.bit_length() - 1, -1, -1) if beads >> b & 1]
+    return tuple(p for i, b in enumerate(bits) if (p := b - (len(bits) - 1 - i)))
+
+
 @lru_cache(maxsize=None)
-def _hook_moves(nu: Partition, k: int) -> tuple[tuple[Partition, bool], ...]:
-    """Every partition left after removing a rim hook of length k from nu,
-    with whether the hook's height is odd: on the beta-set of nu a bead moves
-    from b down to an empty place b - k, passing the beads between them."""
-    r = len(nu)
-    beta = [p + r - 1 - i for i, p in enumerate(nu)]  # strictly decreasing
-    out = []
-    for i, b in enumerate(beta):
-        if b < k:
-            break
-        j = i + 1
-        while j < r and beta[j] > b - k:
-            j += 1
-        if j < r and beta[j] == b - k:
-            continue
-        # the bead passes the j - i - 1 beads i+1..j-1 and becomes bead j - 1
-        rest = nu[:i] + tuple(p - 1 for p in nu[i + 1:j]) + (nu[i] - k + j - 1 - i,) + nu[j:]
-        out.append((tuple(p for p in rest if p), (j - i) % 2 == 0))
-    return tuple(out)
+def _hook_moves(beads: int, k: int) -> tuple[tuple[int, bool], ...]:
+    """Every bead mask left after removing a rim hook of length k from the
+    one given, with whether the hook's height is odd: a bead moves from a set
+    bit b >= k to a clear bit b - k, passing the set bits strictly between."""
+    return tuple((beads ^ 1 << b ^ 1 << (b - k),
+                  (beads >> (b - k + 1) & (1 << (k - 1)) - 1).bit_count() % 2 == 1)
+                 for b in range(beads.bit_length() - 1, k - 1, -1)
+                 if beads >> b & 1 and not beads >> (b - k) & 1)
 
 
 def schur_in_times(vec: dict[Partition, Coefficient]) -> TimePolynomial:
     """sum_mu vec[mu] s_mu(t) with p_k = k t_k, every mu of one size n: the
     coefficient of t^lam is sum_mu vec[mu] chi^mu(lam) / prod_k m_k(lam)!,
-    m_k(lam) the multiplicity of k in lam (the vector walk above, in
-    numerator form).  Homogeneous of weighted degree n."""
+    m_k(lam) the multiplicity of k in lam, by one Murnaghan-Nakayama walk
+    over lam on bead masks (module docstring).  Homogeneous of weighted degree n."""
     n = sum(next(iter(vec), ()))
     if any(sum(mu) != n for mu in vec):
         raise ValueError("schur_in_times needs partitions of one size")
     D = lcm(*(c.den for c in vec.values()))
+    R = max(map(len, vec), default=0)
     out: dict[TimeMonomial, Coefficient] = {}
 
     def walk(v: dict, rest: int, top: int, lam: Partition) -> None:
         if not rest:
             mult = sorted(Counter(lam).items())
-            out[TimeMonomial(mult)] = _canonical(v[()], D * prod(factorial(e) for _, e in mult))
+            out[TimeMonomial(mult)] = _canonical(v[(1 << R) - 1],  # the leaf: R beads packed low
+                                                 D * prod(factorial(e) for _, e in mult))
             return
         for k in range(min(top, rest), 0, -1):
-            child: dict[Partition, dict] = {}
-            for nu, nums in v.items():
-                for mu, odd in _hook_moves(nu, k):
-                    acc = child.setdefault(mu, {})
+            child: dict[int, dict] = {}
+            for beads, nums in v.items():
+                for moved, odd in _hook_moves(beads, k):
+                    acc = child.setdefault(moved, {})
                     for key, x in nums.items():
                         acc[key] = acc.get(key, 0) + (-x if odd else x)
-            child = {mu: nz for mu, nums in child.items()
+            child = {beads: nz for beads, nums in child.items()
                      if (nz := {key: x for key, x in nums.items() if x})}
             if child:
                 walk(child, rest - k, k, lam + (k,))
 
-    nums = {mu: {key: x * (D // c.den) for key, x in c.terms.items()} for mu, c in vec.items() if c}
+    nums = {sum(1 << (p + R - 1 - i) for i, p in enumerate(mu)) | (1 << (R - len(mu))) - 1:
+            {key: x * (D // c.den) for key, x in c.terms.items()} for mu, c in vec.items() if c}
     if nums:
         walk(nums, n, n, ())
     return TimePolynomial(out)
@@ -129,35 +123,29 @@ def plucker_expansion(m: int, N, degree: int, points: int | None = None) -> Plue
     M = degree if points is None else points
     if M < degree:
         raise ValueError("insufficient Miwa points for requested degree")
-    K = degree // m
     nc = n_coeff(N)
     # column j: c_{j, m*k} = phi[m,k](j+1-N) h^k, the x^(mk) coefficients of f_(j+1)
-    cols = [phi_terms(m, K, Coefficient.rational(j) - nc) for j in range(1, M + 1)]
-    table: dict[Partition, Coefficient] = {(): Coefficient.one()}
+    cols = [phi_terms(m, degree // m, Coefficient.rational(j) - nc) for j in range(1, M + 1)]
+    table: dict[tuple[int, int], Coefficient] = {(0, 0): Coefficient.one()}  # (|nu|, S)
     for j, col in enumerate(cols):
-        step: dict[Partition, list] = {}  # mu -> [den, {key: numerator}]
+        step: dict[tuple[int, int], list] = {}  # (|mu|, S') -> [den, {key: numerator}]
         get = step.get
-        for nu, coeff in table.items():
-            r = len(nu)
-            xs = [p - i for i, p in enumerate(nu)]
-            for l in range(0, degree - sum(nu) + 1, m):
+        for (w, S), coeff in table.items():
+            for l in range(0, degree - w + 1, m):
                 c = col[l // m]
-                x = l - j
-                if not c or 0 < l <= j - r or x in xs:
+                e = M - 1 - j + l
+                if not c or S >> e & 1:
                     continue  # a zero entry, or colliding exponents (alternating determinant)
-                if l:
-                    k = sum(y > x for y in xs)
-                    mu = nu[:k] + (x + k,) + tuple(p + 1 for p in nu[k:]) + (1,) * (j - r)
-                    sign = -1 if (j - k) % 2 else 1
-                else:
-                    mu, sign = nu, 1
+                sign = -1 if (S & (1 << e) - 1).bit_count() % 2 else 1
                 d = coeff.den * c.den
-                acc = get(mu)
+                key = (w + l, S | 1 << e)
+                acc = get(key)
                 if acc is None:
-                    step[mu] = acc = [d, {}]
+                    step[key] = acc = [d, {}]
                 _mul_nums(acc[1], c.terms.items(), coeff.terms.items(),
                           sign if acc[0] == d else rescaled(acc, d) * sign)
         table = settled(step)
+    table = {_partition(S): c for (_, S), c in table.items()}
     return PlueckerTable(m, N, degree, table)
 
 

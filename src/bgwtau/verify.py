@@ -250,11 +250,13 @@ def _crosscheck(a: SuiteArgs) -> Report:
 
 def _ks_suite(m: int, N, depth: int) -> Report:
     """Kac-Schwarz ladder actions, commutation relations, spectral curve and
-    (m >= 2) canonical pair."""
+    (m >= 2) canonical pair.  The spectral curve runs first: its Phi table
+    is the deepest, so the stored coefficients are built once."""
+    curve = check_spectral_curve(m, N, 4, depth)
     rep = Report()
     rep.extend(check_ks_actions(m, N, 4, depth))
     rep.extend(check_commutation(m, N, depth))
-    rep.extend(check_spectral_curve(m, N, 4, depth))
+    rep.extend(curve)
     if m >= 2:
         rep.extend(check_canonical_pair(m, N, depth))
     return rep

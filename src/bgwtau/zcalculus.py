@@ -617,8 +617,8 @@ def check_spectral_curve(m: int, N, j_max: int, depth: int) -> Report:
     dm1 = dm.compose(ks.d_inv)  # power composes left to right: d_inv^(m+1)
     b_dm1 = ks.b.compose(dm1)
     hpow = Coefficient.monomial(1, h=1)
-    for j in range(1, j_max + 1):
-        phi = phi_series_gen(m, N, j, K)
+    phis = {j: phi_series_gen(m, N, j, K) for j in range(1, j_max + 1)}
+    for j, phi in phis.items():
         coeff = (Coefficient.rational(m + 1 - j) + nc).scale(m + 1) * hpow
         resid = dm.apply(phi).scale(coeff) + b_dm1.apply(phi) - phi
         _series_eq_case(rep, suite, f"curve residual j={j}", resid, LaurentSeries.zero())
@@ -628,8 +628,7 @@ def check_spectral_curve(m: int, N, j_max: int, depth: int) -> Report:
             + ZOperator.ddz(1).scale(Coefficient.monomial(2, h=-1))
             + ZOperator({0: LaurentSeries.z_power(-2, QQ(1, 4))})
         )
-        phi1 = phi_series(1, 1, K)
-        _series_eq_case(rep, suite, "quantum Bessel", bessel.apply(phi1), LaurentSeries.zero())
+        _series_eq_case(rep, suite, "quantum Bessel", bessel.apply(phis[1]), LaurentSeries.zero())
     if not nc and m >= 2:
         hinv = Coefficient.monomial(1, h=-1)
         curve = dm.scale(Coefficient.monomial(m * (m + 1), h=1)) + b_dm1 - ZOperator.identity()

@@ -74,25 +74,34 @@ def jacobi_trudi(mu) -> TimePolynomial:
 # walk of schur_in_times
 
 
-@lru_cache(maxsize=None)
-def character(mu, lam) -> int:
-    """Irreducible character chi^mu at cycle type lam (|mu| = |lam|) by
-    Murnaghan-Nakayama: remove a rim hook of length lam[0] from mu in every
-    way, with sign (-1)^height, and recurse on lam[1:].  On the beta-set
-    {mu_i + r - i} a rim hook of length k is a bead moved from b down to an
-    empty place b - k; its height is the number of beads it passes."""
-    if not lam:
-        return 1
-    k, r = lam[0], len(mu)
+def rim_hooks(mu, k) -> list:
+    """Every (nu, odd): nu is left after removing a rim hook of length k
+    from mu, odd whether its height is odd.  On the beta-set {mu_i + r - i}
+    a rim hook of length k is a bead moved from b down to an empty place
+    b - k; its height is the number of beads it passes."""
+    r = len(mu)
     beta = [p + r - 1 - i for i, p in enumerate(mu)]
-    total = 0
+    out = []
     for b in beta:
         if b < k or b - k in beta:
             continue
         moved = sorted([x for x in beta if x != b] + [b - k], reverse=True)
         nu = tuple(p for p in (x - r + 1 + i for i, x in enumerate(moved)) if p)
+        out.append((nu, sum(b - k < x < b for x in beta) % 2 == 1))
+    return out
+
+
+@lru_cache(maxsize=None)
+def character(mu, lam) -> int:
+    """Irreducible character chi^mu at cycle type lam (|mu| = |lam|) by
+    Murnaghan-Nakayama: remove a rim hook of length lam[0] from mu in every
+    way, with sign (-1)^height, and recurse on lam[1:]."""
+    if not lam:
+        return 1
+    total = 0
+    for nu, odd in rim_hooks(mu, lam[0]):
         chi = character(nu, lam[1:])
-        total += -chi if sum(b - k < x < b for x in beta) % 2 else chi
+        total += -chi if odd else chi
     return total
 
 
@@ -218,14 +227,31 @@ def test_tau_from_schur_matches_the_per_mu_reference(m, N):
         assert tau_from_schur(table).coeffs == tau_reference(table), degree
 
 
+_small_partitions = st.integers(0, 12).flatmap(lambda n: st.sampled_from(list(partitions(n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_partitions, st.integers(0, 4), st.integers(1, 13))
+def test_hook_moves_do_not_depend_on_the_number_of_beads(mu, extra, k):
+    """The moves of the beta-set mask of mu on R = len(mu) + extra beads,
+    each decoded to its partition, are the rim hooks of mu with their signs
+    whatever R: the walk holds every mu of one vector on the longest length
+    among them."""
+    R = len(mu) + extra
+    beads = sum(1 << (p + R - 1 - i) for i, p in enumerate(mu + (0,) * extra))
+    moves = [(schur._partition(b), odd) for b, odd in schur._hook_moves(beads, k)]
+    assert sorted(moves) == sorted(rim_hooks(mu, k))
+
+
 def test_a_flipped_hook_sign_is_seen(monkeypatch):
-    """One hook move with its sign flipped moves tau off the reference, and
-    at m = 3 the oracle's own checks see it too."""
+    """One hook move with its sign flipped, the first 1-hook move out of the
+    mask that decodes to (2, 1), moves tau off the reference, and at m = 3
+    the oracle's own checks see it too."""
     true_moves = schur._hook_moves
 
-    def flipped(nu, k):
-        moves = true_moves(nu, k)
-        if (nu, k) == ((2, 1), 1):
+    def flipped(beads, k):
+        moves = true_moves(beads, k)
+        if k == 1 and schur._partition(beads) == (2, 1):
             (first, odd), *rest = moves
             return ((first, not odd), *rest)
         return moves
@@ -618,6 +644,15 @@ def test_the_column_property_sees_a_step_without_the_rescale(monkeypatch):
     monkeypatch.setattr(schur, "rescaled", rescale_skipped())
     assert fails_its_property(test_column_pass_matches_the_tuple_walk_on_any_columns,
                               _column_cases())
+
+
+def test_the_column_pass_sees_a_sign_that_ignores_the_chosen_exponents():
+    """Negative control: a column step that places every exponent with
+    sign +1, whatever chosen exponents lie below it, moves the table off
+    the tuple walk at every m."""
+    unsigned = mutant(plucker_expansion, "-1 if (S & (1 << e) - 1).bit_count() % 2 else 1", "1")
+    for m in (1, 2, 3, 4):
+        assert unsigned(m, 0, 8).table != plucker_dfs(m, 0, 8), m
 
 
 def test_column_pass_sees_a_corrupted_column(monkeypatch):

@@ -245,6 +245,24 @@ def _ks_run_with_bumped_phi(m: int) -> Report:
         clear()
 
 
+def test_one_ks_suite_builds_the_phi_table_once(monkeypatch):
+    """The spectral curve, whose basis vectors reach deepest (K = 21 here;
+    the ladder actions need K = 18), runs first, so one ks suite builds the
+    stored phi coefficients once."""
+    builds = []
+    build = zcalculus._phi_coefficients
+
+    def counted(m, K):
+        builds.append((m, K))
+        return build(m, K)
+
+    monkeypatch.setattr(zcalculus, "_PHI_STORE", {})
+    monkeypatch.setattr(zcalculus, "_phi_coefficients", counted)
+    zcalculus.phi_series_gen.cache_clear()
+    assert run_suites(["ks"], m=1, N=0, depth=12).ok
+    assert builds == [(1, 21)]
+
+
 def test_ks_mutation_control():
     """Bumping one stored basis-vector coefficient phi[1,2] makes the ks
     suite print a FAIL line, and the suite passes again after."""

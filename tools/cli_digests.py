@@ -8,22 +8,25 @@ The commands cover every verify suite at m = 1, 2, 3 (three of them with
 --format json, whose summary no text command prints), the ks suite at
 m = 1..4 (N = 0, -1/2, -1, 1/3, 1, 3/2, 7/11, -5/13, -9/13, symbolic, and
 N = -m/2 at m = 4, where the zeroth-order term of the step vanishes; the
-quantum Bessel and closing identity cases included; depth up to 20), the
-basis-vector tables (symbolic j at m = 1, 2, 3, 4, 6, depth up to 24; bound
-j at N = 0, rational and symbolic N, negative j included, depth 0 in JSON),
-the cut-and-join expansions and free energies at m = 1, 2 (rational and
+quantum Bessel and closing identity cases included; depth up to 20, the
+default depth 20 at m = 1 with symbolic N), the basis-vector tables
+(symbolic j at m = 1, 2, 3, 4, 6, depth up to 24; bound j at N = 0,
+rational and symbolic N, negative j included, depth 0 in JSON), the
+cut-and-join expansions and free energies at m = 1, 2 (rational and
 symbolic N; free energy at order 0, whose text output is empty, in text and
 JSON), the oracle expansions at m = 1..4 (an oracle free energy at m = 3,
 one oracle expansion in JSON; symbolic N at m = 1, 2, 3; N = 7/11 and -3/13
-at m = 1, 2, whose column denominators do not divide one another; degree 15
-at m = 3 and 16 at m = 4) and the crosscheck suite at m = 3, 4, Schur tables
-at m = 1..5 (more Miwa points than the degree included; degree 0 in JSON),
-and the help page of the program and of each subcommand (with COLUMNS=80, so
-that argparse's wrap width does not depend on the terminal), so a change
-that must keep the CLI output byte-identical can be checked against digests
-recorded before it. Each command runs as `python -m bgwtau.cli ...` from the
-root of the checkout with `src` on PYTHONPATH; none of them reads or writes
-the disk cache (expand and free-energy run with --no-cache).
+at m = 1, 2, whose column denominators do not divide one another; N = 1 at
+m = 3; degree 15 at m = 3 and 16 at m = 4) and the crosscheck suite at
+m = 3, 4, Schur tables at m = 1..5 (more Miwa points than the degree
+included; degree 0 in JSON; N = 1/2 at m = 2, whose basis vectors
+truncate, so some column entries are zero), and the help page of the
+program and of each subcommand (with COLUMNS=80, so that argparse's wrap
+width does not depend on the terminal), so a change that must keep the CLI
+output byte-identical can be checked against digests recorded before it.
+Each command runs as `python -m bgwtau.cli ...` from the root of the
+checkout with `src` on PYTHONPATH; none of them reads or writes the disk
+cache (expand and free-energy run with --no-cache).
 
 The WARM commands (expand and free-energy at m = 1, 2, rational and
 symbolic N, one in JSON; each also in COMMANDS) run with the disk cache
@@ -138,6 +141,9 @@ COMMANDS = (
     "free-energy --m 3 --N 1/2 --oracle --order 2 --no-cache",
     "phi --m 2 --N symbolic --j 1 --depth 0 --format json",
     "schur --m 2 --N 0 --degree 0 --format json",
+    "schur --m 2 --N 1/2 --degree 10",
+    "expand --m 3 --N 1 --oracle --degree 12 --no-cache",
+    "verify --suite ks --m 1 --N symbolic",
     "-h",
     "expand -h",
     "free-energy -h",
