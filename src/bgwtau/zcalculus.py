@@ -27,10 +27,18 @@ floor - k, and one item (n - k, den, numerator items, n(n-1)...(n-k+1)) per
 coefficient c_n = numerators/den whose falling factorial is nonzero; its
 reach is the largest kept exponent, or floor - k - 1 if none is kept, as for
 the derivative taken term by term.  _product_sum takes (view, view, int
-weight) triples (compose passes the binomial C(i, s), apply and * pass 1)
-and keeps one running sum (algebra) per output z-power: a pair adds its
-numerator products over d1 d2 with weight w w1 w2, and each z-power is
-reduced once, at the end.
+weight) triples (compose passes the binomial C(i, s), z_commutator +-C(i, s),
+apply and * pass 1) and keeps one running sum (algebra) per output z-power:
+a pair adds its numerator products over d1 d2 with weight w w1 w2, and each
+z-power is reduced once, at the end.
+
+Commutators.  In a b - b a the s = 0 products c_i b_l d^(i+l) of the two
+orders are equal, because coefficients commute, and cancel exactly.
+z_commutator sums only the s >= 1 products of both orders, with weights
++-C(i, s), in one _product_sum per d-order.  Each d-order keeps the floor of
+a.compose(b) - b.compose(a): the largest of o + tail + 1 and of every pair
+floor of both orders, s = 0 included, so an order whose products all cancel
+stays present, empty, with that floor.
 
 No bound.  A bound is an int or -inf, and -inf means "no bound": a floor
 of -inf is exact everywhere, the top and reach of a known zero are -inf, and
@@ -45,7 +53,12 @@ with alpha_i = 1 - m i - m/2 - N.  In the basis theta(theta-1)...(theta-o+1)
 e[o-1] + (o + alpha) e[o]; ks_operators builds d by this recurrence in
 int numerators over D^k, D = den(m/2 + N), and reduces each entry once, at
 the end, to a canonical Coefficient.  The ladder check applies d by steps:
-k_max applications of T to z Phi_j.
+k_max applications of T to z Phi_j.  T is diagonal up to its shift: it
+sends z^n to h (m/2 + N - n) z^(n-m), so a step is one Coefficient product
+per term, and a term whose factor vanishes is dropped.  The sum's floor is
+that of z Phi_j cut where d.apply cuts, and no step lowers it (each term's
+own floor, max(floor - m, cut), lies at or below it), so a step computes
+nothing below the sum's floor and adds into one running sum.
 
 Phi_j series.  Phi_j = z^(j-1)(1 + sum_k phi[m,k](j) h^k z^(-mk)) where the
 phi[m,k] are polynomials in j produced by the Gaussian steepest-descent
@@ -212,19 +225,10 @@ class ZOperator:
 
     def compose(self, other: "ZOperator") -> "ZOperator":
         """self after other (operator product)."""
-        # fold truncation tails: missing factors only act with small shifts,
-        # so order o of the product is exact only above z^(o + tail)
-        ta, tb = self.tail_shift, other.tail_shift
-        tail = max(ta + other.max_shift(), ta + tb, self.max_shift() + tb)
-        top = max(self.terms, default=0)
-        views = {l: _views(bl, top) for l, bl in other.terms.items()}
+        tail = _compose_tail(self, other)
         pairs: dict[int, list] = {}
-        for i, ci in self.terms.items():
-            # c_i d^i (b_l d^l) = c_i sum_s C(i,s) (d^s b_l) d^(i+l-s)
-            vi = _views(ci, 0)[0]
-            for l, vs in views.items():
-                for s in range(i + 1):
-                    pairs.setdefault(i + l - s, []).append((vi, vs[s], comb(i, s)))
+        for o, _, triple in _compose_pairs(self, other):
+            pairs.setdefault(o, []).append(triple)
         return ZOperator({o: _product_sum(ps, o + tail + 1) for o, ps in pairs.items()}, tail)
 
     def power(self, e: int) -> "ZOperator":
@@ -246,6 +250,26 @@ class ZOperator:
         if self.tail_shift > -inf:
             s += f"  (tail shift {self.tail_shift})"
         return s
+
+
+def _compose_tail(a: ZOperator, b: ZOperator):
+    """The tail shift of a after b, and of b after a: missing factors only
+    act with small shifts, so order o of either product is exact only above
+    z^(o + tail)."""
+    ta, tb = a.tail_shift, b.tail_shift
+    return max(ta + b.max_shift(), ta + tb, a.max_shift() + tb)
+
+
+def _compose_pairs(a: ZOperator, b: ZOperator):
+    """(order, s, (view, view, C(i, s))) for every product of a after b:
+    c_i d^i (b_l d^l) = c_i sum_s C(i,s) (d^s b_l) d^(i+l-s)."""
+    top = max(a.terms, default=0)
+    views = {l: _views(bl, top) for l, bl in b.terms.items()}
+    for i, ci in a.terms.items():
+        vi = _views(ci, 0)[0]
+        for l, vs in views.items():
+            for s in range(i + 1):
+                yield i + l - s, s, (vi, vs[s], comb(i, s))
 
 
 def _views(s: LaurentSeries, n: int) -> list[tuple]:
@@ -285,7 +309,19 @@ def _product_sum(triples: list, cut=-inf) -> LaurentSeries:
 
 
 def z_commutator(a: ZOperator, b: ZOperator) -> ZOperator:
-    return a.compose(b) - b.compose(a)
+    """a b - b a from the s >= 1 products of both orders (module docstring)."""
+    tail = _compose_tail(a, b)
+    pairs: dict[int, list] = {}
+    cuts: dict[int, int] = {}
+    for sign, x, y in ((1, a, b), (-1, b, a)):
+        for o, s, (vx, vy, w) in _compose_pairs(x, y):
+            ps = pairs.setdefault(o, [])
+            if s:
+                ps.append((vx, vy, sign * w))
+            else:  # cancels against the other order; only its floor is kept
+                cuts[o] = max(cuts.get(o, o + tail + 1), vx[0] + vy[1], vy[0] + vx[1])
+    return ZOperator({o: _product_sum(ps, cuts.get(o, o + tail + 1)) for o, ps in pairs.items()},
+                     tail)
 
 
 # ---------------------------------------------------------------------------
@@ -406,30 +442,43 @@ class KSOperators:
     c: ZOperator
     d: ZOperator
     d_inv: ZOperator
-    step: ZOperator
     k_max: int
+    m: int
+    hmn: Coefficient  # h (m/2 + N)
 
     def d_apply(self, s: LaurentSeries) -> LaurentSeries:
-        """d s by steps: the sum of T^k (z s) for k <= k_max, each term and
-        the sum cut where d.apply cuts, so the result equals d.apply(s)."""
-        cut = s.reach() + self.d.tail_shift + 1
-        term = out = s.shift(1).truncate(cut)
+        """d s by steps: the sum of T^k (z s) for k <= k_max, T z^n =
+        h (m/2 + N - n) z^(n-m) (module docstring).  The sum is cut where
+        d.apply cuts, at the floor of z s cut there, so it equals d.apply(s);
+        T only lowers exponents, so no term is computed below that floor."""
+        m, hmn = self.m, self.hmn
+        first = s.shift(1).truncate(s.reach() + self.d.tail_shift + 1)
+        fl, term = first.floor, first.coeffs
+        out = dict(term)
+        factors: dict[int, Coefficient] = {}
         for _ in range(self.k_max):
-            term = self.step.apply(term).truncate(cut)
-            out = out + term
-        return out
+            nxt = {}
+            for n, c in term.items():
+                if n - m >= fl:
+                    f = factors.get(n)
+                    if f is None:
+                        f = factors[n] = _step_factor(hmn, n)
+                    if cf := c * f:
+                        nxt[n - m] = cf
+                        add_into(out, n - m, cf)
+            term = nxt
+        return LaurentSeries(out, fl)
+
+
+def _step_factor(hmn: Coefficient, n: int) -> Coefficient:
+    """h (m/2 + N - n), the factor of T on z^n, from hmn = h (m/2 + N)."""
+    return hmn - Coefficient.monomial(n, h=1)
 
 
 @lru_cache(maxsize=256)
-def ks_operators(m: int, N, depth: int) -> KSOperators:
-    """The KS operators for tau^(m,N).
-
-    a = z d/dz - m/2 + z^m/h and b = z^(m+1) are exact; c is the exact
-    normal-ordered form of h z^-(m+1) (a-N)(a+Nm); d is the geometric series
-    sum_k T^k z with step T = -h z^-m (z d/dz - m/2 - N), truncated at
-    k_max so that its order-i coefficient is exact above
-    z^(i+1-m*ceil((depth+2)/m+1)); d_inv is the exact two-term inverse
-    z^-1 (1 - T)."""
+def _ks_exact(m: int, N) -> tuple:
+    """(a, b, c, d_inv, h (m/2 + N)): the KS operators that do not depend on
+    the depth (ks_operators), built once per (m, N)."""
     nc = n_coeff(N)
     half_m = QQ(m, 2)
 
@@ -444,18 +493,32 @@ def ks_operators(m: int, N, depth: int) -> KSOperators:
     a_minus = a - ZOperator.identity(nc)
     a_plus = a + ZOperator.identity(nc.scale(m))
     c = (a_minus.compose(a_plus)).shift(-(m + 1)).scale(Coefficient.monomial(1, h=1))
-
-    # d from the theta-recurrence (module docstring).  Every term T^k z
-    # shifts z-degree by exactly 1 - m k, so the omitted k > k_max tail has
-    # action shift <= 1 - m (k_max + 1).
-    k_max = (depth + 2 + m) // m + 1
-    hmn = (Coefficient.rational(half_m) + nc).times_h(1)  # h (m/2 + N), zero at N = -m/2
+    hmn = (Coefficient.rational(half_m) + nc).times_h(1)  # zero at N = -m/2
     step = ZOperator(
         {
             1: LaurentSeries.z_power(1 - m, Coefficient.monomial(-1, h=1)),
             0: LaurentSeries.z_power(-m, hmn),
         }
     )
+    d_inv = (ZOperator.identity() - step).shift(-1)
+    return a, b, c, d_inv, hmn
+
+
+@lru_cache(maxsize=256)
+def ks_operators(m: int, N, depth: int) -> KSOperators:
+    """The KS operators for tau^(m,N).
+
+    a = z d/dz - m/2 + z^m/h and b = z^(m+1) are exact; c is the exact
+    normal-ordered form of h z^-(m+1) (a-N)(a+Nm); d is the geometric series
+    sum_k T^k z with step T = -h z^-m (z d/dz - m/2 - N), truncated at
+    k_max so that its order-i coefficient is exact above
+    z^(i+1-m*ceil((depth+2)/m+1)); d_inv is the exact two-term inverse
+    z^-1 (1 - T).  Only d depends on depth; the others come from _ks_exact."""
+    a, b, c, d_inv, hmn = _ks_exact(m, N)
+    # d from the theta-recurrence (module docstring).  Every term T^k z
+    # shifts z-degree by exactly 1 - m k, so the omitted k > k_max tail has
+    # action shift <= 1 - m (k_max + 1).
+    k_max = (depth + 2 + m) // m + 1
     # e[k][o]: numerators over D^k of the z^(1-mk+o) d^o coefficient of T^k z,
     # D = den(m/2 + N); one more factor -h z^-m (theta + alpha_k) gives
     # -h (D e[o-1] + ((o + 1 - mk) D - D (m/2 + N)) e[o]) over D^(k+1)
@@ -477,8 +540,7 @@ def ks_operators(m: int, N, depth: int) -> KSOperators:
          for o in range(k_max + 1)},
         1 - m * (k_max + 1),
     )
-    d_inv = (ZOperator.identity() - step).shift(-1)
-    return KSOperators(a, b, c, d, d_inv, step, k_max)
+    return KSOperators(a, b, c, d, d_inv, k_max, m, hmn)
 
 
 def canonical_pair(m: int, N, depth: int) -> tuple[ZOperator, ZOperator, KSOperators]:
@@ -505,6 +567,16 @@ def _series_eq_case(rep: Report, suite: str, name: str, lhs: LaurentSeries, rhs:
     rep.add(suite, name, t == -inf, f"first residual at z^{t}" if t > -inf else "")
 
 
+def _phis(m: int, N, js, depth: int, j_max: int, K: int) -> dict[int, LaurentSeries]:
+    """{j: Phi_j^(m,N) exact down to z^(j-1-mK)} for j in js.  Every check
+    reads its series at the spectral curve's depth (depth + j_max + 2m + 2)//m
+    + 1 >= K, so one (m, N, depth, j_max) builds the stored coefficients and
+    binds each Phi_j once; cut to the check's floor the deeper series is the
+    series at K, since greater depth never changes asserted coefficients."""
+    deep = (depth + j_max + 2 * m + 2) // m + 1
+    return {j: phi_series_gen(m, N, j, deep).truncate(j - 1 - m * K) for j in js}
+
+
 def check_ks_actions(m: int, N, j_max: int, depth: int) -> Report:
     """Ladder actions of a, b, c, d on Phi_j for j = 1..j_max:
 
@@ -518,7 +590,7 @@ def check_ks_actions(m: int, N, j_max: int, depth: int) -> Report:
     K = (depth + j_max + m) // m + 1
     ks = ks_operators(m, N, depth + j_max + m + 1)
     nc = n_coeff(N)
-    phis = {j: phi_series_gen(m, N, j, K) for j in range(0, j_max + m + 2)}
+    phis = _phis(m, N, range(0, j_max + m + 2), depth, j_max, K)
     hinv = Coefficient.monomial(1, h=-1)
     hpow = Coefficient.monomial(1, h=1)
     for j in range(1, j_max + 1):
@@ -590,7 +662,7 @@ def check_canonical_pair(m: int, N, depth: int) -> Report:
     _shape_case(rep, suite, "Q in z + D_-", q, 0, LaurentSeries.z_power(1))
     _op_residual_case(rep, suite, "[P,Q]=1", z_commutator(p, q) - ZOperator.identity())
     K = (depth + m + 4) // m + 1
-    phis = {j: phi_series_gen(m, N, j, K) for j in range(0, m + 5)}
+    phis = _phis(m, N, range(0, m + 5), depth, 1, K)
     _series_eq_case(rep, suite, "P.Phi_1=0", p.apply(phis[1]), LaurentSeries.zero())
     for j in range(1, 4):
         expect = phis[j + 1]
@@ -617,7 +689,7 @@ def check_spectral_curve(m: int, N, j_max: int, depth: int) -> Report:
     dm1 = dm.compose(ks.d_inv)  # power composes left to right: d_inv^(m+1)
     b_dm1 = ks.b.compose(dm1)
     hpow = Coefficient.monomial(1, h=1)
-    phis = {j: phi_series_gen(m, N, j, K) for j in range(1, j_max + 1)}
+    phis = _phis(m, N, range(1, j_max + 1), depth, j_max, K)
     for j, phi in phis.items():
         coeff = (Coefficient.rational(m + 1 - j) + nc).scale(m + 1) * hpow
         resid = dm.apply(phi).scale(coeff) + b_dm1.apply(phi) - phi

@@ -246,9 +246,9 @@ def _ks_run_with_bumped_phi(m: int) -> Report:
 
 
 def test_one_ks_suite_builds_the_phi_table_once(monkeypatch):
-    """The spectral curve, whose basis vectors reach deepest (K = 21 here;
-    the ladder actions need K = 18), runs first, so one ks suite builds the
-    stored phi coefficients once."""
+    """Every check reads its basis vectors at the spectral curve's depth
+    (K = 21 here; the ladder actions assert down to K = 18), so one ks suite
+    builds the stored phi coefficients once, whichever check runs first."""
     builds = []
     build = zcalculus._phi_coefficients
 

@@ -31,7 +31,9 @@ from bgwtau.zcalculus import (
     LaurentSeries,
     ZOperator,
     _exp_table,
+    _ks_exact,
     _phi_coefficients,
+    _phis,
     canonical_pair,
     check_canonical_pair,
     check_commutation,
@@ -401,11 +403,12 @@ def power_by_composition(a: ZOperator, e: int) -> ZOperator:
 
 def test_power_matches_composition_from_the_identity_on_the_ks_operators():
     """Floors, tail shifts and coefficients (repr) of a^e, e = 0..3, for
-    the KS operators, d's tail and d_inv's exact form included."""
+    the KS operators and the step T, d's tail and d_inv's exact form
+    included."""
     for m, N in product((1, 2, 3, 4), (0, QQ(7, 11), "symbolic", QQ(-1, 2))):
         ks = ks_operators(m, N, 6)
-        for name in ("a", "b", "c", "d", "d_inv", "step"):
-            op = getattr(ks, name)
+        for name, op in (("a", ks.a), ("b", ks.b), ("c", ks.c), ("d", ks.d),
+                         ("d_inv", ks.d_inv), ("step", literal_step(m, N))):
             for e in range(4):
                 assert repr(op.power(e)) == repr(power_by_composition(op, e)), (m, N, name, e)
 
@@ -416,14 +419,20 @@ def test_power_matches_composition_from_the_identity_on_any_operator(a, e):
     assert repr(a.power(e)) == repr(power_by_composition(a, e))
 
 
+def literal_step(m: int, N) -> ZOperator:
+    """The step T = -h z^-m (z d/dz - m/2 - N) of the KS operator d, written
+    out: -h z^(1-m) d/dz + h (m/2 + N) z^-m."""
+    hmn = (Coefficient.rational(QQ(m, 2)) + n_coeff(N)).times_h(1)
+    return ZOperator({1: LaurentSeries.z_power(1 - m, Coefficient.monomial(-1, h=1)),
+                      0: LaurentSeries.z_power(-m, hmn)})
+
+
 def d_by_composition(m: int, N, depth: int) -> ZOperator:
     """Reference for ks_operators' d: the geometric series sum_k T^k z,
     each term composed from the previous one, summed, and given the tail
     shift 1 - m (k_max + 1)."""
     k_max = (depth + 2 + m) // m + 1
-    hmn = (Coefficient.rational(QQ(m, 2)) + n_coeff(N)).times_h(1)
-    step = ZOperator({1: LaurentSeries.z_power(1 - m, Coefficient.monomial(-1, h=1)),
-                      0: LaurentSeries.z_power(-m, hmn)})
+    step = literal_step(m, N)
     term = d = ZOperator({0: LaurentSeries.z_power(1)})
     for _ in range(k_max):
         term = step.compose(term)
@@ -456,8 +465,9 @@ def test_d_matches_the_composed_geometric_series():
         for o, s in want.terms.items():
             g = got.terms[o]
             assert g.floor == s.floor and g.coeffs == s.coeffs, (m, N, depth, o)
-        for name in ("a", "b", "c", "d", "d_inv", "step"):
-            assert not off_canonical(getattr(ks, name)), (m, N, depth, name)
+        for name, op in (("a", ks.a), ("b", ks.b), ("c", ks.c), ("d", ks.d),
+                         ("d_inv", ks.d_inv), ("step", literal_step(m, N))):
+            assert not off_canonical(op), (m, N, depth, name)
 
 
 def test_d_inv_matches_the_literal_two_term_inverse():
@@ -472,9 +482,11 @@ def test_d_inv_matches_the_literal_two_term_inverse():
 
 
 def test_d_by_steps_matches_the_dense_action():
-    """KSOperators.d_apply (k_max steps T on z s) equals d.apply(s), floors
-    included, on basis vectors and on the edge series: a known zero, an
-    exact single term and an empty series with a floor."""
+    """KSOperators.d_apply (k_max diagonal steps T on z s) equals d.apply(s),
+    floors included, on basis vectors and on the edge series: a known zero,
+    an exact single term and an empty series with a floor.  The grid holds
+    N = 1/2 at m = 1, where the step factor h (m/2 + N - n) vanishes at
+    n = 1, and N = -m/2, where it vanishes at n = 0."""
     edge = [LaurentSeries.zero(), LaurentSeries.z_power(3, QQ(2, 5)), LaurentSeries({}, -4)]
     for m, N, depth in product((1, 2, 3, 4), KS_GRID_N, (3, 8)):
         N = QQ(-m, 2) if N == "-m/2" else N
@@ -482,6 +494,15 @@ def test_d_by_steps_matches_the_dense_action():
         series = [phi_series_gen(m, N, j, K) for j in range(6) for K in (2, 5, 9)] + edge
         for s in series:
             assert repr(ks.d_apply(s)) == repr(ks.d.apply(s)), (m, N, depth, s)
+
+
+def test_d_by_steps_sees_a_step_factor_off_by_one(monkeypatch):
+    """Negative control: a diagonal step factor h (m/2 + N - (n + 1)) fails
+    the property above."""
+    monkeypatch.setattr(zcalculus, "_step_factor",
+                        lambda hmn, n: hmn - Coefficient.monomial(n + 1, h=1))
+    with pytest.raises(AssertionError):
+        test_d_by_steps_matches_the_dense_action()
 
 
 def test_ks_series_store_no_zero():
@@ -498,6 +519,42 @@ def test_ks_series_store_no_zero():
             series += [phi_series_gen(m, N, j, 3) for j in range(0, 4)]
             for s in series:
                 assert all(s.coeffs.values()), (m, N, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operators, _operators)
+def test_commutator_matches_compose_minus_compose_on_any_operator(a, b):
+    """z_commutator (the s >= 1 products of both orders only) equals
+    a.compose(b) - b.compose(a): floors, tail shift, orders kept empty and
+    coefficients (repr)."""
+    assert repr(zcalculus.z_commutator(a, b)) == repr(a.compose(b) - b.compose(a))
+
+
+def test_the_commutator_property_sees_a_dropped_product(monkeypatch):
+    """Negative control: a commutator that also drops the first s >= 1
+    product of a after b fails the property above."""
+    commutator, pairs = zcalculus.z_commutator, zcalculus._compose_pairs
+
+    def dropping(a, b):
+        calls = []
+
+        def pairs_dropping_one(x, y):
+            calls.append(x)
+            it = pairs(x, y)
+            if len(calls) == 1:
+                for o, s, triple in it:
+                    if s:
+                        break
+                    yield o, s, triple
+            yield from it
+
+        with monkeypatch.context() as patch:
+            patch.setattr(zcalculus, "_compose_pairs", pairs_dropping_one)
+            return commutator(a, b)
+
+    monkeypatch.setattr(zcalculus, "z_commutator", dropping)
+    assert fails_its_property(test_commutator_matches_compose_minus_compose_on_any_operator,
+                              _operators, _operators)
 
 
 def test_ab_commutator_explicit():
@@ -521,6 +578,48 @@ def test_shape_cases_fail_on_the_zero_operator(monkeypatch):
     lines = check_canonical_pair(2, 0, 6).lines()
     assert "FAIL canonical-pair[m=2,N=0]:P in ddz + D_-  [order d^1 has z^0 term]" in lines
     assert "FAIL canonical-pair[m=2,N=0]:Q in z + D_-  [order d^0 has z^1 term]" in lines
+
+
+def test_the_bench_call_order_builds_each_phi_table_and_series_once(monkeypatch):
+    """The ks checks in the bench's order (ladder actions, commutation,
+    spectral curve, canonical pair; depth 3, j_max 1) at m = 1..3 and
+    N = 0, 7/11, symbolic, from cold caches, build the stored phi
+    coefficients once per m and bind each Phi_j once per (m, N, j): every
+    check reads its series at the spectral curve's depth."""
+    builds = []
+    build = zcalculus._phi_coefficients
+
+    def counted(m, K):
+        builds.append(m)
+        return build(m, K)
+
+    monkeypatch.setattr(zcalculus, "_PHI_STORE", {})
+    monkeypatch.setattr(zcalculus, "_phi_coefficients", counted)
+    for cached in (phi_series_gen, ks_operators, _ks_exact):
+        cached.cache_clear()
+    bound = set()
+    for m, N in product((1, 2, 3), (0, QQ(7, 11), "symbolic")):
+        assert check_ks_actions(m, N, 1, 3).ok and check_commutation(m, N, 3).ok
+        assert check_spectral_curve(m, N, 1, 3).ok
+        bound |= {(m, N, j) for j in range(m + 3)}
+        if m >= 2:
+            assert check_canonical_pair(m, N, 3).ok
+            bound |= {(m, N, j) for j in range(m + 5)}
+    assert builds == [1, 2, 3]
+    assert phi_series_gen.cache_info().misses == len(bound)
+
+
+def test_phis_cut_to_a_check_floor_are_the_series_at_its_depth():
+    """A check's basis vectors read at the spectral curve's depth and cut to
+    the check's floor j - 1 - mK are phi_series_gen(m, N, j, K), repr (so
+    floors) included, at the K of the ladder actions, the canonical pair and
+    the spectral curve."""
+    for m, N, depth, j_max in product((1, 2, 3), (0, QQ(7, 11), "symbolic"), (0, 3, 8), (1, 4)):
+        for K in ((depth + j_max + m) // m + 1, (depth + m + 4) // m + 1,
+                  (depth + j_max + 2 * m + 2) // m + 1):
+            got = _phis(m, N, range(7), depth, j_max, K)
+            for j, s in got.items():
+                assert repr(s) == repr(phi_series_gen(m, N, j, K)), (m, N, depth, j_max, K, j)
 
 
 def test_spectral_curve_reports():

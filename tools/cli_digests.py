@@ -7,9 +7,10 @@ sha256 of each one's stdout and its exit code with tools/cli_digests.json.
 The commands cover every verify suite at m = 1, 2, 3 (three of them with
 --format json, whose summary no text command prints), the ks suite at
 m = 1..4 (N = 0, -1/2, -1, 1/3, 1, 3/2, 7/11, -5/13, -9/13, symbolic, and
-N = -m/2 at m = 4, where the zeroth-order term of the step vanishes; the
-quantum Bessel and closing identity cases included; depth up to 20, the
-default depth 20 at m = 1 with symbolic N), the basis-vector tables
+N = -m/2 at m = 4, where the zeroth-order term of the step vanishes, and
+N = 1/2 at m = 1, where the step's diagonal factor m/2 + N - n vanishes at
+n = 1; the quantum Bessel and closing identity cases included; depth 3 to
+20, the default depth 20 at m = 1 with symbolic N), the basis-vector tables
 (symbolic j at m = 1, 2, 3, 4, 6, depth up to 24; bound j at N = 0,
 rational and symbolic N, negative j included, depth 0 in JSON), the
 cut-and-join expansions and free energies at m = 1, 2 (rational and
@@ -144,6 +145,9 @@ COMMANDS = (
     "schur --m 2 --N 1/2 --degree 10",
     "expand --m 3 --N 1 --oracle --degree 12 --no-cache",
     "verify --suite ks --m 1 --N symbolic",
+    "verify --suite ks --m 1 --N 1/2 --depth 8",
+    "verify --suite ks --m 3 --N 0 --depth 3",
+    "verify --suite ks --m 2 --N symbolic --depth 3",
     "-h",
     "expand -h",
     "free-energy -h",
