@@ -31,7 +31,6 @@ from bgwtau.zcalculus import (
     LaurentSeries,
     ZOperator,
     _exp_table,
-    _ks_exact,
     _phi_coefficients,
     _phis,
     canonical_pair,
@@ -311,7 +310,7 @@ def test_truncated_products_match_the_full_product_reference():
             pairs.append((ks.d, ks.d))
             ops.append(ks.d.compose(ks.d))
         if m >= 2:
-            p, q, _ = canonical_pair(m, N, depth)
+            p, q = canonical_pair(m, N, depth)
             pairs += [(p, q), (q, p)]
         for a, b in pairs:
             assert repr(a.compose(b)) == repr(full_product_compose(a, b)), (m, N, depth)
@@ -514,7 +513,7 @@ def test_ks_series_store_no_zero():
             ks = ks_operators(m, N, 5)
             ops = [ks.a, ks.b, ks.c, ks.d, ks.d_inv]
             if m >= 2:
-                ops += canonical_pair(m, N, 5)[:2]
+                ops += canonical_pair(m, N, 5)
             series = [s for op in ops for s in op.terms.values()]
             series += [phi_series_gen(m, N, j, 3) for j in range(0, 4)]
             for s in series:
@@ -572,7 +571,7 @@ def test_canonical_pair_reports():
 def test_shape_cases_fail_on_the_zero_operator(monkeypatch):
     # a missing lead must fail the shape check, not pass it vacuously
     def zero_pair(m, N, depth):
-        return ZOperator(), ZOperator(), ks_operators(m, N, depth)
+        return ZOperator(), ZOperator()
 
     monkeypatch.setattr(zcalculus, "canonical_pair", zero_pair)
     lines = check_canonical_pair(2, 0, 6).lines()
@@ -585,7 +584,11 @@ def test_the_bench_call_order_builds_each_phi_table_and_series_once(monkeypatch)
     spectral curve, canonical pair; depth 3, j_max 1) at m = 1..3 and
     N = 0, 7/11, symbolic, from cold caches, build the stored phi
     coefficients once per m and bind each Phi_j once per (m, N, j): every
-    check reads its series at the spectral curve's depth."""
+    check reads its series at the spectral curve's depth.  Of the 27
+    KSOperators they get, only the 11 that a check composes d from build
+    d: commutation (and the canonical pair at the same depth) for each
+    (m, N), and the spectral curve's closing identity at N = 0, m >= 2.
+    The ladder actions alone build none."""
     builds = []
     build = zcalculus._phi_coefficients
 
@@ -593,9 +596,17 @@ def test_the_bench_call_order_builds_each_phi_table_and_series_once(monkeypatch)
         builds.append(m)
         return build(m, K)
 
+    got = {}
+
+    def collected(m, N, depth):
+        ks = ks_operators(m, N, depth)
+        got[id(ks)] = ks
+        return ks
+
     monkeypatch.setattr(zcalculus, "_PHI_STORE", {})
     monkeypatch.setattr(zcalculus, "_phi_coefficients", counted)
-    for cached in (phi_series_gen, ks_operators, _ks_exact):
+    monkeypatch.setattr(zcalculus, "ks_operators", collected)
+    for cached in (phi_series_gen, ks_operators):
         cached.cache_clear()
     bound = set()
     for m, N in product((1, 2, 3), (0, QQ(7, 11), "symbolic")):
@@ -607,6 +618,11 @@ def test_the_bench_call_order_builds_each_phi_table_and_series_once(monkeypatch)
             bound |= {(m, N, j) for j in range(m + 5)}
     assert builds == [1, 2, 3]
     assert phi_series_gen.cache_info().misses == len(bound)
+    assert len(got) == 27
+    assert sum("d" in vars(ks) for ks in got.values()) == 11
+    got.clear()
+    assert check_ks_actions(1, 0, 4, 20).ok
+    assert got and not any("d" in vars(ks) for ks in got.values())
 
 
 def test_phis_cut_to_a_check_floor_are_the_series_at_its_depth():

@@ -9,9 +9,11 @@ The commands cover every verify suite at m = 1, 2, 3 (three of them with
 m = 1..4 (N = 0, -1/2, -1, 1/3, 1, 3/2, 7/11, -5/13, -9/13, symbolic, and
 N = -m/2 at m = 4, where the zeroth-order term of the step vanishes, and
 N = 1/2 at m = 1, where the step's diagonal factor m/2 + N - n vanishes at
-n = 1; the quantum Bessel and closing identity cases included; depth 3 to
-20, the default depth 20 at m = 1 with symbolic N), the basis-vector tables
-(symbolic j at m = 1, 2, 3, 4, 6, depth up to 24; bound j at N = 0,
+n = 1; the quantum Bessel and closing identity cases included, the
+closing identity through d^3 at m = 4, N = 0, depth 6, and at the smallest
+k_max at m = 2, N = 0, depth 0; depth 0 to 20, the default depth 20 at
+m = 1 with symbolic N), the basis-vector tables (symbolic j at m = 1, 2,
+3, 4, 6, depth up to 24; bound j at N = 0,
 rational and symbolic N, negative j included, depth 0 in JSON), the
 cut-and-join expansions and free energies at m = 1, 2 (rational and
 symbolic N; free energy at order 0, whose text output is empty, in text and
@@ -148,6 +150,8 @@ COMMANDS = (
     "verify --suite ks --m 1 --N 1/2 --depth 8",
     "verify --suite ks --m 3 --N 0 --depth 3",
     "verify --suite ks --m 2 --N symbolic --depth 3",
+    "verify --suite ks --m 4 --N 0 --depth 6",
+    "verify --suite ks --m 2 --N 0 --depth 0",
     "-h",
     "expand -h",
     "free-energy -h",
